@@ -32,12 +32,13 @@ from .fileio import (
     load_witness,
     save_colligation,
 )
-from .linalg import DEFAULT_ATOL, max_abs
+from .linalg import DEFAULT_ATOL, _check_atol, max_abs
 from .realization import (
     Colligation,
     coordinate_representation,
     direct_sum,
     evaluate,
+    evaluate_all,
     product,
     random_colligation,
 )
@@ -210,20 +211,22 @@ def _certificate(split, variant, witnesses, atol):
 
 def _cmd_eval(args, report):
     col = _loaded_colligation(args.colligation, args.atol)
-    indices = range(col.table.n) if args.point is None else [args.point]
-    evaluations = []
-    for i in indices:
-        if not 0 <= i < col.table.n:
-            raise StructureError(f"point index {i} outside 0..{col.table.n - 1}")
-        evaluations.append(
-            {
-                "index": i,
-                "label": col.table.points.labels[i],
-                "value": encode_matrix(evaluate(col, i)),
-            }
-        )
+    n = col.table.n
+    if args.point is None:
+        indices, values = range(n), evaluate_all(col)
+    elif 0 <= args.point < n:
+        indices, values = [args.point], [evaluate(col, args.point)]
+    else:
+        raise StructureError(f"point index {args.point} outside 0..{n - 1}")
     report["value_dim"] = col.value_dim
-    report["evaluations"] = evaluations
+    report["evaluations"] = [
+        {
+            "index": i,
+            "label": col.table.points.labels[i],
+            "value": encode_matrix(value),
+        }
+        for i, value in zip(indices, values)
+    ]
     return 0
 
 
@@ -414,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         report["inputs"] = _input_digests(args)
+        _check_atol(args.atol)
         code = _HANDLERS[args.command](args, report)
     except (ColligateError, OSError) as exc:
         report["error"] = type(exc).__name__

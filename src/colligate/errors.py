@@ -32,6 +32,11 @@ class SingularResolventError(ColligateError, ValueError):
     """A resolvent solve hit a singular matrix during evaluation."""
 
 
+class ToleranceError(ColligateError, ValueError):
+    """An absolute tolerance is not a finite nonnegative number, or is
+    zero where a bisection needs a positive bracket width."""
+
+
 class StructureError(ColligateError, ValueError):
     """A structural invariant fails: missing split, stray block, bad
     projection family, or mismatched point sets."""

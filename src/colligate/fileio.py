@@ -128,7 +128,12 @@ def decode_matrix(obj, where: str) -> np.ndarray:
                 raise FormatError(
                     f"{where}: entry ({r}, {c}) must be a [re, im] number pair"
                 )
-            entries.append(complex(entry[0], entry[1]))
+            try:
+                entries.append(complex(entry[0], entry[1]))
+            except OverflowError as exc:
+                raise FormatError(
+                    f"{where}: entry ({r}, {c}) does not fit in a double"
+                ) from exc
         rows.append(entries)
     a = np.asarray(rows, dtype=np.complex128)
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -140,7 +145,7 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -221,6 +226,10 @@ def load_colligation(path: str) -> Colligation:
         name: decode_matrix(_require(obj, name, path), f"{path}.{name}")
         for name in ("A", "B", "C", "D")
     }
+    if blocks["A"].shape != (value_dim, value_dim):
+        raise FormatError(
+            f"{path}: value_dim is {value_dim} but A has shape {blocks['A'].shape}"
+        )
     return Colligation(rep=rep, table=table, **blocks)
 
 
@@ -248,10 +257,12 @@ def load_kernel(path: str) -> HermitianKernel:
     raw = _require(obj, "blocks", path)
     if not isinstance(raw, list) or len(raw) != points.n:
         raise FormatError(f"{path}: blocks must be an {points.n}-row grid")
-    grid = np.zeros((points.n, points.n, block_dim, block_dim), dtype=np.complex128)
+    # the grid is sized from the decoded blocks, never from block_dim alone
+    grid = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != points.n:
             raise FormatError(f"{path}.blocks[{i}]: expected {points.n} blocks")
+        grid.append([])
         for j, cell in enumerate(row):
             block = decode_matrix(cell, f"{path}.blocks[{i}][{j}]")
             if block.shape != (block_dim, block_dim):
@@ -259,8 +270,8 @@ def load_kernel(path: str) -> HermitianKernel:
                     f"{path}.blocks[{i}][{j}]: shape {block.shape}, "
                     f"expected {(block_dim, block_dim)}"
                 )
-            grid[i, j] = block
-    return HermitianKernel(points, grid)
+            grid[i].append(block)
+    return HermitianKernel(points, np.array(grid))
 
 
 def save_kernel(k: HermitianKernel, path: str) -> None:

@@ -8,9 +8,17 @@ no relative tolerance knob is offered.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import DimensionError, OrthogonalityError, PaddingError, RankError
+from .errors import (
+    DimensionError,
+    OrthogonalityError,
+    PaddingError,
+    RankError,
+    ToleranceError,
+)
 
 DEFAULT_ATOL = 1e-9
 
@@ -239,5 +247,5 @@ def _rng_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def _check_atol(atol: float) -> None:
-    if not (atol >= 0.0):
-        raise ValueError(f"atol must be nonnegative, got {atol}")
+    if not (math.isfinite(atol) and atol >= 0.0):
+        raise ToleranceError(f"atol must be finite and nonnegative, got {atol}")

@@ -284,6 +284,25 @@ class Colligation:
         )
 
 
+def _resolvent(col: Colligation, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """L_i = L(x_i) and G_i = (I - D L_i)^{-1} C at point index ``i``.
+
+    The one resolvent solve of the module: every evaluation and the
+    Gramian identity go through it, so a singular resolvent is reported
+    the same way, with its point index, wherever it shows up.
+    """
+    lam = rep_apply(col.rep, eval_map(col.table, i))
+    lhs = np.eye(col.state_dim) - col.D @ lam
+    try:
+        g = np.linalg.solve(lhs, col.C)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolventError(
+            f"resolvent is singular at point index {i}; the sampled family "
+            "or the operator violates contractivity"
+        ) from exc
+    return lam, g
+
+
 def evaluate(col: Colligation, i: int) -> np.ndarray:
     """Transfer function of ``col`` at point index ``i``.
 
@@ -291,18 +310,8 @@ def evaluate(col: Colligation, i: int) -> np.ndarray:
     A + B L x.  At the base point L vanishes and the result is exactly
     the A block.
     """
-    g = eval_map(col.table, i)
-    lam = rep_apply(col.rep, g)
-    n = col.state_dim
-    lhs = np.eye(n) - col.D @ lam
-    try:
-        x = np.linalg.solve(lhs, col.C)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolventError(
-            f"resolvent is singular at point index {i}; the sampled family "
-            "or the operator violates contractivity"
-        ) from exc
-    return col.A + col.B @ (lam @ x)
+    lam, g = _resolvent(col, i)
+    return col.A + col.B @ (lam @ g)
 
 
 def evaluate_all(col: Colligation) -> np.ndarray:
@@ -355,32 +364,32 @@ def gramian_identity_check(col: Colligation) -> float:
 
     holds exactly for isometric colligations; the returned number is
     the largest entrywise deviation over all (i, j).
+
+    With H_i = L_i G_i the residual of the pair is
+    I - F_j* F_i - G_j* G_i + H_j* H_i, plain algebra that needs no
+    projection axiom, so perturbed colligations are measured the same
+    way.  The columns [F_i; G_i; H_i] are stacked once into K, of shape
+    (d + 2N, n d), and each point row j of residuals is one product of
+    [F_j; G_j; -H_j]* with K: O(n^2 d^2 (d + 2N)) flops and O(n N d)
+    memory.
     """
     n_points = col.table.n
-    lams = []
-    gs = []
-    fs = []
-    eye_state = np.eye(col.state_dim)
+    d = col.value_dim
+    n_state = col.state_dim
+    stack = np.empty((d + 2 * n_state, n_points * d), dtype=np.complex128)
     for i in range(n_points):
-        lam = rep_apply(col.rep, eval_map(col.table, i))
-        try:
-            g = np.linalg.solve(eye_state - col.D @ lam, col.C)
-        except np.linalg.LinAlgError as exc:
-            raise SingularResolventError(
-                f"resolvent is singular at point index {i}"
-            ) from exc
-        lams.append(lam)
-        gs.append(g)
-        fs.append(col.A + col.B @ (lam @ g))
-    eye_val = np.eye(col.value_dim)
+        lam, g = _resolvent(col, i)
+        h = lam @ g
+        cols = slice(i * d, (i + 1) * d)
+        stack[:d, cols] = col.A + col.B @ h
+        stack[d : d + n_state, cols] = g
+        stack[d + n_state :, cols] = h
+    eye_row = np.tile(np.eye(d), n_points)
     worst = 0.0
-    for i in range(n_points):
-        for j in range(n_points):
-            lhs = eye_val - fs[j].conj().T @ fs[i]
-            rhs = gs[j].conj().T @ (
-                eye_state - lams[j].conj().T @ lams[i]
-            ) @ gs[i]
-            worst = max(worst, max_abs(lhs - rhs))
+    for j in range(n_points):
+        w = stack[:, j * d : (j + 1) * d].copy()
+        w[d + n_state :] *= -1.0
+        worst = max(worst, max_abs(eye_row - w.conj().T @ stack))
     return worst
 
 

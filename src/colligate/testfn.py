@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, StructureError
-from .linalg import DEFAULT_ATOL, as_matrix, is_psd, max_abs
+from .errors import DimensionError, StructureError, ToleranceError
+from .linalg import DEFAULT_ATOL, _check_atol, as_matrix, is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -118,18 +118,17 @@ def validate_test_family(
     one test function.  The default atol of 0.0 demands exact zeros and
     accepts any nonzero separation.
     """
+    _check_atol(atol)
     v = t.values
     bad_points = tuple(
-        int(i) for i in range(t.n) if float(np.max(np.abs(v[:, i]))) >= 1.0
+        int(i) for i in np.flatnonzero(np.max(np.abs(v), axis=0) >= 1.0)
     )
-    bad_base = tuple(
-        int(j) for j in range(t.m) if float(np.abs(v[j, 0])) > atol
-    )
+    bad_base = tuple(int(j) for j in np.flatnonzero(np.abs(v[:, 0]) > atol))
     bad_pairs = []
-    for i in range(t.n):
-        for k in range(i + 1, t.n):
-            if float(np.max(np.abs(v[:, i] - v[:, k]))) <= atol:
-                bad_pairs.append((i, k))
+    # one sweep per point i against every later point, O(n m) memory
+    for i in range(t.n - 1):
+        gaps = np.max(np.abs(v[:, i + 1 :] - v[:, i : i + 1]), axis=0)
+        bad_pairs.extend((i, i + 1 + int(k)) for k in np.flatnonzero(gaps <= atol))
     return TableDiagnostics(
         contractive=not bad_points,
         contractivity_violations=bad_points,
@@ -343,8 +342,16 @@ def agler_norm_lower_bound(
 
     Bisects on the squared bound until the bracket width drops below
     atol and returns the certified upper end.  This is a lower bound
-    for the true norm: adding kernels can only push it up.
+    for the true norm: adding kernels can only push it up.  atol is the
+    bracket width to stop at, so it must be positive; a width below the
+    spacing of doubles stops at two adjacent doubles.
     """
+    _check_atol(atol)
+    if atol == 0.0:
+        raise ToleranceError(
+            "the norm bound bisects to a bracket narrower than atol, "
+            "so atol must be positive"
+        )
     if not kernels:
         raise StructureError("at least one kernel is required")
     f = _as_value_stack(fvals)
@@ -376,6 +383,9 @@ def agler_norm_lower_bound(
     lo2 = 0.0
     while hi2 - lo2 > atol:
         mid = (lo2 + hi2) / 2.0
+        # adjacent doubles: an atol below their spacing is never reached
+        if not lo2 < mid < hi2:
+            break
         if passes(np.sqrt(mid)):
             hi2 = mid
         else:

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from colligate import (
+    Colligation,
     HermitianKernel,
     disc_table,
     evaluate_all,
@@ -67,6 +68,26 @@ class TestEval:
         code, report = run(capsys, "eval", workdir / "nope.json")
         assert code == 2
         assert report["error"] == "FileNotFoundError"
+
+    def test_all_points_match_single_point_reports(self, workdir, capsys):
+        _, every = run(capsys, "eval", workdir / "squared.json", "--all")
+        for entry in every["evaluations"]:
+            _, one = run(capsys, "eval", workdir / "squared.json", "--point", entry["index"])
+            assert one["evaluations"] == [entry]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [pytest.param("A", 10**400, id="A-1e400"), pytest.param("value_dim", 3, id="value_dim-3")],
+    )
+    def test_malformed_colligation_exits_two(self, workdir, capsys, field, value):
+        doc = json.loads((workdir / "blaschke.json").read_text())
+        if field == "A":
+            doc["A"][0][0][0] = value
+        else:
+            doc[field] = value
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        code, report = run(capsys, "eval", workdir / "bad.json")
+        assert (code, report["error"]) == (2, "FormatError")
 
     def test_reports_carry_input_digests(self, workdir, capsys):
         code, report = run(capsys, "eval", workdir / "blaschke.json")
@@ -363,6 +384,57 @@ class TestAdmissibleAndNormBound:
         )
         assert code == 2
         assert report["error"] == "StructureError"
+
+
+def _tolerance_argv(command, workdir):
+    """A well-formed invocation of ``command`` on the workdir files."""
+    zs = [0.0, 0.5, -1.0 / 3.0, 0.25j]
+    save_kernel(szego_samples(zs), str(workdir / "szego.json"))
+    save_values(disc_table(zs).points, np.zeros((4, 1, 1)), str(workdir / "zeros.json"))
+    blaschke, squared = workdir / "blaschke.json", workdir / "squared.json"
+    return {
+        "eval": ["eval", blaschke],
+        "check": ["check", blaschke, "--variant", "vanishing-selfadjoint", "--witness", workdir / "half.json"],
+        "factor": ["factor", blaschke, "--variant", "vanishing-selfadjoint", "--witness", workdir / "half.json", "-o", workdir / "f"],
+        "multiply": ["multiply", blaschke, squared, "-o", workdir / "m.json"],
+        "verify": ["verify", blaschke, blaschke, squared],
+        "random": ["random", "--table", workdir / "table.json", "--value-dim", "1", "--state-dims", "1,1", "-o", workdir / "r.json"],
+        "admissible": ["admissible", workdir / "szego.json", workdir / "table.json"],
+        "norm-bound": ["norm-bound", workdir / "zeros.json", "--kernels", workdir / "szego.json"],
+    }[command]
+
+
+COMMANDS = ["eval", "check", "factor", "multiply", "verify", "random", "admissible", "norm-bound"]
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("atol", ["nan", "-1", "inf", "-inf"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_finite_or_negative_atol_exits_two(self, workdir, capsys, command, atol):
+        code, report = run(capsys, *_tolerance_argv(command, workdir), f"--atol={atol}")
+        assert code == 2
+        assert report["error"] == "ToleranceError"
+        assert set(report) == {"command", "argv", "atol", "inputs", "error", "detail"}
+
+    def test_norm_bound_needs_a_positive_atol(self, workdir, capsys):
+        code, report = run(capsys, *_tolerance_argv("norm-bound", workdir), "--atol", "0")
+        assert code == 2
+        assert report["error"] == "ToleranceError"
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "norm-bound"])
+    def test_zero_atol_is_accepted_elsewhere(self, workdir, capsys, command):
+        _, report = run(capsys, *_tolerance_argv(command, workdir), "--atol", "0")
+        assert report.get("error") != "ToleranceError"
+
+    def test_nan_atol_does_not_evaluate_a_non_isometric_colligation(self, workdir, capsys):
+        col = blaschke_colligation()
+        bumped = Colligation.from_matrix(col.matrix() * 1.01, col.value_dim, col.rep, col.table)
+        save_colligation(bumped, str(workdir / "bumped.json"))
+        code, report = run(capsys, "eval", workdir / "bumped.json")
+        assert (code, report["error"]) == (2, "StructureError")
+        code, report = run(capsys, "eval", workdir / "bumped.json", "--atol", "nan")
+        assert (code, report["error"]) == (2, "ToleranceError")
+        assert "evaluations" not in report
 
 
 class TestArgumentErrors:

@@ -72,6 +72,10 @@ class TestMatrixCodec:
         with pytest.raises(FormatError, match="pair"):
             decode_matrix([[[True, False]]], "here")
 
+    def test_rejects_integers_beyond_double_range(self):
+        with pytest.raises(FormatError, match=r"entry \(0, 1\)"):
+            decode_matrix([[[0, 0], [10**400, 0]]], "m")
+
     def test_rejects_non_finite_entries(self):
         with pytest.raises(FormatError, match="non-finite"):
             decode_matrix([[[float("inf"), 0.0]]], "here")
@@ -137,6 +141,30 @@ class TestColligationFile:
         with pytest.raises(FormatError, match="JSON"):
             load_colligation(str(path))
 
+    def test_undecodable_bytes_are_rejected(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b'{"kind": "\xff"}')
+        with pytest.raises(FormatError, match="JSON"):
+            load_colligation(str(path))
+
+    def test_huge_integer_entry_is_a_format_error(self, tmp_path):
+        path = tmp_path / "col.json"
+        save_colligation(blaschke_colligation(), str(path))
+        doc = json.loads(path.read_text())
+        doc["D"][0][0][0] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=r"\.D: entry \(0, 0\)"):
+            load_colligation(str(path))
+
+    def test_value_dim_must_match_the_a_block(self, tmp_path):
+        path = tmp_path / "col.json"
+        save_colligation(blaschke_colligation(), str(path))
+        doc = json.loads(path.read_text())
+        doc["value_dim"] = 3
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="value_dim"):
+            load_colligation(str(path))
+
 
 class TestTableAndKernelFiles:
     def test_table_round_trip(self, tmp_path):
@@ -165,6 +193,18 @@ class TestTableAndKernelFiles:
         doc["block_dim"] = 2
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="blocks"):
+            load_kernel(str(path))
+
+    @pytest.mark.parametrize(
+        "block_dim", [pytest.param(10**400, id="1e400"), pytest.param(10**6, id="1e6")]
+    )
+    def test_huge_block_dim_is_rejected_without_allocating(self, tmp_path, block_dim):
+        path = tmp_path / "k.json"
+        save_kernel(szego_samples([0.0, 0.5]), str(path))
+        doc = json.loads(path.read_text())
+        doc["block_dim"] = block_dim
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="shape"):
             load_kernel(str(path))
 
 

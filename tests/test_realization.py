@@ -27,8 +27,45 @@ from colligate import (
     random_vanishing_colligation,
     rep_apply,
     rep_is_reducible,
+    verify_factorization,
 )
-from conftest import blaschke_colligation, coordinate_colligation, random_table
+from conftest import (
+    blaschke_colligation,
+    conforming_pair,
+    coordinate_colligation,
+    random_table,
+)
+
+
+def singular_colligation() -> Colligation:
+    """I - D L(x_1) = 1 - 2 * 0.5 vanishes: the resolvent at point 1 is singular."""
+    return Colligation(
+        rep=coordinate_representation([1]),
+        table=disc_table([0.0, 0.5]),
+        A=np.zeros((1, 1), dtype=complex),
+        B=np.ones((1, 1), dtype=complex),
+        C=np.ones((1, 1), dtype=complex),
+        D=np.array([[2.0]], dtype=complex),
+    )
+
+
+def pairwise_gramian_residual(col: Colligation) -> float:
+    """The defect identity checked pair by pair with N x N products."""
+    eye_state = np.eye(col.state_dim)
+    lams, gs, fs = [], [], []
+    for i in range(col.table.n):
+        lam = rep_apply(col.rep, col.table.values[:, i])
+        g = np.linalg.solve(eye_state - col.D @ lam, col.C)
+        lams.append(lam)
+        gs.append(g)
+        fs.append(col.A + col.B @ (lam @ g))
+    worst = 0.0
+    for i in range(col.table.n):
+        for j in range(col.table.n):
+            lhs = np.eye(col.value_dim) - fs[j].conj().T @ fs[i]
+            rhs = gs[j].conj().T @ (eye_state - lams[j].conj().T @ lams[i]) @ gs[i]
+            worst = max(worst, max_abs(lhs - rhs))
+    return worst
 
 
 class TestRepresentation:
@@ -152,18 +189,19 @@ class TestEvaluate:
         npt.assert_allclose(stack[1], evaluate(col, 1))
 
     def test_singular_resolvent_is_reported(self):
-        rep = coordinate_representation([1])
-        table = disc_table([0.0, 0.5])
-        col = Colligation(
-            rep=rep,
-            table=table,
-            A=np.zeros((1, 1), dtype=complex),
-            B=np.ones((1, 1), dtype=complex),
-            C=np.ones((1, 1), dtype=complex),
-            D=np.array([[2.0]], dtype=complex),
-        )
         with pytest.raises(SingularResolventError):
-            evaluate(col, 1)
+            evaluate(singular_colligation(), 1)
+
+    def test_every_batched_caller_names_the_singular_point(self):
+        col = singular_colligation()
+        calls = (
+            lambda: evaluate_all(col),
+            lambda: gramian_identity_check(col),
+            lambda: verify_factorization(col, col, col),
+        )
+        for call in calls:
+            with pytest.raises(SingularResolventError, match="point index 1"):
+                call()
 
 
 class TestProduct:
@@ -231,6 +269,33 @@ class TestGramianIdentity:
         u[0, 0] += 1e-3
         bumped = Colligation.from_matrix(u, col.value_dim, col.rep, col.table)
         assert gramian_identity_check(bumped) > 1e-7
+        assert abs(gramian_identity_check(bumped) - pairwise_gramian_residual(bumped)) < 1e-13
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_gram_products_match_the_pairwise_loop(self, seed):
+        m, n_state, d = 1 + seed % 3, 1 + seed % 8, 1 + (seed // 8) % 3
+        table = random_table(m, 2 + seed % 5, seed=600 + seed)
+        rep = random_representation(m, n_state, seed=700 + seed)
+        col = random_colligation(d, rep, table, seed=800 + seed)
+        assert abs(gramian_identity_check(col) - pairwise_gramian_residual(col)) < 1e-13
+        u = col.matrix().copy()
+        u[d - 1, 0] += 1e-3
+        bumped = Colligation.from_matrix(u, d, rep, table)
+        assert abs(gramian_identity_check(bumped) - pairwise_gramian_residual(bumped)) < 1e-13
+
+
+class TestVerifyFactorization:
+    @pytest.mark.parametrize("variant", ["vanishing-selfadjoint", "both-vanishing", "general"])
+    def test_stacked_form_is_bit_identical_to_the_pointwise_form(self, variant):
+        for seed in range(20):
+            d, n1, n2, m = 1 + seed % 3, 1 + seed % 4, 1 + (seed // 4) % 4, 1 + seed % 3
+            first, second, parent, _ = conforming_pair(variant, d, max(n1, d), max(n2, d), m, 900 + seed)
+            for f1, f2 in ((first, second), (second, first)):
+                pointwise = max(
+                    max_abs(evaluate(parent, i) - evaluate(f1, i) @ evaluate(f2, i))
+                    for i in range(parent.table.n)
+                )
+                assert verify_factorization(parent, f1, f2) == pointwise
 
 
 class TestStructuredGenerators:

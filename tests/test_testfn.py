@@ -13,6 +13,8 @@ from colligate import (
     HermitianKernel,
     PointSet,
     StructureError,
+    TableDiagnostics,
+    ToleranceError,
     agler_norm_lower_bound,
     cp_kernel_check,
     disc_points,
@@ -31,6 +33,27 @@ from colligate import TestFunctionTable as FunctionTable
 
 TWO_POINTS = [0.0, 0.5]
 FOUR_POINTS = [0.0, 0.5, -1.0 / 3.0, 0.25j]
+
+
+def pairwise_diagnostics(t: FunctionTable, atol: float = 0.0) -> TableDiagnostics:
+    """The three family invariants checked point by point and pair by pair."""
+    v = t.values
+    bad_points = tuple(i for i in range(t.n) if float(np.max(np.abs(v[:, i]))) >= 1.0)
+    bad_base = tuple(j for j in range(t.m) if float(np.abs(v[j, 0])) > atol)
+    bad_pairs = tuple(
+        (i, k)
+        for i in range(t.n)
+        for k in range(i + 1, t.n)
+        if float(np.max(np.abs(v[:, i] - v[:, k]))) <= atol
+    )
+    return TableDiagnostics(
+        contractive=not bad_points,
+        contractivity_violations=bad_points,
+        base_point_centered=not bad_base,
+        base_point_violations=bad_base,
+        separating=not bad_pairs,
+        separation_violations=bad_pairs,
+    )
 
 
 class TestPointSet:
@@ -89,6 +112,31 @@ class TestValidateTestFamily:
         assert not diag.separating
         assert (1, 2) in diag.separation_violations
         assert not diag.passed
+
+    def test_matches_the_pairwise_reference(self):
+        rng = np.random.default_rng(3)
+        values = 0.8 * (rng.uniform(-0.7, 0.7, (3, 40)) + 1j * rng.uniform(-0.7, 0.7, (3, 40)))
+        values[:, 17] = values[:, 5]  # duplicated column
+        values[:, 30] = values[:, 5]  # and a third copy of it
+        values[:, 9] = values[:, 2] + 1e-12  # near duplicate, separated only at atol 0
+        values[1, 23] = np.exp(0.3j)  # unit modulus
+        values[2, 0] = 0.25  # nonzero base entry
+        t = FunctionTable(PointSet(tuple(f"x{k}" for k in range(40))), values)
+        for atol in (0.0, 1e-9):
+            diag = validate_test_family(t, atol)
+            assert diag == pairwise_diagnostics(t, atol)
+            assert not diag.passed
+        assert validate_test_family(t).separation_violations == ((5, 17), (5, 30), (17, 30))
+        assert (2, 9) in validate_test_family(t, 1e-9).separation_violations
+
+    def test_single_point_table(self):
+        t = FunctionTable(PointSet(("o",)), np.zeros((2, 1), dtype=complex))
+        assert validate_test_family(t) == pairwise_diagnostics(t)
+
+    @pytest.mark.parametrize("atol", [-1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_nonnegative(self, atol):
+        with pytest.raises(ToleranceError):
+            validate_test_family(disc_table(FOUR_POINTS), atol)
 
 
 class TestHermitianKernel:
@@ -256,6 +304,18 @@ class TestNormLowerBound:
         one = [szego_samples(FOUR_POINTS)]
         two = one + [szego_samples(FOUR_POINTS, power=2)]
         assert agler_norm_lower_bound(f, two) >= agler_norm_lower_bound(f, one) - 1e-9
+
+    @pytest.mark.parametrize("atol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_a_positive_number(self, atol):
+        s = szego_samples(TWO_POINTS)
+        f = [np.array([[2.0 * z]]) for z in TWO_POINTS]
+        with pytest.raises(ToleranceError):
+            agler_norm_lower_bound(f, [s], atol=atol)
+
+    def test_tolerance_below_double_spacing_still_ends(self):
+        s = szego_samples(TWO_POINTS)
+        f = [np.array([[2.0 * z]]) for z in TWO_POINTS]
+        assert agler_norm_lower_bound(f, [s], atol=1e-300) == pytest.approx(2.0, abs=1e-8)
 
     def test_empty_kernel_list_is_an_error(self):
         with pytest.raises(StructureError):
