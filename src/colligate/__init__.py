@@ -11,167 +11,18 @@ families.
 
 from __future__ import annotations
 
-from .errors import (
-    ColligateError,
-    DimensionError,
-    FormatError,
-    OrthogonalityError,
-    PaddingError,
-    RankError,
-    SingularResolventError,
-    StructureError,
-    ToleranceError,
-    WitnessError,
-)
-from .factorization import (
-    VARIANTS,
-    FactorizationCertificate,
-    SplitColligation,
-    check_both_vanishing,
-    check_general,
-    check_vanishing_selfadjoint,
-    extract_both_vanishing,
-    extract_general,
-    extract_vanishing_selfadjoint,
-    find_LY_witness,
-    solve_general_witnesses,
-    split_blocks,
-    verify_factorization,
-)
-from .fileio import (
-    decode_matrix,
-    digest_file,
-    dumps_canonical,
-    encode_matrix,
-    load_colligation,
-    load_kernel,
-    load_table,
-    load_values,
-    load_witness,
-    save_colligation,
-    save_kernel,
-    save_table,
-    save_values,
-    save_witness,
-)
-from .linalg import (
-    DEFAULT_ATOL,
-    injective_on_range,
-    is_isometry,
-    is_psd,
-    isometric_factor,
-    max_abs,
-    numerical_rank,
-    orthonormal_range_basis,
-    random_isometry,
-)
-from .realization import (
-    Colligation,
-    Representation,
-    coordinate_representation,
-    direct_sum,
-    evaluate,
-    evaluate_all,
-    gramian_identity_check,
-    product,
-    random_colligation,
-    random_representation,
-    random_selfadjoint_base_colligation,
-    random_vanishing_colligation,
-    rep_apply,
-    rep_is_reducible,
-)
-from .testfn import (
-    HermitianKernel,
-    PointSet,
-    TableDiagnostics,
-    TestFunctionTable,
-    agler_norm_lower_bound,
-    cp_kernel_check,
-    disc_points,
-    disc_table,
-    eval_map,
-    is_admissible,
-    schur_agler_witness_check,
-    szego_samples,
-    validate_test_family,
-)
+from . import errors, factorization, fileio, linalg, realization, testfn
+from .errors import *  # noqa: F401,F403
+from .factorization import *  # noqa: F401,F403
+from .fileio import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .realization import *  # noqa: F401,F403
+from .testfn import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColligateError",
-    "DimensionError",
-    "FormatError",
-    "OrthogonalityError",
-    "PaddingError",
-    "RankError",
-    "SingularResolventError",
-    "StructureError",
-    "ToleranceError",
-    "WitnessError",
-    "VARIANTS",
-    "FactorizationCertificate",
-    "SplitColligation",
-    "check_both_vanishing",
-    "check_general",
-    "check_vanishing_selfadjoint",
-    "extract_both_vanishing",
-    "extract_general",
-    "extract_vanishing_selfadjoint",
-    "find_LY_witness",
-    "solve_general_witnesses",
-    "split_blocks",
-    "verify_factorization",
-    "decode_matrix",
-    "digest_file",
-    "dumps_canonical",
-    "encode_matrix",
-    "load_colligation",
-    "load_kernel",
-    "load_table",
-    "load_values",
-    "load_witness",
-    "save_colligation",
-    "save_kernel",
-    "save_table",
-    "save_values",
-    "save_witness",
-    "DEFAULT_ATOL",
-    "injective_on_range",
-    "is_isometry",
-    "is_psd",
-    "isometric_factor",
-    "max_abs",
-    "numerical_rank",
-    "orthonormal_range_basis",
-    "random_isometry",
-    "Colligation",
-    "Representation",
-    "coordinate_representation",
-    "direct_sum",
-    "evaluate",
-    "evaluate_all",
-    "gramian_identity_check",
-    "product",
-    "random_colligation",
-    "random_representation",
-    "random_selfadjoint_base_colligation",
-    "random_vanishing_colligation",
-    "rep_apply",
-    "rep_is_reducible",
-    "HermitianKernel",
-    "PointSet",
-    "TableDiagnostics",
-    "TestFunctionTable",
-    "agler_norm_lower_bound",
-    "cp_kernel_check",
-    "disc_points",
-    "disc_table",
-    "eval_map",
-    "is_admissible",
-    "schur_agler_witness_check",
-    "szego_samples",
-    "validate_test_family",
-    "__version__",
-]
+    name
+    for module in (errors, factorization, fileio, linalg, realization, testfn)
+    for name in module.__all__
+] + ["__version__"]

@@ -13,14 +13,7 @@ import argparse
 import sys
 
 from . import factorization as fz
-from .errors import (
-    ColligateError,
-    OrthogonalityError,
-    PaddingError,
-    RankError,
-    StructureError,
-    WitnessError,
-)
+from .errors import ColligateError, StructureError, WitnessError
 from .fileio import (
     digest_file,
     dumps_canonical,
@@ -32,10 +25,10 @@ from .fileio import (
     load_witness,
     save_colligation,
 )
-from .linalg import DEFAULT_ATOL, _check_atol, max_abs
+from .linalg import DEFAULT_ATOL, _check_atol
 from .realization import (
     Colligation,
-    coordinate_representation,
+    _round_robin_representation,
     direct_sum,
     evaluate,
     evaluate_all,
@@ -116,11 +109,15 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _loaded_colligation(path: str, atol: float) -> Colligation:
-    col = load_colligation(path)
-    diag = validate_test_family(col.table, atol=atol)
+def _require_valid_table(table, path: str, atol: float) -> None:
+    diag = validate_test_family(table, atol=atol)
     if not diag.passed:
         raise StructureError(f"{path}: test-function table fails validation: {diag}")
+
+
+def _loaded_colligation(path: str, atol: float) -> Colligation:
+    col = load_colligation(path)
+    _require_valid_table(col.table, path, atol)
     col.validate(atol)
     return col
 
@@ -133,80 +130,33 @@ def _encode_witnesses(witnesses: dict) -> dict:
     return {k: encode_matrix(v) for k, v in witnesses.items()}
 
 
-def _resolve_witnesses(split, variant, witness_path, auto, atol):
+def _quoted(names) -> str:
+    return " and ".join(f"'{k}'" for k in names)
+
+
+def _resolve_witnesses(split, variant: fz.Variant, witness_path, auto, atol):
     """Return (witness dict, source tag).  Raises on unusable input."""
     given = load_witness(witness_path) if witness_path else {}
-    if variant == "vanishing-selfadjoint":
-        if "A" not in given:
-            raise StructureError(
-                "vanishing-selfadjoint variant needs a witness document with 'A'"
-            )
-        return {"A": given["A"]}, "file"
-    if variant == "both-vanishing":
-        if "L" in given and "Y" in given:
-            return {"L": given["L"], "Y": given["Y"]}, "file"
-        if not auto:
-            raise StructureError(
-                "both-vanishing variant needs 'L' and 'Y', or --auto"
-            )
-        return _search_LY(split, atol), "auto"
-    if "A1" not in given or "A2" not in given:
-        raise StructureError("general variant needs a witness document with 'A1' and 'A2'")
-    if "X1" in given and "Y2" in given:
-        return dict(given), "file"
-    if not auto:
+    if all(k in given for k in variant.witnesses):
+        return {k: given[k] for k in variant.witnesses}, "file"
+    if not all(k in given for k in variant.given):
         raise StructureError(
-            "general variant needs 'X1' and 'Y2' in the witness, or --auto"
+            f"{variant.name} variant needs a witness document with {_quoted(variant.given)}"
         )
-    x1, y2 = fz.solve_general_witnesses(split, given["A1"], given["A2"], atol=atol)
-    return {"A1": given["A1"], "A2": given["A2"], "X1": x1, "Y2": y2}, "auto"
-
-
-def _search_LY(split, atol):
-    """Witness search for the both-vanishing variant.
-
-    Any failure here certifies that no witness pair of the required
-    form exists at this tolerance, so callers turn it into a false
-    verdict rather than an input error.
-    """
-    pattern = {
-        "parent_base_vanishes": max_abs(split.A),
-        "c1_vanishes": max_abs(split.C1),
-        "b2_vanishes": max_abs(split.B2),
-    }
-    worst = max(pattern.values())
-    if worst > atol:
-        cert = fz.FactorizationCertificate(
-            variant="both-vanishing",
-            witnesses={},
-            residuals=pattern,
-            atol=atol,
-            verdict=False,
+    if not auto:
+        rest = variant.witnesses[len(variant.given):]
+        raise StructureError(
+            f"{variant.name} variant needs {_quoted(rest)} in the witness, or --auto"
         )
-        raise WitnessError(
-            f"required vanishing pattern fails, largest entry {worst:.3e}",
-            certificate=cert,
-        )
-    try:
-        left, y = fz.find_LY_witness(split, atol=atol)
-    except (RankError, OrthogonalityError, PaddingError) as exc:
-        raise WitnessError(f"no witness pair exists: {exc}") from exc
-    return {"L": left, "Y": y}
+    return variant.search(split, given, atol), "auto"
 
 
-def _certificate(split, variant, witnesses, atol):
-    if variant == "vanishing-selfadjoint":
-        return fz.check_vanishing_selfadjoint(split, witnesses["A"], atol=atol)
-    if variant == "both-vanishing":
-        return fz.check_both_vanishing(split, witnesses["L"], witnesses["Y"], atol=atol)
-    return fz.check_general(
-        split,
-        witnesses["A1"],
-        witnesses["A2"],
-        witnesses["X1"],
-        witnesses["Y2"],
-        atol=atol,
-    )
+def _false_verdict(report, exc: WitnessError) -> int:
+    report["verdict"] = False
+    report["witness_error"] = str(exc)
+    if exc.certificate is not None:
+        report["residuals"] = _residuals(exc.certificate.residuals)
+    return 1
 
 
 def _cmd_eval(args, report):
@@ -231,21 +181,18 @@ def _cmd_eval(args, report):
 
 
 def _cmd_check(args, report):
+    variant = fz.VARIANT_TABLE[args.variant]
     col = _loaded_colligation(args.colligation, args.atol)
     split = fz.split_blocks(col, atol=args.atol)
     report["variant"] = args.variant
     try:
         witnesses, source = _resolve_witnesses(
-            split, args.variant, args.witness, args.auto, args.atol
+            split, variant, args.witness, args.auto, args.atol
         )
     except WitnessError as exc:
         report["witness_source"] = "auto"
-        report["verdict"] = False
-        report["witness_error"] = str(exc)
-        if exc.certificate is not None:
-            report["residuals"] = _residuals(exc.certificate.residuals)
-        return 1
-    cert = _certificate(split, args.variant, witnesses, args.atol)
+        return _false_verdict(report, exc)
+    cert = variant.check(split, witnesses, args.atol)
     report["witness_source"] = source
     report["witnesses"] = _encode_witnesses(witnesses)
     report["residuals"] = _residuals(cert.residuals)
@@ -254,36 +201,17 @@ def _cmd_check(args, report):
 
 
 def _cmd_factor(args, report):
+    variant = fz.VARIANT_TABLE[args.variant]
     col = _loaded_colligation(args.colligation, args.atol)
     split = fz.split_blocks(col, atol=args.atol)
     report["variant"] = args.variant
     try:
         witnesses, source = _resolve_witnesses(
-            split, args.variant, args.witness, args.auto, args.atol
+            split, variant, args.witness, args.auto, args.atol
         )
-        if args.variant == "vanishing-selfadjoint":
-            first, second = fz.extract_vanishing_selfadjoint(
-                split, witnesses["A"], atol=args.atol
-            )
-        elif args.variant == "both-vanishing":
-            first, second = fz.extract_both_vanishing(
-                split, witnesses["L"], witnesses["Y"], atol=args.atol
-            )
-        else:
-            first, second = fz.extract_general(
-                split,
-                witnesses["A1"],
-                witnesses["A2"],
-                witnesses["X1"],
-                witnesses["Y2"],
-                atol=args.atol,
-            )
+        first, second = variant.extract(split, witnesses, args.atol)
     except WitnessError as exc:
-        report["verdict"] = False
-        report["witness_error"] = str(exc)
-        if exc.certificate is not None:
-            report["residuals"] = _residuals(exc.certificate.residuals)
-        return 1
+        return _false_verdict(report, exc)
     paths = {"first": f"{args.output}.f1.json", "second": f"{args.output}.f2.json"}
     save_colligation(first, paths["first"])
     save_colligation(second, paths["second"])
@@ -316,15 +244,9 @@ def _cmd_verify(args, report):
     return 0 if residual <= args.atol else 1
 
 
-def _round_robin(m: int, size: int) -> list[int]:
-    return [size // m + (1 if j < size % m else 0) for j in range(m)]
-
-
 def _cmd_random(args, report):
     table = load_table(args.table)
-    diag = validate_test_family(table, atol=args.atol)
-    if not diag.passed:
-        raise StructureError(f"{args.table}: test-function table fails validation: {diag}")
+    _require_valid_table(table, args.table, args.atol)
     parts = args.state_dims.split(",")
     if len(parts) != 2:
         raise StructureError("--state-dims takes exactly two sizes, e.g. 3,2")
@@ -335,8 +257,8 @@ def _cmd_random(args, report):
     if n1 < 1 or n2 < 1 or args.value_dim < 1:
         raise StructureError("state and value dimensions must be positive")
     rep = direct_sum(
-        coordinate_representation(_round_robin(table.m, n1)),
-        coordinate_representation(_round_robin(table.m, n2)),
+        _round_robin_representation(table.m, n1),
+        _round_robin_representation(table.m, n2),
     )
     col = random_colligation(args.value_dim, rep, table, seed=args.seed)
     save_colligation(col, args.output)
@@ -352,9 +274,7 @@ def _cmd_random(args, report):
 def _cmd_admissible(args, report):
     kernel = load_kernel(args.kernel)
     table = load_table(args.table)
-    diag = validate_test_family(table, atol=args.atol)
-    if not diag.passed:
-        raise StructureError(f"{args.table}: test-function table fails validation: {diag}")
+    _require_valid_table(table, args.table, args.atol)
     verdict = is_admissible(kernel, table, atol=args.atol)
     report["block_dim"] = kernel.block_dim
     report["verdict"] = verdict

@@ -7,6 +7,19 @@ single diagnostic exit code.
 
 from __future__ import annotations
 
+__all__ = [
+    "ColligateError",
+    "DimensionError",
+    "FormatError",
+    "OrthogonalityError",
+    "PaddingError",
+    "RankError",
+    "SingularResolventError",
+    "StructureError",
+    "ToleranceError",
+    "WitnessError",
+]
+
 
 class ColligateError(Exception):
     """Base class for all errors raised by this package."""
@@ -55,4 +68,5 @@ class WitnessError(ColligateError, ValueError):
 
 
 class FormatError(ColligateError, ValueError):
-    """An input document does not match the on-disk format."""
+    """An input document does not match the on-disk format, or a matrix
+    argument holds non-finite entries."""

@@ -20,7 +20,8 @@ identify when such a product splits back, one per supported variant:
 
 Each checker returns a certificate with named residuals, and each
 extractor rebuilds the two factors and verifies they are isometric
-before returning them.
+before returning them.  VARIANT_TABLE holds one Variant record per
+variant: its witness names and the search that completes them.
 """
 
 from __future__ import annotations
@@ -29,7 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, StructureError, WitnessError
+from .errors import (
+    DimensionError,
+    OrthogonalityError,
+    PaddingError,
+    RankError,
+    StructureError,
+    WitnessError,
+)
 from .linalg import (
     DEFAULT_ATOL,
     as_matrix,
@@ -42,6 +50,7 @@ from .linalg import (
 from .realization import Colligation, evaluate, evaluate_all, rep_is_reducible  # noqa: F401
 
 __all__ = [
+    "VARIANTS",
     "SplitColligation",
     "FactorizationCertificate",
     "split_blocks",
@@ -56,7 +65,69 @@ __all__ = [
     "verify_factorization",
 ]
 
-VARIANTS = ("vanishing-selfadjoint", "both-vanishing", "general")
+
+@dataclass(frozen=True)
+class Variant:
+    """One supported factorization route, as an entry of VARIANT_TABLE.
+
+    ``witnesses`` names the witness matrices in the argument order of
+    ``check_<name>`` and ``extract_<name>`` (dashes become underscores).
+    ``given`` is the leading part of them that only a witness document
+    can supply.  ``complete`` names the function that finds the rest
+    from the split and the given witnesses; without one, ``given`` is
+    all of ``witnesses``.
+
+    Functions are looked up in this module by name when called, so a
+    wrapper installed on the module attribute is the one that runs.
+    """
+
+    name: str
+    witnesses: tuple[str, ...]
+    given: tuple[str, ...]
+    complete: str | None = None
+
+    def check(
+        self, s: SplitColligation, witnesses: dict, atol: float = DEFAULT_ATOL
+    ) -> FactorizationCertificate:
+        return self._call("check", s, witnesses, atol)
+
+    def extract(
+        self, s: SplitColligation, witnesses: dict, atol: float = DEFAULT_ATOL
+    ) -> tuple[Colligation, Colligation]:
+        return self._call("extract", s, witnesses, atol)
+
+    def _call(self, prefix: str, s: SplitColligation, witnesses: dict, atol: float):
+        fn = globals()[f"{prefix}_{self.name.replace('-', '_')}"]
+        return fn(s, *(witnesses[k] for k in self.witnesses), atol=atol)
+
+    def search(
+        self, s: SplitColligation, given: dict, atol: float = DEFAULT_ATOL
+    ) -> dict[str, np.ndarray]:
+        """Every witness, the ones past ``given`` found by ``complete``.
+
+        Raises WitnessError when the search shows that no witness of the
+        required form exists at this tolerance.
+        """
+        known = tuple(given[k] for k in self.given)
+        found = globals()[self.complete](s, *known, atol=atol)
+        return dict(zip(self.witnesses, known + tuple(found)))
+
+
+VARIANT_TABLE = {
+    v.name: v
+    for v in (
+        Variant("vanishing-selfadjoint", ("A",), ("A",)),
+        Variant("both-vanishing", ("L", "Y"), (), "_complete_both_vanishing"),
+        Variant(
+            "general",
+            ("A1", "A2", "X1", "Y2"),
+            ("A1", "A2"),
+            "solve_general_witnesses",
+        ),
+    )
+}
+
+VARIANTS = tuple(VARIANT_TABLE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,6 +207,13 @@ class FactorizationCertificate:
     verdict: bool
 
 
+def _witness(m, name: str, shape: tuple[int, int]) -> np.ndarray:
+    w = as_matrix(m, f"witness {name}")
+    if w.shape != shape:
+        raise DimensionError(f"witness {name} is {w.shape}, expected {shape}")
+    return w
+
+
 def check_vanishing_selfadjoint(
     s: SplitColligation, a, atol: float = DEFAULT_ATOL
 ) -> FactorizationCertificate:
@@ -146,10 +224,8 @@ def check_vanishing_selfadjoint(
     selfadjoint with smallest singular value above atol, C1* C1 equals
     a squared, and C1 a^-2 C1* D2 reproduces D2.
     """
-    aw = as_matrix(a, "witness a")
     d = s.value_dim
-    if aw.shape != (d, d):
-        raise DimensionError(f"witness a is {aw.shape}, expected {(d, d)}")
+    aw = _witness(a, "a", (d, d))
     smin = float(np.linalg.svd(aw, compute_uv=False)[-1]) if d else 0.0
     invertible = smin > atol
     residuals = {
@@ -215,6 +291,16 @@ def extract_vanishing_selfadjoint(
     return first, second
 
 
+def _vanishing_pattern(s: SplitColligation) -> dict[str, float]:
+    """Largest entries of the parent A, C1 and B2 blocks, which the
+    both-vanishing pattern requires to vanish."""
+    return {
+        "parent_base_vanishes": max_abs(s.A),
+        "c1_vanishes": max_abs(s.C1),
+        "b2_vanishes": max_abs(s.B2),
+    }
+
+
 def find_LY_witness(
     s: SplitColligation, atol: float = DEFAULT_ATOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -224,17 +310,43 @@ def find_LY_witness(
     factors D2 = L Y with L an isometry into the first state block that
     is orthogonal to range(D1).
     """
-    for name, block in (
-        ("parent A block", s.A),
-        ("C1 block", s.C1),
-        ("B2 block", s.B2),
-    ):
-        stray = max_abs(block)
-        if stray > atol:
+    pattern = _vanishing_pattern(s)
+    for key, name in zip(pattern, ("parent A block", "C1 block", "B2 block")):
+        if pattern[key] > atol:
             raise StructureError(
-                f"{name} must vanish for this pattern, largest entry {stray:.3e}"
+                f"{name} must vanish for this pattern, largest entry {pattern[key]:.3e}"
             )
     return isometric_factor(s.D2, s.value_dim, orthogonal_to=s.D1, atol=atol)
+
+
+def _complete_both_vanishing(
+    s: SplitColligation, atol: float = DEFAULT_ATOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """find_LY_witness as a search whose every failure is a WitnessError.
+
+    Any failure certifies that no witness pair of the required form
+    exists at this tolerance, so callers report a false verdict rather
+    than an input error.  A failed vanishing pattern rides along as the
+    certificate.
+    """
+    pattern = _vanishing_pattern(s)
+    worst = max(pattern.values())
+    if worst > atol:
+        cert = FactorizationCertificate(
+            variant="both-vanishing",
+            witnesses={},
+            residuals=pattern,
+            atol=atol,
+            verdict=False,
+        )
+        raise WitnessError(
+            f"required vanishing pattern fails, largest entry {worst:.3e}",
+            certificate=cert,
+        )
+    try:
+        return find_LY_witness(s, atol=atol)
+    except (RankError, OrthogonalityError, PaddingError) as exc:
+        raise WitnessError(f"no witness pair exists: {exc}") from exc
 
 
 def check_both_vanishing(
@@ -247,16 +359,10 @@ def check_both_vanishing(
     """
     n1, n2 = s.dims
     d = s.value_dim
-    lw = as_matrix(left, "witness L")
-    yw = as_matrix(y, "witness Y")
-    if lw.shape != (n1, d):
-        raise DimensionError(f"witness L is {lw.shape}, expected {(n1, d)}")
-    if yw.shape != (d, n2):
-        raise DimensionError(f"witness Y is {yw.shape}, expected {(d, n2)}")
+    lw = _witness(left, "L", (n1, d))
+    yw = _witness(y, "Y", (d, n2))
     residuals = {
-        "parent_base_vanishes": max_abs(s.A),
-        "c1_vanishes": max_abs(s.C1),
-        "b2_vanishes": max_abs(s.B2),
+        **_vanishing_pattern(s),
         "l_isometry": max_abs(lw.conj().T @ lw - np.eye(d)),
         "l_range_orthogonal": max_abs(lw.conj().T @ s.D1),
         "d2_factors": max_abs(s.D2 - lw @ yw),
@@ -320,18 +426,10 @@ def check_general(
     """
     d = s.value_dim
     n1, n2 = s.dims
-    a1w = as_matrix(a1, "witness A1")
-    a2w = as_matrix(a2, "witness A2")
-    x1w = as_matrix(x1, "witness X1")
-    y2w = as_matrix(y2, "witness Y2")
-    for name, mat, shape in (
-        ("A1", a1w, (d, d)),
-        ("A2", a2w, (d, d)),
-        ("X1", x1w, (n1, d)),
-        ("Y2", y2w, (d, n2)),
-    ):
-        if mat.shape != shape:
-            raise DimensionError(f"witness {name} is {mat.shape}, expected {shape}")
+    a1w = _witness(a1, "A1", (d, d))
+    a2w = _witness(a2, "A2", (d, d))
+    x1w = _witness(x1, "X1", (n1, d))
+    y2w = _witness(y2, "Y2", (d, n2))
     coupling = a1w.conj().T @ s.B1 + x1w.conj().T @ s.D1
     residuals = {
         "a_splits": max_abs(s.A - a1w @ a2w),
@@ -366,8 +464,9 @@ def solve_general_witnesses(
     the completed tuple fails any condition; for singular A1 or A2 the
     least-squares pick can miss witnesses another completion would find.
     """
-    a1w = as_matrix(a1, "witness A1")
-    a2w = as_matrix(a2, "witness A2")
+    d = s.value_dim
+    a1w = _witness(a1, "A1", (d, d))
+    a2w = _witness(a2, "A2", (d, d))
     gap = max_abs(s.A - a1w @ a2w)
     if gap > atol:
         raise WitnessError(

@@ -155,6 +155,11 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _positive_int(x) -> bool:
+    # bool is an int subclass, but JSON true is not a count
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 def _check_kind(obj, path: str, kind: str) -> dict:
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: document must be a JSON object")
@@ -200,14 +205,14 @@ def save_table(t: TestFunctionTable, path: str) -> None:
 def load_colligation(path: str) -> Colligation:
     obj = _check_kind(_read_json(path), path, "colligation")
     value_dim = _require(obj, "value_dim", path)
-    if not isinstance(value_dim, int) or value_dim < 1:
+    if not _positive_int(value_dim):
         raise FormatError(f"{path}: value_dim must be a positive integer")
     split = _require(obj, "split", path)
     if split is not None:
         if (
             not isinstance(split, list)
             or len(split) != 2
-            or not all(isinstance(s, int) and s >= 1 for s in split)
+            or not all(_positive_int(s) for s in split)
         ):
             raise FormatError(f"{path}: split must be null or two positive integers")
         split = (split[0], split[1])
@@ -252,7 +257,7 @@ def load_kernel(path: str) -> HermitianKernel:
     obj = _check_kind(_read_json(path), path, "kernel")
     points = _labels(_require(obj, "labels", path), f"{path}.labels")
     block_dim = _require(obj, "block_dim", path)
-    if not isinstance(block_dim, int) or block_dim < 1:
+    if not _positive_int(block_dim):
         raise FormatError(f"{path}: block_dim must be a positive integer")
     raw = _require(obj, "blocks", path)
     if not isinstance(raw, list) or len(raw) != points.n:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    FormatError,
     OrthogonalityError,
     PaddingError,
     RankError,
@@ -30,7 +31,6 @@ _PADDING_CUTOFF = 1e-8
 
 __all__ = [
     "DEFAULT_ATOL",
-    "as_matrix",
     "max_abs",
     "is_isometry",
     "is_psd",
@@ -48,14 +48,21 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise FormatError(f"{name} contains non-finite entries")
     return a
 
 
 def max_abs(m) -> float:
-    """Largest entry magnitude, 0.0 for empty arrays."""
+    """Largest entry magnitude, 0.0 for empty arrays.
+
+    A NaN entry counts as infinitely large, so a residual that overflowed
+    to NaN fails every ``<= atol`` test instead of passing all of them.
+    """
     a = np.asarray(m)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    if not a.size:
+        return 0.0
+    worst = float(np.max(np.abs(a)))
+    return math.inf if math.isnan(worst) else worst
 
 
 def is_isometry(m, atol: float = DEFAULT_ATOL) -> bool:

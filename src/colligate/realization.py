@@ -19,7 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, SingularResolventError, StructureError
-from .linalg import DEFAULT_ATOL, _rng_isometry, as_matrix, max_abs, random_isometry
+from .linalg import (
+    DEFAULT_ATOL,
+    _check_atol,
+    _rng_isometry,
+    as_matrix,
+    max_abs,
+    random_isometry,
+)
 from .testfn import TestFunctionTable, eval_map
 
 __all__ = [
@@ -99,6 +106,7 @@ class Representation:
         }
 
     def validate(self, atol: float = DEFAULT_ATOL) -> None:
+        _check_atol(atol)
         for name, value in self.defects().items():
             if value > atol:
                 raise StructureError(
@@ -136,6 +144,14 @@ def coordinate_representation(sizes: Sequence[int]) -> Representation:
     return Representation(tuple(mats))
 
 
+def _round_robin_representation(m: int, state_dim: int) -> Representation:
+    """Coordinate representation of m blocks dealt round-robin: the first
+    state_dim % m blocks take one coordinate more than the others."""
+    return coordinate_representation(
+        [state_dim // m + (1 if r < state_dim % m else 0) for r in range(m)]
+    )
+
+
 def random_representation(m: int, state_dim: int, seed: int) -> Representation:
     """Random projection family: a seeded unitary conjugating a
     round-robin coordinate partition of the state space."""
@@ -143,8 +159,7 @@ def random_representation(m: int, state_dim: int, seed: int) -> Representation:
         raise StructureError("need at least one function and one state dimension")
     rng = np.random.default_rng(seed)
     v = _rng_isometry(rng, state_dim, state_dim)
-    sizes = [state_dim // m + (1 if r < state_dim % m else 0) for r in range(m)]
-    base = coordinate_representation(sizes)
+    base = _round_robin_representation(m, state_dim)
     return Representation(
         tuple(v @ p @ v.conj().T for p in base.projections)
     )

@@ -77,7 +77,12 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "field, value",
-        [pytest.param("A", 10**400, id="A-1e400"), pytest.param("value_dim", 3, id="value_dim-3")],
+        [
+            pytest.param("A", 10**400, id="A-1e400"),
+            pytest.param("value_dim", 3, id="value_dim-3"),
+            pytest.param("value_dim", True, id="value_dim-true"),
+            pytest.param("split", [True, True], id="split-true-true"),
+        ],
     )
     def test_malformed_colligation_exits_two(self, workdir, capsys, field, value):
         doc = json.loads((workdir / "blaschke.json").read_text())
@@ -178,6 +183,21 @@ class TestCheck:
         assert code == 0
         assert report["witness_source"] == "auto"
         assert set(report["witnesses"]) == {"A1", "A2", "X1", "Y2"}
+
+    def test_general_file_witness_reports_only_its_four_matrices(self, workdir, capsys, tmp_path):
+        first, second, parent = invertible_pair(2, 3, 3, 2, seed=11)
+        save_colligation(parent, str(tmp_path / "parent.json"))
+        save_witness(
+            {"A": np.eye(2), "A1": first.A, "A2": second.A, "X1": first.C, "Y2": second.B},
+            str(tmp_path / "full.json"),
+        )
+        code, report = run(
+            capsys, "check", tmp_path / "parent.json", "--variant", "general",
+            "--witness", tmp_path / "full.json",
+        )
+        assert code == 0
+        assert report["witness_source"] == "file"
+        assert list(report["witnesses"]) == ["A1", "A2", "X1", "Y2"]
 
     def test_general_solver_failure_carries_residuals(self, workdir, capsys, tmp_path):
         save_witness(
@@ -370,6 +390,14 @@ class TestAdmissibleAndNormBound:
         assert code == 0
         assert report["bound"] == pytest.approx(2.0, abs=1e-8)
 
+    def test_boolean_block_dim_exits_two(self, workdir, capsys):
+        save_kernel(szego_samples([0.0, 0.5, -1.0 / 3.0, 0.25j]), str(workdir / "szego.json"))
+        doc = json.loads((workdir / "szego.json").read_text())
+        doc["block_dim"] = True
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        code, report = run(capsys, "admissible", workdir / "bad.json", workdir / "table.json")
+        assert (code, report["error"]) == (2, "FormatError")
+
     def test_label_mismatch_is_rejected(self, workdir, capsys):
         save_kernel(szego_samples([0.0, 0.5]), str(workdir / "s2.json"))
         table = disc_table([0.0, 0.5, -1.0 / 3.0, 0.25j])
@@ -425,6 +453,17 @@ class TestTolerance:
     def test_zero_atol_is_accepted_elsewhere(self, workdir, capsys, command):
         _, report = run(capsys, *_tolerance_argv(command, workdir), "--atol", "0")
         assert report.get("error") != "ToleranceError"
+
+    def test_overflowing_isometry_defect_is_not_a_pass(self, workdir, capsys):
+        col = blaschke_colligation()
+        u = col.matrix()
+        u[2, 2] = -1e300 + 1e300j
+        huge = Colligation.from_matrix(u, col.value_dim, col.rep, col.table)
+        save_colligation(huge, str(workdir / "huge.json"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, report = run(capsys, "eval", workdir / "huge.json")
+        assert (code, report["error"]) == (2, "StructureError")
+        assert report["detail"] == "block operator fails isometry by inf"
 
     def test_nan_atol_does_not_evaluate_a_non_isometric_colligation(self, workdir, capsys):
         col = blaschke_colligation()

@@ -7,8 +7,11 @@ import numpy.testing as npt
 import pytest
 
 from colligate import (
+    VARIANTS,
+    ColligateError,
     Colligation,
     DimensionError,
+    FormatError,
     Representation,
     StructureError,
     WitnessError,
@@ -30,6 +33,8 @@ from colligate import (
     split_blocks,
     verify_factorization,
 )
+from colligate import factorization
+from colligate.factorization import VARIANT_TABLE
 from conftest import (
     blaschke_colligation,
     bidisc_table,
@@ -273,10 +278,88 @@ class TestGeneral:
         assert cert is not None
         assert cert.residuals["d2_splits"] == pytest.approx(1.0, abs=1e-15)
 
+    def test_solver_rejects_a_misshapen_pair(self):
+        s = split_blocks(blaschke_colligation())
+        with pytest.raises(DimensionError, match="witness A1"):
+            solve_general_witnesses(s, np.eye(2), np.eye(1))
+
     def test_solver_rejects_a_base_mismatch(self):
         s = split_blocks(blaschke_colligation())
         with pytest.raises(WitnessError):
             solve_general_witnesses(s, np.array([[1.0]]), np.array([[1.0]]))
+
+
+class TestVariantTable:
+    def test_variant_names_and_order(self):
+        assert VARIANTS == ("vanishing-selfadjoint", "both-vanishing", "general")
+        assert tuple(VARIANT_TABLE) == VARIANTS
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_given_witnesses_lead_the_argument_order(self, name):
+        v = VARIANT_TABLE[name]
+        assert v.witnesses[: len(v.given)] == v.given
+        assert v.complete is not None or v.given == v.witnesses
+
+    def test_dispatch_reads_the_module_attribute_at_call_time(self, monkeypatch):
+        calls = []
+        original = factorization.check_vanishing_selfadjoint
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(factorization, "check_vanishing_selfadjoint", spy)
+        s = split_blocks(blaschke_colligation())
+        cert = VARIANT_TABLE["vanishing-selfadjoint"].check(s, {"A": np.array([[0.5]])})
+        assert cert.verdict and len(calls) == 1
+
+    def test_both_vanishing_search_finds_the_pair(self):
+        s = split_blocks(squared_coordinate())
+        found = VARIANT_TABLE["both-vanishing"].search(s, {})
+        assert list(found) == ["L", "Y"]
+        assert VARIANT_TABLE["both-vanishing"].check(s, found).verdict
+
+    def test_both_vanishing_search_certifies_a_failed_pattern(self):
+        s = split_blocks(blaschke_colligation())
+        with pytest.raises(WitnessError) as info:
+            VARIANT_TABLE["both-vanishing"].search(s, {})
+        cert = info.value.certificate
+        assert cert.residuals == {
+            "parent_base_vanishes": 0.0,
+            "c1_vanishes": 0.5,
+            "b2_vanishes": 0.0,
+        }
+        assert not cert.verdict
+
+    def test_both_vanishing_search_turns_a_rank_failure_into_a_witness_error(self):
+        wide = Colligation(
+            rep=Representation((np.eye(4, dtype=complex),), split=(2, 2)),
+            table=disc_table([0.0, 0.5]),
+            A=np.zeros((1, 1), dtype=complex),
+            B=np.zeros((1, 4), dtype=complex),
+            C=np.zeros((4, 1), dtype=complex),
+            D=np.block([[np.zeros((2, 2)), np.eye(2)], [np.zeros((2, 4))]]),
+        )
+        s = split_blocks(wide)
+        with pytest.raises(WitnessError, match="no witness pair exists: rank 2"):
+            VARIANT_TABLE["both-vanishing"].search(s, {})
+
+    def test_general_search_keeps_the_given_pair(self):
+        first, second, parent = invertible_pair(2, 2, 2, 2, seed=11)
+        s = split_blocks(parent)
+        found = VARIANT_TABLE["general"].search(s, {"A1": first.A, "A2": second.A})
+        assert list(found) == ["A1", "A2", "X1", "Y2"]
+        first_back, _ = VARIANT_TABLE["general"].extract(s, found)
+        npt.assert_array_equal(first_back.A, first.A)
+
+
+class TestNonFiniteWitness:
+    def test_nan_witness_is_a_format_error(self):
+        s = split_blocks(blaschke_colligation())
+        with pytest.raises(FormatError, match="non-finite") as info:
+            check_vanishing_selfadjoint(s, [[float("nan")]])
+        assert isinstance(info.value, ColligateError)
+        assert isinstance(info.value, ValueError)
 
 
 class TestVerifyFactorization:

@@ -165,6 +165,19 @@ class TestColligationFile:
         with pytest.raises(FormatError, match="value_dim"):
             load_colligation(str(path))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("value_dim", True), ("split", [True, True]), ("split", [1, True])],
+    )
+    def test_booleans_are_not_integers(self, tmp_path, field, value):
+        path = tmp_path / "col.json"
+        save_colligation(blaschke_colligation(), str(path))
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=field):
+            load_colligation(str(path))
+
 
 class TestTableAndKernelFiles:
     def test_table_round_trip(self, tmp_path):
@@ -205,6 +218,15 @@ class TestTableAndKernelFiles:
         doc["block_dim"] = block_dim
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="shape"):
+            load_kernel(str(path))
+
+    def test_boolean_block_dim_is_rejected(self, tmp_path):
+        path = tmp_path / "k.json"
+        save_kernel(szego_samples([0.0, 0.5]), str(path))
+        doc = json.loads(path.read_text())
+        doc["block_dim"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="block_dim"):
             load_kernel(str(path))
 
 

@@ -37,6 +37,9 @@ class TestMaxAbs:
     def test_empty_is_zero(self):
         assert max_abs(np.zeros((0, 3))) == 0.0
 
+    def test_nan_counts_as_infinite(self):
+        assert max_abs(np.array([[1.0, np.nan]])) == np.inf
+
 
 class TestIsIsometry:
     def test_accepts_unitary(self):

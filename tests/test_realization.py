@@ -12,6 +12,7 @@ from colligate import (
     Representation,
     SingularResolventError,
     StructureError,
+    ToleranceError,
     coordinate_representation,
     direct_sum,
     disc_table,
@@ -170,6 +171,17 @@ class TestColligation:
         )
         with pytest.raises(StructureError):
             broken.validate(1e-9)
+
+    @pytest.mark.parametrize("atol", [float("nan"), float("inf"), -1.0])
+    def test_validation_rejects_a_bad_tolerance(self, atol):
+        col = blaschke_colligation()
+        broken = Colligation.from_matrix(
+            col.matrix() * 1.01, col.value_dim, col.rep, col.table
+        )
+        with pytest.raises(ToleranceError):
+            broken.validate(atol)
+        with pytest.raises(ToleranceError):
+            broken.rep.validate(atol)
 
 
 class TestEvaluate:
