@@ -96,6 +96,9 @@ CASES = [
     ("norm-bound", ["norm-bound", "vals.json", "--kernels", "s2.json"], 0, ()),
     ("norm-bound-two-kernels", ["norm-bound", "vals.json", "--kernels", "s2.json,s2sq.json"], 0, ()),
     ("norm-bound-mismatch", ["norm-bound", "vals4.json", "--kernels", "s2.json"], 2, ()),
+    ("norm-bound-operator", ["norm-bound", "vals_op.json", "--kernels", "s3_op.json"], 0, ()),
+    ("norm-bound-operator-two-kernels",
+     ["norm-bound", "vals_op.json", "--kernels", "s3_op.json,s3sq_op.json"], 0, ()),
 ]
 
 
@@ -207,6 +210,20 @@ def _write_inputs(directory: Path) -> None:
     save_kernel(szego_samples(zs2, power=2), path("s2sq.json"))
     save_values(disc_table(zs2).points, np.array([[[2.0 * z]] for z in zs2]), path("vals.json"))
     save_values(points, np.zeros((4, 1, 1)), path("vals4.json"))
+
+    # operator-valued: 2 x 2 values against Szego kernels tensored with a
+    # fixed positive 2 x 2 matrix (block_dim 2)
+    zs3 = [0.0, 0.5, 0.25j]
+    szego3 = szego_samples(zs3)
+    pos = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 1.0]])
+    pos_sq = np.array([[1.0, 0.25j], [-0.25j, 1.0]])
+    save_kernel(HermitianKernel(szego3.points, szego3.blocks * pos), path("s3_op.json"))
+    save_kernel(
+        HermitianKernel(szego3.points, szego_samples(zs3, power=2).blocks * pos_sq),
+        path("s3sq_op.json"),
+    )
+    values = np.array([[[z, 0.5], [0.25j, -z]] for z in zs3])
+    save_values(szego3.points, values, path("vals_op.json"))
 
 
 def regenerate() -> None:
