@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import FormatError
+from .linalg import _check_finite
 from .realization import Colligation, Representation
 from .testfn import HermitianKernel, PointSet, TestFunctionTable
 
@@ -136,8 +137,7 @@ def decode_matrix(obj, where: str) -> np.ndarray:
                 ) from exc
         rows.append(entries)
     a = np.asarray(rows, dtype=np.complex128)
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise FormatError(f"{where}: contains non-finite entries")
+    _check_finite(a, f"{where}:")
     return a
 
 

@@ -47,8 +47,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise FormatError(f"{name} contains non-finite entries")
+    _check_finite(a, name)
     return a
 
 
@@ -256,3 +255,8 @@ def _rng_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def _check_atol(atol: float) -> None:
     if not (math.isfinite(atol) and atol >= 0.0):
         raise ToleranceError(f"atol must be finite and nonnegative, got {atol}")
+
+
+def _check_finite(a: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise FormatError(f"{name} contains non-finite entries")

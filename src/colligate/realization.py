@@ -478,7 +478,7 @@ def random_selfadjoint_base_colligation(
     """
     lo, hi = spectrum
     if not 0.0 < lo <= hi < 1.0:
-        raise ValueError(f"spectrum must sit strictly inside (0, 1), got {spectrum}")
+        raise StructureError(f"spectrum must sit inside (0, 1), got {spectrum}")
     n = rep.state_dim
     d = int(value_dim)
     if n < d:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, StructureError, ToleranceError
-from .linalg import DEFAULT_ATOL, _check_atol, as_matrix, is_psd, max_abs
+from .linalg import DEFAULT_ATOL, _check_atol, _check_finite, as_matrix, is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -172,8 +172,7 @@ class HermitianKernel:
             raise DimensionError(
                 f"kernel blocks must be square, got {b.shape[2]}x{b.shape[3]}"
             )
-        if not np.all(np.isfinite(b.real)) or not np.all(np.isfinite(b.imag)):
-            raise ValueError("kernel contains non-finite entries")
+        _check_finite(b, "kernel")
         object.__setattr__(self, "blocks", b)
 
     @property
@@ -189,18 +188,20 @@ class HermitianKernel:
 
     def assemble(self) -> np.ndarray:
         """Flatten the block grid into one n*d square matrix."""
-        n, d = self.n, self.block_dim
-        return self.blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+        return _assemble(self.blocks)
 
     def hermiticity_defect(self) -> float:
         a = self.assemble()
         return max_abs(a - a.conj().T)
 
 
-def _assemble_scaled(kernel: HermitianKernel, factor: np.ndarray) -> np.ndarray:
-    scaled = kernel.blocks * factor[:, :, None, None]
-    n, d = kernel.n, kernel.block_dim
-    return scaled.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+def _assemble(grid: np.ndarray) -> np.ndarray:
+    """Flatten an (n, n, k, k) block grid into one n*k square matrix.
+
+    Block (i, j) fills rows i*k to (i+1)*k and columns j*k to (j+1)*k.
+    """
+    n, k = grid.shape[0], grid.shape[2]
+    return grid.transpose(0, 2, 1, 3).reshape(n * k, n * k)
 
 
 def is_admissible(
@@ -217,7 +218,7 @@ def is_admissible(
     for j in range(t.m):
         psi = t.values[j]
         factor = 1.0 - psi[:, None] * psi[None, :].conj()
-        if not is_psd(_assemble_scaled(s, factor), atol):
+        if not is_psd(_assemble(s.blocks * factor[:, :, None, None]), atol):
             return False
     return True
 
@@ -284,8 +285,7 @@ def cp_kernel_check(
                         f"kernel block is {block.shape}, expected {(dim, dim)}"
                     )
                 grid[a, b] = ops[b].conj().T @ block @ ops[a]
-        assembly = grid.transpose(0, 2, 1, 3).reshape(count * dim, count * dim)
-        if not is_psd(assembly, atol):
+        if not is_psd(_assemble(grid), atol):
             return False
     return True
 
@@ -310,27 +310,20 @@ def schur_agler_witness_check(
     2 and up).  For scalar values and scalar kernels it coincides with
     the classical Pick-matrix arrangement.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+    if not (np.isfinite(bound) and bound >= 0):
+        raise StructureError(f"bound must be finite and nonnegative, got {bound}")
     f = _as_value_stack(fvals)
     if f.shape[0] != s.n:
         raise StructureError(
             f"{f.shape[0]} function values supplied for {s.n} kernel points"
         )
-    d = f.shape[1]
-    df = s.block_dim
-    eye = np.eye(d)
-    size = d * df
-    n = s.n
-    assembly = np.zeros((n * size, n * size), dtype=np.complex128)
-    c2 = float(bound) ** 2
-    for i in range(n):
-        for j in range(n):
-            head = c2 * eye - f[i].conj().T @ f[j]
-            assembly[
-                i * size : (i + 1) * size, j * size : (j + 1) * size
-            ] = np.kron(head, s.block(i, j).conj())
-    return is_psd(assembly, atol)
+    n, d, df = s.n, f.shape[1], s.block_dim
+    head = float(bound) ** 2 * np.eye(d) - np.einsum("iba,jbc->ijac", f.conj(), f)
+    conj = s.blocks.conj()[:, :, None, :, None, :]
+    # np.kron's layout for every (i, j): kron(A, B)[a*df + c, b*df + e] is
+    # A[a, b] * B[c, e]; the 6-D product is unnamed, so freed before is_psd
+    shape = (n, n, d * df, d * df)
+    return is_psd(_assemble((head[:, :, :, None, :, None] * conj).reshape(shape)), atol)
 
 
 def agler_norm_lower_bound(
@@ -426,7 +419,7 @@ def disc_table(zs: Sequence[complex]) -> TestFunctionTable:
 def szego_samples(zs: Sequence[complex], power: int = 1) -> HermitianKernel:
     """Scalar kernel 1 / (1 - z * conj(w)) ** power sampled at ``zs``."""
     if power < 1:
-        raise ValueError(f"power must be at least 1, got {power}")
+        raise StructureError(f"power must be at least 1, got {power}")
     z = np.asarray(list(zs), dtype=np.complex128)
     denom = 1.0 - z[:, None] * z[None, :].conj()
     blocks = (1.0 / denom ** power)[:, :, None, None]

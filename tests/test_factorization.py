@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -387,7 +389,7 @@ VARIANT_SWEEP = [
 
 @pytest.mark.parametrize("variant,tol", VARIANT_SWEEP)
 def test_round_trip_over_random_models(variant, tol):
-    rng = np.random.default_rng(hash(variant) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(variant.encode()))
     for trial in range(10):
         seed = int(rng.integers(0, 2**31))
         d = int(rng.integers(1, 4))

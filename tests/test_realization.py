@@ -341,3 +341,10 @@ class TestStructuredGenerators:
             random_selfadjoint_base_colligation(
                 1, rep, table, seed=511, spectrum=(0.0, 1.0)
             )
+
+    @pytest.mark.parametrize("spectrum", [(0.0, 0.5), (0.5, 1.0), (0.6, 0.4)])
+    def test_bad_spectrum_is_a_structure_error(self, spectrum):
+        rep = random_representation(1, 2, seed=509)
+        table = random_table(1, 3, seed=510)
+        with pytest.raises(StructureError, match="spectrum"):
+            random_selfadjoint_base_colligation(1, rep, table, seed=511, spectrum=spectrum)

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colligate.testfn as testfn
 from colligate import (
     DimensionError,
+    FormatError,
     HermitianKernel,
     PointSet,
     StructureError,
@@ -54,6 +56,20 @@ def pairwise_diagnostics(t: FunctionTable, atol: float = 0.0) -> TableDiagnostic
         separating=not bad_pairs,
         separation_violations=bad_pairs,
     )
+
+
+def kron_witness_reference(f: np.ndarray, s: HermitianKernel, bound: float) -> np.ndarray:
+    """The witness matrix assembled block by block with np.kron."""
+    n, d, df = s.n, f.shape[1], s.block_dim
+    size = d * df
+    out = np.zeros((n * size, n * size), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            head = bound**2 * np.eye(d) - f[i].conj().T @ f[j]
+            out[i * size : (i + 1) * size, j * size : (j + 1) * size] = np.kron(
+                head, s.block(i, j).conj()
+            )
+    return out
 
 
 class TestPointSet:
@@ -158,6 +174,18 @@ class TestHermitianKernel:
         skew = sym.copy()
         skew[1, 0] = -2.0
         assert HermitianKernel(pts, skew).hermiticity_defect() == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+    def test_non_finite_blocks_are_a_format_error(self, bad):
+        blocks = np.ones((2, 2, 1, 1), dtype=complex)
+        blocks[1, 0] = bad
+        with pytest.raises(FormatError, match="non-finite"):
+            HermitianKernel(PointSet(("a", "b")), blocks)
+
+    @pytest.mark.parametrize("power", [0, -1])
+    def test_szego_power_below_one_is_an_error(self, power):
+        with pytest.raises(StructureError, match="power"):
+            szego_samples(TWO_POINTS, power=power)
 
 
 class TestIsAdmissible:
@@ -273,6 +301,29 @@ class TestWitnessCheck:
         s = szego_samples(TWO_POINTS)
         with pytest.raises(ValueError):
             schur_agler_witness_check([np.zeros((1, 1))] * 2, s, -1.0)
+
+    @pytest.mark.parametrize("bound", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_bound_must_be_finite_and_nonnegative(self, bound):
+        s = szego_samples(TWO_POINTS)
+        with pytest.raises(StructureError, match="bound"):
+            schur_agler_witness_check([np.zeros((1, 1))] * 2, s, bound)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("block_dim", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matrix_matches_the_kron_reference(self, monkeypatch, d, block_dim, n):
+        rng = np.random.default_rng(100 * d + 10 * block_dim + n)
+        zs = [0.0] + list(0.8 * rng.random(n - 1) * np.exp(2j * np.pi * rng.random(n - 1)))
+        szego = szego_samples(zs)
+        pos = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 1.0]])[:block_dim, :block_dim]
+        s = HermitianKernel(szego.points, szego.blocks * pos)
+        f = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        seen = []
+        monkeypatch.setattr(testfn, "is_psd", lambda m, atol: seen.append(m) or True)
+        assert schur_agler_witness_check(f, s, 1.7)
+        (got,) = seen
+        assert got.shape == (n * d * block_dim,) * 2
+        npt.assert_allclose(got, kron_witness_reference(f, s, 1.7), rtol=0, atol=1e-13)
 
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
     @settings(max_examples=25, deadline=None)
