@@ -17,7 +17,6 @@ from .errors import ColligateError, StructureError, WitnessError
 from .fileio import (
     digest_file,
     dumps_canonical,
-    encode_matrix,
     load_colligation,
     load_kernel,
     load_table,
@@ -126,10 +125,6 @@ def _residuals(res: dict) -> dict:
     return {k: float(v) for k, v in res.items()}
 
 
-def _encode_witnesses(witnesses: dict) -> dict:
-    return {k: encode_matrix(v) for k, v in witnesses.items()}
-
-
 def _quoted(names) -> str:
     return " and ".join(f"'{k}'" for k in names)
 
@@ -173,7 +168,7 @@ def _cmd_eval(args, report):
         {
             "index": i,
             "label": col.table.points.labels[i],
-            "value": encode_matrix(value),
+            "value": value,
         }
         for i, value in zip(indices, values)
     ]
@@ -194,7 +189,7 @@ def _cmd_check(args, report):
         return _false_verdict(report, exc)
     cert = variant.check(split, witnesses, args.atol)
     report["witness_source"] = source
-    report["witnesses"] = _encode_witnesses(witnesses)
+    report["witnesses"] = witnesses
     report["residuals"] = _residuals(cert.residuals)
     report["verdict"] = cert.verdict
     return 0 if cert.verdict else 1
@@ -216,7 +211,7 @@ def _cmd_factor(args, report):
     save_colligation(first, paths["first"])
     save_colligation(second, paths["second"])
     report["witness_source"] = source
-    report["witnesses"] = _encode_witnesses(witnesses)
+    report["witnesses"] = witnesses
     report["product_residual"] = fz.verify_factorization(col, first, second)
     report["outputs"] = paths
     report["verdict"] = True

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -68,7 +69,27 @@ def _is_scalar(x) -> bool:
 
 
 def _is_flat(x) -> bool:
+    if isinstance(x, np.ndarray):
+        # laid out as its encode_matrix list, which is flat only with no rows
+        return x.ndim == 2 and not len(x)
     return isinstance(x, (list, tuple)) and all(_is_scalar(e) for e in x)
+
+
+def _enc_matrix(m: np.ndarray, indent: int) -> str:
+    """A matrix laid out as _enc lays out its encode_matrix list.
+
+    A finite matrix is printed by one %-format over all its floats;
+    '%.17g' % x and f"{x:.17g}" give the same digits, -0 included.
+    """
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    if not a.size or not np.isfinite(a).all():
+        # NaN and Infinity are spelled by the scalar walk alone
+        return _enc(encode_matrix(a), indent)
+    row = "[" + ", ".join(["[%.17g, %.17g]"] * a.shape[1]) + "]"
+    rows = ",\n".join(["  " * (indent + 1) + row] * a.shape[0])
+    return ("[\n" + rows + "\n" + "  " * indent + "]") % tuple(
+        a.view(np.float64).ravel().tolist()
+    )
 
 
 def _enc(x, indent: int) -> str:
@@ -76,6 +97,8 @@ def _enc(x, indent: int) -> str:
     inner = "  " * (indent + 1)
     if _is_scalar(x):
         return _fmt_scalar(x)
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return _enc_matrix(x, indent)
     if isinstance(x, dict):
         if not x:
             return "{}"
@@ -107,7 +130,40 @@ def encode_matrix(m) -> list:
 
 
 def decode_matrix(obj, where: str) -> np.ndarray:
-    """Nested lists of [re, im] pairs back to a complex matrix."""
+    """Nested lists of [re, im] pairs back to a complex matrix.
+
+    A plainly well-formed matrix is converted by numpy in one step; any
+    other input takes the per-entry walk, which names what is wrong.
+    """
+    pairs = _float_pairs(obj)
+    if pairs is None:
+        return _decode_entries(obj, where)
+    return pairs.view(np.complex128)[:, :, 0]
+
+
+def _float_pairs(obj) -> np.ndarray | None:
+    """obj as an (r, c, 2) finite float array, or None to take the walk.
+
+    Only lists and exact int or float leaves qualify: numpy would also
+    accept tuples, convert numeric strings and fold booleans into floats.
+    """
+    if type(obj) is not list or set(map(type, obj)) != {list}:
+        return None
+    pairs = list(chain.from_iterable(obj))
+    if set(map(type, pairs)) != {list}:
+        return None
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+        return None
+    try:
+        a = np.array(obj, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if a.ndim != 3 or a.shape[2] != 2 or not np.isfinite(a).all():
+        return None
+    return a
+
+
+def _decode_entries(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise FormatError(f"{where}: expected a non-empty list of rows")
     rows = []
@@ -188,7 +244,7 @@ def _table_from(obj, where: str) -> TestFunctionTable:
 
 
 def _table_doc(t: TestFunctionTable) -> dict:
-    return {"labels": list(t.points.labels), "values": encode_matrix(t.values)}
+    return {"labels": list(t.points.labels), "values": t.values}
 
 
 def load_table(path: str) -> TestFunctionTable:
@@ -244,11 +300,11 @@ def save_colligation(col: Colligation, path: str) -> None:
         "value_dim": col.value_dim,
         "split": list(col.rep.split) if col.rep.split else None,
         "table": _table_doc(col.table),
-        "projections": [encode_matrix(p) for p in col.rep.projections],
-        "A": encode_matrix(col.A),
-        "B": encode_matrix(col.B),
-        "C": encode_matrix(col.C),
-        "D": encode_matrix(col.D),
+        "projections": list(col.rep.projections),
+        "A": col.A,
+        "B": col.B,
+        "C": col.C,
+        "D": col.D,
     }
     _write(doc, path)
 
@@ -284,9 +340,7 @@ def save_kernel(k: HermitianKernel, path: str) -> None:
         "kind": "kernel",
         "labels": list(k.points.labels),
         "block_dim": k.block_dim,
-        "blocks": [
-            [encode_matrix(k.block(i, j)) for j in range(k.n)] for i in range(k.n)
-        ],
+        "blocks": [[k.block(i, j) for j in range(k.n)] for i in range(k.n)],
     }
     _write(doc, path)
 
@@ -311,7 +365,7 @@ def save_witness(witnesses: dict[str, np.ndarray], path: str) -> None:
     doc: dict = {"kind": "witness"}
     for name in WITNESS_NAMES:
         if name in witnesses:
-            doc[name] = encode_matrix(witnesses[name])
+            doc[name] = np.asarray(witnesses[name], dtype=np.complex128)
     _write(doc, path)
 
 
@@ -336,7 +390,7 @@ def save_values(points: PointSet, stack, path: str) -> None:
     doc = {
         "kind": "values",
         "labels": list(points.labels),
-        "values": [encode_matrix(m) for m in np.asarray(stack, dtype=np.complex128)],
+        "values": list(np.asarray(stack, dtype=np.complex128)),
     }
     _write(doc, path)
 

@@ -317,8 +317,14 @@ def schur_agler_witness_check(
         raise StructureError(
             f"{f.shape[0]} function values supplied for {s.n} kernel points"
         )
+    try:
+        square = float(bound) ** 2
+    except OverflowError:
+        raise StructureError(
+            f"bound {bound} is too large to square in double precision"
+        ) from None
     n, d, df = s.n, f.shape[1], s.block_dim
-    head = float(bound) ** 2 * np.eye(d) - np.einsum("iba,jbc->ijac", f.conj(), f)
+    head = square * np.eye(d) - np.einsum("iba,jbc->ijac", f.conj(), f)
     conj = s.blocks.conj()[:, :, None, :, None, :]
     # np.kron's layout for every (i, j): kron(A, B)[a*df + c, b*df + e] is
     # A[a, b] * B[c, e]; the 6-D product is unnamed, so freed before is_psd
@@ -356,15 +362,21 @@ def agler_norm_lower_bound(
         if not is_psd(s.assemble(), atol):
             raise StructureError("every kernel must be positive as assembled")
 
+    norms = [float(np.linalg.norm(f[i], ord=2)) for i in range(f.shape[0])]
+    i = int(np.argmax(norms))
+    top = 2.0 * norms[i] + 1.0
+    hi2 = top * top
+    if np.isinf(hi2):
+        raise StructureError(
+            f"function value at point {i} has norm {norms[i]:.3e}, "
+            "too large to square in double precision"
+        )
+
     def passes(c: float) -> bool:
         return all(schur_agler_witness_check(f, s, c, atol) for s in kernels)
 
     if passes(0.0):
         return 0.0
-    top = 2.0 * max(
-        float(np.linalg.norm(f[i], ord=2)) for i in range(f.shape[0])
-    ) + 1.0
-    hi2 = top * top
     # the theory guarantees a passing bound at the bracket top; widen a
     # few times in case rounding lands it exactly on the boundary
     for _ in range(8):
@@ -390,6 +402,7 @@ def _as_value_stack(fvals) -> np.ndarray:
     """Stack per-point function values into shape (n, d, d)."""
     if isinstance(fvals, np.ndarray) and fvals.ndim == 3:
         stack = np.asarray(fvals, dtype=np.complex128)
+        _check_finite(stack, "function value")
     else:
         mats = [as_matrix(f, "function value") for f in fvals]
         if not mats:

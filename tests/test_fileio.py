@@ -7,7 +7,10 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from colligate import fileio
 from colligate import (
     FormatError,
     decode_matrix,
@@ -79,6 +82,113 @@ class TestMatrixCodec:
     def test_rejects_non_finite_entries(self):
         with pytest.raises(FormatError, match="non-finite"):
             decode_matrix([[[float("inf"), 0.0]]], "here")
+
+
+CODEC = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -3.0, 2.0**53, 1e16, 0.1, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e-310, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+FINITE = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def complex_matrices(draw) -> np.ndarray:
+    """Finite complex matrices, 1 x k and k x 1 included."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    parts = draw(st.lists(FINITE, min_size=2 * r * c, max_size=2 * r * c))
+    return np.array(parts).view(np.complex128).reshape(r, c)
+
+
+NESTINGS = [
+    lambda m: m,
+    lambda m: {"kind": "x", "m": m},
+    lambda m: [m, m],
+    lambda m: {"grid": [[m, m], [m, m]], "n": 2},
+]
+
+# leaf, pair, row and whole-matrix replacements the decoder must reject
+# or read exactly as the per-entry walk does
+LEAVES = [True, False, "1", "0.5", None, 10**400, -(10**400), float("nan"),
+          float("inf"), 3, 2**70, [1.0], {}]
+PAIRS = [(1.0, 0.0), [1.0], [1.0, 0.0, 0.0], [], [[1.0], 0.0], "x", 1.0, None]
+ROWS = [(), "row", 1.0, None, {}]
+WHOLE = [[], [[]], [[], []], (), "m", None, 1.0, {}, [[[]]]]
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = encode_matrix(draw(complex_matrices()))
+    r, c = draw(st.integers(0, len(doc) - 1)), draw(st.integers(0, len(doc[0]) - 1))
+    kind = draw(st.sampled_from(["leaf", "pair", "row", "ragged", "tuple-row", "whole"]))
+    if kind == "leaf":
+        doc[r][c][draw(st.integers(0, 1))] = draw(st.sampled_from(LEAVES))
+    elif kind == "pair":
+        doc[r][c] = draw(st.sampled_from(PAIRS))
+    elif kind == "row":
+        doc[r] = draw(st.sampled_from(ROWS))
+    elif kind == "ragged":
+        doc[r] = doc[r][:-1] if draw(st.booleans()) else doc[r] + [[0.0, 0.0]]
+    elif kind == "tuple-row":
+        doc[r] = tuple(doc[r])
+    else:
+        return draw(st.sampled_from(WHOLE))
+    return doc
+
+
+def _decoded(decode, obj):
+    """(shape, bytes) of a decoded matrix, or the FormatError message."""
+    try:
+        a = decode(obj, "m")
+    except FormatError as exc:
+        return str(exc)
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestArrayCodec:
+    """The array-at-a-time codec against the list form and the per-entry walk."""
+
+    @CODEC
+    @given(complex_matrices(), st.sampled_from(range(len(NESTINGS))))
+    def test_array_prints_as_its_list_form(self, m, depth):
+        nest = NESTINGS[depth]
+        assert dumps_canonical(nest(m)) == dumps_canonical(nest(encode_matrix(m)))
+
+    @CODEC
+    @given(complex_matrices())
+    def test_printed_array_decodes_to_the_same_bytes(self, m):
+        doc = json.loads(dumps_canonical(m))
+        assert _decoded(decode_matrix, doc) == _decoded(fileio._decode_entries, doc)
+        # JSON reads -0 as the integer 0, so only the values are compared
+        npt.assert_array_equal(decode_matrix(doc, "m"), m)
+
+    @CODEC
+    @given(mutated_documents())
+    def test_mutated_documents_decode_as_the_walk_does(self, doc):
+        assert _decoded(decode_matrix, doc) == _decoded(fileio._decode_entries, doc)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[complex(float("nan"), 1.0), 2.0]]),
+            np.array([[1.0], [complex(0.0, float("inf"))]]),
+            np.array([[-float("inf"), complex(float("inf"), float("nan"))]]),
+            np.zeros((0, 3), dtype=complex),
+            np.zeros((3, 0), dtype=complex),
+        ],
+    )
+    def test_non_finite_and_empty_arrays_print_as_their_list_form(self, m):
+        for nest in NESTINGS:
+            assert dumps_canonical(nest(m)) == dumps_canonical(nest(encode_matrix(m)))
+
+    def test_non_finite_literals_inside_a_matrix(self):
+        m = np.array([[complex(float("nan"), float("inf")), -float("inf")]])
+        assert dumps_canonical(m) == "[\n  [[NaN, Infinity], [-Infinity, 0]]\n]\n"
 
 
 class TestColligationFile:

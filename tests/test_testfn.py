@@ -308,6 +308,11 @@ class TestWitnessCheck:
         with pytest.raises(StructureError, match="bound"):
             schur_agler_witness_check([np.zeros((1, 1))] * 2, s, bound)
 
+    def test_bound_whose_square_overflows_is_named(self):
+        s = szego_samples(TWO_POINTS)
+        with pytest.raises(StructureError, match=r"bound 1e\+155"):
+            schur_agler_witness_check([np.zeros((1, 1))] * 2, s, 1e155)
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("block_dim", [1, 2])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -367,6 +372,19 @@ class TestNormLowerBound:
         s = szego_samples(TWO_POINTS)
         f = [np.array([[2.0 * z]]) for z in TWO_POINTS]
         assert agler_norm_lower_bound(f, [s], atol=1e-300) == pytest.approx(2.0, abs=1e-8)
+
+    def test_values_whose_square_overflows_are_named(self):
+        s = szego_samples(TWO_POINTS)
+        f = [np.array([[0.5]]), np.array([[1e160]])]
+        with pytest.raises(StructureError, match=r"point 1 has norm 1\.000e\+160"):
+            agler_norm_lower_bound(f, [s])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_stacked_values_are_a_format_error(self, bad):
+        f = np.zeros((2, 1, 1), dtype=complex)
+        f[1, 0, 0] = bad
+        with pytest.raises(FormatError, match="function value"):
+            agler_norm_lower_bound(f, [szego_samples(TWO_POINTS)])
 
     def test_empty_kernel_list_is_an_error(self):
         with pytest.raises(StructureError):
