@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colligate import fileio
+import colligate.fileio as fileio
 from colligate import (
     FormatError,
     decode_matrix,
