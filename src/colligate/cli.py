@@ -156,13 +156,10 @@ def _false_verdict(report, exc: WitnessError) -> int:
 
 def _cmd_eval(args, report):
     col = _loaded_colligation(args.colligation, args.atol)
-    n = col.table.n
     if args.point is None:
-        indices, values = range(n), evaluate_all(col)
-    elif 0 <= args.point < n:
-        indices, values = [args.point], [evaluate(col, args.point)]
+        indices, values = range(col.table.n), evaluate_all(col)
     else:
-        raise StructureError(f"point index {args.point} outside 0..{n - 1}")
+        indices, values = [args.point], [evaluate(col, args.point)]
     report["value_dim"] = col.value_dim
     report["evaluations"] = [
         {

@@ -18,10 +18,17 @@ identify when such a product splits back, one per supported variant:
                           four-tuple (A1, A2, X1, Y2) splitting A, B2,
                           C1, D2 simultaneously
 
-Each checker returns a certificate with named residuals, and each
-extractor rebuilds the two factors and verifies they are isometric
-before returning them.  VARIANT_TABLE holds one Variant record per
-variant: its witness names and the search that completes them.
+Each checker returns a certificate with named residuals.  The first
+two variants are special cases of the general one: their witnesses map
+to the four-tuple (A1, A2, X1, Y2) as
+
+  vanishing-selfadjoint   (0, a, C1 a^-1, a^-1 C1* D2)
+  both-vanishing          (0, 0, L, Y)
+
+so every extractor rebuilds the same two factors [[A1, B1], [X1, D1]]
+and [[A2, Y2], [C2, D3]] and refuses them unless both are isometric.
+VARIANT_TABLE holds one Variant record per variant: its witness names
+and the search that completes them.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_ATOL,
+    _check_atol,
     as_matrix,
     injective_on_range,
     is_isometry,
@@ -207,11 +215,61 @@ class FactorizationCertificate:
     verdict: bool
 
 
+def _certificate(
+    variant: str, witnesses: dict, residuals: dict, atol: float
+) -> FactorizationCertificate:
+    """The one place a verdict is drawn: every residual within a finite atol."""
+    _check_atol(atol)
+    return FactorizationCertificate(
+        variant=variant,
+        witnesses=witnesses,
+        residuals=residuals,
+        atol=atol,
+        verdict=all(v <= atol for v in residuals.values()),
+    )
+
+
 def _witness(m, name: str, shape: tuple[int, int]) -> np.ndarray:
     w = as_matrix(m, f"witness {name}")
     if w.shape != shape:
         raise DimensionError(f"witness {name} is {w.shape}, expected {shape}")
     return w
+
+
+def _passed(cert: FactorizationCertificate) -> dict[str, np.ndarray]:
+    """The witnesses of a passing certificate; a failing one is refused."""
+    if not cert.verdict:
+        raise WitnessError("conditions fail, nothing to extract", certificate=cert)
+    return cert.witnesses
+
+
+def _factors(
+    s: SplitColligation, cert: FactorizationCertificate, a1, a2, x1, y2, slack: float
+) -> tuple[Colligation, Colligation]:
+    """The factors [[A1, B1], [X1, D1]] and [[A2, Y2], [C2, D3]].
+
+    Both must be isometric within ``slack``.  A certified check makes
+    a refusal unreachable in exact arithmetic; it fires only on
+    numerically inconsistent witnesses, which must be reported rather
+    than silently accepted.
+    """
+    rep, table = s.parent.rep, s.parent.table
+    factors = (
+        Colligation(
+            rep=rep.restrict(0), table=table, A=a1.copy(), B=s.B1, C=x1.copy(), D=s.D1
+        ),
+        Colligation(
+            rep=rep.restrict(1), table=table, A=a2.copy(), B=y2.copy(), C=s.C2, D=s.D3
+        ),
+    )
+    for name, col in zip(("first", "second"), factors):
+        if not is_isometry(col.matrix(), slack):
+            raise WitnessError(
+                f"extracted {name} factor is not isometric at {slack:.3e}; "
+                "the witness is numerically inconsistent",
+                certificate=cert,
+            )
+    return factors
 
 
 def check_vanishing_selfadjoint(
@@ -222,34 +280,27 @@ def check_vanishing_selfadjoint(
     The witness ``a`` is the claimed base-point value of the second
     factor.  Conditions: the parent A and B2 blocks vanish, a is
     selfadjoint with smallest singular value above atol, C1* C1 equals
-    a squared, and C1 a^-2 C1* D2 reproduces D2.
+    a squared, and C1 a^-2 C1* D2 reproduces D2.  A singular witness
+    has an infinite compression residual.
     """
+    _check_atol(atol)  # the solves below run only when smin > atol >= 0
     d = s.value_dim
     aw = _witness(a, "a", (d, d))
     smin = float(np.linalg.svd(aw, compute_uv=False)[-1]) if d else 0.0
-    invertible = smin > atol
     residuals = {
         "parent_base_vanishes": max_abs(s.A),
         "parent_b2_vanishes": max_abs(s.B2),
         "witness_selfadjoint": max_abs(aw - aw.conj().T),
         "witness_invertible": max(0.0, atol - smin),
         "gram_match": max_abs(s.C1.conj().T @ s.C1 - aw @ aw),
+        "compression_match": float("inf"),
     }
-    if invertible:
+    if smin > atol:
         # C1 a^-2 C1* D2 via two solves against a, never an inverse
         x = np.linalg.solve(aw, s.C1.conj().T @ s.D2)
         x = np.linalg.solve(aw, x)
         residuals["compression_match"] = max_abs(s.C1 @ x - s.D2)
-    else:
-        residuals["compression_match"] = float("inf")
-    verdict = invertible and all(v <= atol for v in residuals.values())
-    return FactorizationCertificate(
-        variant="vanishing-selfadjoint",
-        witnesses={"A": aw},
-        residuals=residuals,
-        atol=atol,
-        verdict=verdict,
-    )
+    return _certificate("vanishing-selfadjoint", {"A": aw}, residuals, atol)
 
 
 def extract_vanishing_selfadjoint(
@@ -257,38 +308,15 @@ def extract_vanishing_selfadjoint(
 ) -> tuple[Colligation, Colligation]:
     """Rebuild the two factors certified by check_vanishing_selfadjoint.
 
-    The first factor is [[0, B1], [C1 a^-1, D1]] and vanishes at the
-    base point exactly; the second is [[a, a^-1 C1* D2], [C2, D3]] and
-    takes the value ``a`` there.
+    The general four-tuple (0, a, C1 a^-1, a^-1 C1* D2): the first
+    factor vanishes at the base point exactly, the second takes the
+    value ``a`` there.
     """
     cert = check_vanishing_selfadjoint(s, a, atol)
-    if not cert.verdict:
-        raise WitnessError(
-            "conditions fail, nothing to extract", certificate=cert
-        )
-    aw = cert.witnesses["A"]
-    d = s.value_dim
-    c1a_inv = np.linalg.solve(aw.T, s.C1.T).T
-    b2 = np.linalg.solve(aw, s.C1.conj().T @ s.D2)
-    table = s.parent.table
-    first = Colligation(
-        rep=s.parent.rep.restrict(0),
-        table=table,
-        A=np.zeros((d, d), dtype=np.complex128),
-        B=s.B1,
-        C=c1a_inv,
-        D=s.D1,
-    )
-    second = Colligation(
-        rep=s.parent.rep.restrict(1),
-        table=table,
-        A=aw.copy(),
-        B=b2,
-        C=s.C2,
-        D=s.D3,
-    )
-    _require_isometric(first, second, 10.0 * atol, cert)
-    return first, second
+    aw = _passed(cert)["A"]
+    x1 = np.linalg.solve(aw.T, s.C1.T).T
+    y2 = np.linalg.solve(aw, s.C1.conj().T @ s.D2)
+    return _factors(s, cert, np.zeros_like(aw), aw, x1, y2, 10.0 * atol)
 
 
 def _vanishing_pattern(s: SplitColligation) -> dict[str, float]:
@@ -332,16 +360,9 @@ def _complete_both_vanishing(
     pattern = _vanishing_pattern(s)
     worst = max(pattern.values())
     if worst > atol:
-        cert = FactorizationCertificate(
-            variant="both-vanishing",
-            witnesses={},
-            residuals=pattern,
-            atol=atol,
-            verdict=False,
-        )
         raise WitnessError(
             f"required vanishing pattern fails, largest entry {worst:.3e}",
-            certificate=cert,
+            certificate=_certificate("both-vanishing", {}, pattern, atol),
         )
     try:
         return find_LY_witness(s, atol=atol)
@@ -367,14 +388,7 @@ def check_both_vanishing(
         "l_range_orthogonal": max_abs(lw.conj().T @ s.D1),
         "d2_factors": max_abs(s.D2 - lw @ yw),
     }
-    verdict = all(v <= atol for v in residuals.values())
-    return FactorizationCertificate(
-        variant="both-vanishing",
-        witnesses={"L": lw, "Y": yw},
-        residuals=residuals,
-        atol=atol,
-        verdict=verdict,
-    )
+    return _certificate("both-vanishing", {"L": lw, "Y": yw}, residuals, atol)
 
 
 def extract_both_vanishing(
@@ -382,36 +396,13 @@ def extract_both_vanishing(
 ) -> tuple[Colligation, Colligation]:
     """Rebuild the two factors certified by check_both_vanishing.
 
-    The factors are [[0, B1], [L, D1]] and [[0, Y], [C2, D3]]; both
-    vanish at the base point exactly.
+    The general four-tuple (0, 0, L, Y): both factors vanish at the
+    base point exactly.
     """
     cert = check_both_vanishing(s, left, y, atol)
-    if not cert.verdict:
-        raise WitnessError(
-            "conditions fail, nothing to extract", certificate=cert
-        )
-    lw = cert.witnesses["L"]
-    yw = cert.witnesses["Y"]
-    d = s.value_dim
-    table = s.parent.table
-    first = Colligation(
-        rep=s.parent.rep.restrict(0),
-        table=table,
-        A=np.zeros((d, d), dtype=np.complex128),
-        B=s.B1,
-        C=lw,
-        D=s.D1,
-    )
-    second = Colligation(
-        rep=s.parent.rep.restrict(1),
-        table=table,
-        A=np.zeros((d, d), dtype=np.complex128),
-        B=yw,
-        C=s.C2,
-        D=s.D3,
-    )
-    _require_isometric(first, second, atol, cert)
-    return first, second
+    w = _passed(cert)
+    zero = np.zeros((s.value_dim,) * 2, dtype=np.complex128)
+    return _factors(s, cert, zero, zero, w["L"], w["Y"], atol)
 
 
 def check_general(
@@ -436,21 +427,11 @@ def check_general(
         "b2_splits": max_abs(s.B2 - a1w @ y2w),
         "c1_splits": max_abs(s.C1 - x1w @ a2w),
         "d2_splits": max_abs(s.D2 - x1w @ y2w),
-        "column_isometry": max_abs(
-            a1w.conj().T @ a1w + x1w.conj().T @ x1w - np.eye(d)
-        ),
-        "injectivity": 0.0
-        if injective_on_range(a2w.conj().T, coupling, atol)
-        else 1.0,
+        "column_isometry": max_abs(a1w.conj().T @ a1w + x1w.conj().T @ x1w - np.eye(d)),
+        "injectivity": 0.0 if injective_on_range(a2w.conj().T, coupling, atol) else 1.0,
     }
-    verdict = all(v <= atol for v in residuals.values())
-    return FactorizationCertificate(
-        variant="general",
-        witnesses={"A1": a1w, "A2": a2w, "X1": x1w, "Y2": y2w},
-        residuals=residuals,
-        atol=atol,
-        verdict=verdict,
-    )
+    witnesses = {"A1": a1w, "A2": a2w, "X1": x1w, "Y2": y2w}
+    return _certificate("general", witnesses, residuals, atol)
 
 
 def solve_general_witnesses(
@@ -490,29 +471,8 @@ def extract_general(
     The factors are [[A1, B1], [X1, D1]] and [[A2, Y2], [C2, D3]].
     """
     cert = check_general(s, a1, a2, x1, y2, atol)
-    if not cert.verdict:
-        raise WitnessError(
-            "conditions fail, nothing to extract", certificate=cert
-        )
-    table = s.parent.table
-    first = Colligation(
-        rep=s.parent.rep.restrict(0),
-        table=table,
-        A=cert.witnesses["A1"].copy(),
-        B=s.B1,
-        C=cert.witnesses["X1"].copy(),
-        D=s.D1,
-    )
-    second = Colligation(
-        rep=s.parent.rep.restrict(1),
-        table=table,
-        A=cert.witnesses["A2"].copy(),
-        B=cert.witnesses["Y2"].copy(),
-        C=s.C2,
-        D=s.D3,
-    )
-    _require_isometric(first, second, 10.0 * atol, cert)
-    return first, second
+    w = _passed(cert)
+    return _factors(s, cert, w["A1"], w["A2"], w["X1"], w["Y2"], 10.0 * atol)
 
 
 def verify_factorization(
@@ -535,24 +495,3 @@ def verify_factorization(
     ):
         raise StructureError("factors are sampled on different families")
     return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
-
-
-def _require_isometric(
-    first: Colligation,
-    second: Colligation,
-    atol: float,
-    cert: FactorizationCertificate,
-) -> None:
-    """Reject extracted factors that are not isometric.
-
-    A certified check makes this unreachable in exact arithmetic; it
-    fires only on numerically inconsistent witnesses, which must be
-    reported rather than silently accepted.
-    """
-    for name, col in (("first", first), ("second", second)):
-        if not is_isometry(col.matrix(), atol):
-            raise WitnessError(
-                f"extracted {name} factor is not isometric at {atol:.3e}; "
-                "the witness is numerically inconsistent",
-                certificate=cert,
-            )

@@ -59,7 +59,7 @@ def _fmt_scalar(x) -> str:
         return f"{v:.17g}"
     if isinstance(x, str):
         return json.dumps(x)
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+    raise FormatError(f"cannot serialize {type(x).__name__}")
 
 
 def _is_scalar(x) -> bool:
@@ -113,7 +113,7 @@ def _enc(x, indent: int) -> str:
             return "[" + ", ".join(_enc(e, indent) for e in x) + "]"
         rows = [f"{inner}{_enc(e, indent + 1)}" for e in x]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+    raise FormatError(f"cannot serialize {type(x).__name__}")
 
 
 def dumps_canonical(obj) -> str:

@@ -96,7 +96,8 @@ def is_psd(m, atol: float = DEFAULT_ATOL) -> bool:
         return True
     if max_abs(a - a.conj().T) > atol:
         return False
-    eigs = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    # halved before the sum, which overflows for entries near the float max
+    eigs = np.linalg.eigvalsh(a / 2.0 + a.conj().T / 2.0)
     return bool(eigs[0] >= -atol)
 
 

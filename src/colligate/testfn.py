@@ -140,9 +140,12 @@ def validate_test_family(
 
 
 def eval_map(t: TestFunctionTable, i: int) -> np.ndarray:
-    """Column i of the table: all m test functions at point i."""
+    """Column i of the table: all m test functions at point i.
+
+    Every evaluation at a point index goes through this range check.
+    """
     if not 0 <= i < t.n:
-        raise IndexError(f"point index {i} out of range for {t.n} points")
+        raise StructureError(f"point index {i} outside 0..{t.n - 1}")
     return t.values[:, i].copy()
 
 
@@ -272,7 +275,7 @@ def cp_kernel_check(
             funs.append(fv)
         for i in indices:
             if not 0 <= int(i) < t.n:
-                raise IndexError(f"sample point index {i} out of range")
+                raise StructureError(f"sample point index {i} outside 0..{t.n - 1}")
         grid = np.zeros((count, count, dim, dim), dtype=np.complex128)
         for a in range(count):
             for b in range(count):

@@ -16,6 +16,7 @@ from colligate import (
     FormatError,
     Representation,
     StructureError,
+    ToleranceError,
     WitnessError,
     check_both_vanishing,
     check_general,
@@ -353,6 +354,81 @@ class TestVariantTable:
         assert list(found) == ["A1", "A2", "X1", "Y2"]
         first_back, _ = VARIANT_TABLE["general"].extract(s, found)
         npt.assert_array_equal(first_back.A, first.A)
+
+
+def acceptance_shape(variant: str, seed: int) -> tuple[int, int, int, int]:
+    """(d, m, n1, n2) on the grid of acceptance criterion 3."""
+    d = 1 + seed % 3
+    m = 1 + (seed // 3) % 3
+    n1 = 1 + (seed // 9) % 4
+    n2 = 1 + (seed // 7) % 4
+    if variant != "general":
+        n1, n2 = max(n1, d), max(n2, d)
+    return d, m, n1, n2
+
+
+def slack_split():
+    """Split parent whose rebuilt first factor misses isometry by 4e-9."""
+    rep = Representation((np.eye(2, dtype=complex),), split=(1, 1))
+    col = Colligation(
+        rep=rep,
+        table=disc_table([0.0, 0.5]),
+        A=np.zeros((1, 1), dtype=complex),
+        B=np.array([[1.0 + 2e-9, 0.0]], dtype=complex),
+        C=np.array([[0.0], [1.0]], dtype=complex),
+        D=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+    )
+    return split_blocks(col)
+
+
+class TestFourTuple:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_extracts_a_general_four_tuple(self, variant):
+        v = VARIANT_TABLE[variant]
+        for seed in range(60):
+            d, m, n1, n2 = acceptance_shape(variant, seed)
+            _, _, parent, witnesses = conforming_pair(
+                variant, d, n1, n2, m, seed=500 + 1000 * len(variant) + seed
+            )
+            s = split_blocks(parent)
+            if witnesses is None:
+                witnesses = v.search(s, {})
+            f1, f2 = v.extract(s, witnesses)
+            cert = check_general(s, f1.A, f2.A, f1.C, f2.B)
+            assert cert.verdict, (variant, seed, cert.residuals)
+            assert max(cert.residuals.values()) <= 1e-12, (variant, seed)
+
+    def test_both_vanishing_slack_is_atol(self):
+        s = slack_split()
+        one = np.ones((1, 1))
+        assert check_both_vanishing(s, one, one).verdict
+        with pytest.raises(WitnessError, match="first factor is not isometric") as info:
+            extract_both_vanishing(s, one, one)
+        assert info.value.certificate.verdict
+
+    def test_general_slack_is_ten_atol(self):
+        s = slack_split()
+        zero, one = np.zeros((1, 1)), np.ones((1, 1))
+        first, _ = extract_general(s, zero, zero, one, one)
+        assert 1e-9 < first.isometry_defect() <= 1e-8
+
+    def test_extracted_factors_do_not_share_the_witness_arrays(self):
+        s = split_blocks(squared_coordinate())
+        left, y = np.ones((1, 1), dtype=complex), np.ones((1, 1), dtype=complex)
+        first, second = extract_both_vanishing(s, left, y)
+        assert not np.shares_memory(first.C, left)
+        assert not np.shares_memory(second.B, y)
+
+    @pytest.mark.parametrize("atol", [float("nan"), float("inf"), -1e-9])
+    def test_a_check_refuses_a_non_finite_or_negative_tolerance(self, atol):
+        # an infinite atol would pass the infinite compression residual
+        # of a singular witness
+        s = split_blocks(blaschke_colligation())
+        with pytest.raises(ToleranceError):
+            check_vanishing_selfadjoint(s, np.zeros((1, 1)), atol=atol)
+        one = np.ones((1, 1))
+        with pytest.raises(ToleranceError):
+            check_both_vanishing(split_blocks(squared_coordinate()), one, one, atol=atol)
 
 
 class TestNonFiniteWitness:

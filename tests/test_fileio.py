@@ -52,6 +52,12 @@ class TestCanonicalSerializer:
         assert dumps_canonical(float("inf")) == "Infinity\n"
         assert dumps_canonical(float("nan")) == "NaN\n"
 
+    def test_unknown_type_is_a_format_error(self):
+        with pytest.raises(FormatError, match="cannot serialize object"):
+            dumps_canonical({"x": object()})
+        with pytest.raises(FormatError, match="cannot serialize set"):
+            dumps_canonical([{1}, 2])
+
     def test_reports_parse_back_exactly(self):
         value = 5.0 / 36.0
         text = dumps_canonical({"residual": value})

@@ -79,6 +79,11 @@ class TestIsPsd:
     def test_empty_matrix_passes(self):
         assert is_psd(np.zeros((0, 0)))
 
+    def test_entries_near_the_float_max_do_not_overflow(self):
+        big = np.diag([1e308, 1.7e308])
+        assert is_psd(big)
+        assert not is_psd(-big)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_gram_positivity_property(self, seed):

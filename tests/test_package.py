@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import colligate
+from colligate import errors
 
 EXPORTED = {
     "__version__",
@@ -90,3 +94,34 @@ def test_exported_names_are_pinned():
 def test_every_exported_name_resolves():
     for name in colligate.__all__:
         assert hasattr(colligate, name), name
+
+
+def _raised_names():
+    """(where, name) for every raise with an exception in the package.
+
+    The name is the class raised, or the called or raised name for any
+    other expression, so a raised variable also counts against the guard.
+    """
+    for path in sorted(Path(colligate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(target, "attr", None) or getattr(target, "id", None)
+                yield f"{path.name}:{node.lineno}", name
+
+
+def test_every_raise_names_a_colligate_error():
+    # the CLI maps ColligateError to exit code 2; any other class raised
+    # by the library would escape as a traceback
+    raised = list(_raised_names())
+    assert len(raised) > 50
+    stray = [
+        f"{where} raises {name}"
+        for where, name in raised
+        if not (
+            isinstance(getattr(errors, str(name), None), type)
+            and issubclass(getattr(errors, name), errors.ColligateError)
+        )
+    ]
+    assert not stray

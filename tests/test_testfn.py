@@ -96,8 +96,10 @@ class TestTable:
         t = disc_table(FOUR_POINTS)
         npt.assert_array_equal(eval_map(t, 0), np.zeros(1))
         npt.assert_array_equal(eval_map(t, 1), np.array([0.5]))
-        with pytest.raises(IndexError):
+        with pytest.raises(StructureError, match=r"point index 4 outside 0\.\.3"):
             eval_map(t, 4)
+        with pytest.raises(StructureError, match="point index -1"):
+            eval_map(t, -1)
 
     def test_bidisc_lookup(self):
         values = np.array([[0.0, 0.5], [0.0, 1.0 / 3.0]], dtype=complex)
@@ -280,6 +282,12 @@ class TestCpKernelCheck:
         with pytest.raises(StructureError):
             cp_kernel_check(lambda i, j, g: np.eye(1), t, [([0], [np.eye(1)])])
 
+    def test_out_of_range_sample_index_is_a_structure_error(self):
+        t = disc_table(TWO_POINTS)
+        sample = ([2], [np.eye(1)], [np.ones(1)])
+        with pytest.raises(StructureError, match=r"sample point index 2 outside 0\.\.1"):
+            cp_kernel_check(lambda i, j, g: np.eye(1), t, [sample])
+
 
 class TestWitnessCheck:
     def test_zero_function_reduces_to_kernel_positivity(self):
@@ -301,6 +309,12 @@ class TestWitnessCheck:
         s = szego_samples(TWO_POINTS)
         with pytest.raises(ValueError):
             schur_agler_witness_check([np.zeros((1, 1))] * 2, s, -1.0)
+
+    def test_zero_function_passes_at_a_bound_whose_square_nears_the_float_max(self):
+        # the bound's square is about 1e308: symmetrizing by (m + m*) / 2
+        # would overflow to inf before the halving
+        s = szego_samples(TWO_POINTS)
+        assert schur_agler_witness_check([np.zeros((1, 1))] * 2, s, 1e154)
 
     @pytest.mark.parametrize("bound", [-1.0, float("nan"), float("inf"), float("-inf")])
     def test_bound_must_be_finite_and_nonnegative(self, bound):
