@@ -55,7 +55,8 @@ from .linalg import (
     max_abs,
 )
 # evaluate stays bound in this namespace: bench/test_bench.py patches it here
-from .realization import Colligation, evaluate, evaluate_all, rep_is_reducible  # noqa: F401
+from .realization import evaluate  # noqa: F401
+from .realization import Colligation, _require_compatible, evaluate_all, rep_is_reducible
 
 __all__ = [
     "VARIANTS",
@@ -125,7 +126,7 @@ VARIANT_TABLE = {
     v.name: v
     for v in (
         Variant("vanishing-selfadjoint", ("A",), ("A",)),
-        Variant("both-vanishing", ("L", "Y"), (), "_complete_both_vanishing"),
+        Variant("both-vanishing", ("L", "Y"), (), "find_LY_witness"),
         Variant(
             "general",
             ("A1", "A2", "X1", "Y2"),
@@ -336,25 +337,9 @@ def find_LY_witness(
 
     Requires the parent A, C1 and B2 blocks to vanish within atol, then
     factors D2 = L Y with L an isometry into the first state block that
-    is orthogonal to range(D1).
-    """
-    pattern = _vanishing_pattern(s)
-    for key, name in zip(pattern, ("parent A block", "C1 block", "B2 block")):
-        if pattern[key] > atol:
-            raise StructureError(
-                f"{name} must vanish for this pattern, largest entry {pattern[key]:.3e}"
-            )
-    return isometric_factor(s.D2, s.value_dim, orthogonal_to=s.D1, atol=atol)
-
-
-def _complete_both_vanishing(
-    s: SplitColligation, atol: float = DEFAULT_ATOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """find_LY_witness as a search whose every failure is a WitnessError.
-
-    Any failure certifies that no witness pair of the required form
-    exists at this tolerance, so callers report a false verdict rather
-    than an input error.  A failed vanishing pattern rides along as the
+    is orthogonal to range(D1).  Every failure shows that no witness
+    pair of the required form exists at this tolerance and raises
+    WitnessError; a failed vanishing pattern rides along as the
     certificate.
     """
     pattern = _vanishing_pattern(s)
@@ -365,7 +350,7 @@ def _complete_both_vanishing(
             certificate=_certificate("both-vanishing", {}, pattern, atol),
         )
     try:
-        return find_LY_witness(s, atol=atol)
+        return isometric_factor(s.D2, s.value_dim, orthogonal_to=s.D1, atol=atol)
     except (RankError, OrthogonalityError, PaddingError) as exc:
         raise WitnessError(f"no witness pair exists: {exc}") from exc
 
@@ -483,15 +468,5 @@ def verify_factorization(
     All three colligations must share the value dimension and the exact
     same sampled family.
     """
-    if not (
-        parent.value_dim == f1.value_dim == f2.value_dim
-    ):
-        raise DimensionError(
-            f"value dimensions differ: {parent.value_dim}, "
-            f"{f1.value_dim}, {f2.value_dim}"
-        )
-    if not (
-        parent.table.same_family(f1.table) and parent.table.same_family(f2.table)
-    ):
-        raise StructureError("factors are sampled on different families")
+    _require_compatible(parent, f1, f2)
     return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))

@@ -19,6 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FormatError
+from .factorization import VARIANT_TABLE
 from .linalg import _check_finite
 from .realization import Colligation, Representation
 from .testfn import HermitianKernel, PointSet, TestFunctionTable
@@ -40,10 +41,11 @@ __all__ = [
     "digest_file",
 ]
 
-WITNESS_NAMES = ("A", "L", "Y", "A1", "A2", "X1", "Y2")
+WITNESS_NAMES = tuple(name for v in VARIANT_TABLE.values() for name in v.witnesses)
 
 
 def _fmt_scalar(x) -> str:
+    """A value _is_scalar accepts, as JSON text."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if x is None:
@@ -56,13 +58,13 @@ def _fmt_scalar(x) -> str:
             return "NaN"
         if math.isinf(v):
             return "Infinity" if v > 0 else "-Infinity"
-        return f"{v:.17g}"
-    if isinstance(x, str):
-        return json.dumps(x)
-    raise FormatError(f"cannot serialize {type(x).__name__}")
+        # json reads -0 back as the integer 0, so + 0.0 writes -0.0 as 0
+        return f"{v + 0.0:.17g}"
+    return json.dumps(x)
 
 
 def _is_scalar(x) -> bool:
+    """The one list of the types _enc writes as scalars."""
     return x is None or isinstance(
         x, (bool, int, float, str, np.integer, np.floating)
     )
@@ -79,7 +81,8 @@ def _enc_matrix(m: np.ndarray, indent: int) -> str:
     """A matrix laid out as _enc lays out its encode_matrix list.
 
     A finite matrix is printed by one %-format over all its floats;
-    '%.17g' % x and f"{x:.17g}" give the same digits, -0 included.
+    '%.17g' % x and f"{x:.17g}" give the same digits, and + 0.0 turns
+    -0.0 into 0.0 as _fmt_scalar does.
     """
     a = np.ascontiguousarray(m, dtype=np.complex128)
     if not a.size or not np.isfinite(a).all():
@@ -88,7 +91,7 @@ def _enc_matrix(m: np.ndarray, indent: int) -> str:
     row = "[" + ", ".join(["[%.17g, %.17g]"] * a.shape[1]) + "]"
     rows = ",\n".join(["  " * (indent + 1) + row] * a.shape[0])
     return ("[\n" + rows + "\n" + "  " * indent + "]") % tuple(
-        a.view(np.float64).ravel().tolist()
+        (a.view(np.float64).ravel() + 0.0).tolist()
     )
 
 

@@ -102,19 +102,16 @@ def is_psd(m, atol: float = DEFAULT_ATOL) -> bool:
 
 
 def numerical_rank(m, atol: float = DEFAULT_ATOL) -> int:
-    """Count singular values above atol times the larger of sigma_max and 1."""
-    _check_atol(atol)
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.count_nonzero(s > atol * max(float(s[0]), 1.0)))
+    """Numerical rank at the cutoff of orthonormal_range_basis."""
+    return orthonormal_range_basis(m, atol).shape[1]
 
 
 def orthonormal_range_basis(m, atol: float = DEFAULT_ATOL) -> np.ndarray:
     """Orthonormal basis of the range of ``m`` at its numerical rank.
 
-    Returns an n x r matrix with orthonormal columns; r may be zero.
+    The rank counts singular values above atol times the larger of
+    sigma_max and 1.  Returns an n x r matrix with orthonormal columns;
+    r may be zero.
     """
     _check_atol(atol)
     a = as_matrix(m)
@@ -198,11 +195,8 @@ def isometric_factor(
                     f"defect {defect:.3e} exceeds atol {atol:.3e}"
                 )
         spans.append(orthonormal_range_basis(o, atol))
-    joint = np.column_stack(spans) if any(s.size for s in spans) else spans[0]
-    pad = _pad_complement(joint, target_dim - q.shape[1])
-    left = np.column_stack([q, pad]) if (q.size or pad.size) else np.zeros(
-        (n, 0), dtype=np.complex128
-    )
+    pad = _pad_complement(np.column_stack(spans), target_dim - q.shape[1])
+    left = np.column_stack([q, pad])
     return left, left.conj().T @ a
 
 
@@ -259,5 +253,6 @@ def _check_atol(atol: float) -> None:
 
 
 def _check_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    # false when either part of a complex entry is NaN or infinite
+    if not np.isfinite(a).all():
         raise FormatError(f"{name} contains non-finite entries")

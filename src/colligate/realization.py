@@ -27,7 +27,7 @@ from .linalg import (
     max_abs,
     random_isometry,
 )
-from .testfn import TestFunctionTable, eval_map
+from .testfn import TestFunctionTable, _coefficients, eval_map
 
 __all__ = [
     "Representation",
@@ -183,11 +183,7 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
 
 def rep_apply(rep: Representation, g) -> np.ndarray:
     """Apply the representation to a coefficient vector: sum g_j P_j."""
-    gv = np.asarray(g, dtype=np.complex128).reshape(-1)
-    if gv.shape[0] != rep.m:
-        raise DimensionError(
-            f"coefficient vector has length {gv.shape[0]}, expected {rep.m}"
-        )
+    gv = _coefficients(g, rep.m)
     out = np.zeros((rep.state_dim, rep.state_dim), dtype=np.complex128)
     for coeff, p in zip(gv, rep.projections):
         out += coeff * p
@@ -196,6 +192,7 @@ def rep_apply(rep: Representation, g) -> np.ndarray:
 
 def rep_is_reducible(rep: Representation, atol: float = DEFAULT_ATOL) -> bool:
     """True iff every projection is block diagonal for the split."""
+    _check_atol(atol)
     if rep.split is None:
         raise StructureError("reducibility is relative to a split, none recorded")
     n1, _ = rep.split
@@ -334,6 +331,16 @@ def evaluate_all(col: Colligation) -> np.ndarray:
     return np.stack([evaluate(col, i) for i in range(col.table.n)])
 
 
+def _require_compatible(*cols: Colligation) -> None:
+    """Every colligation shares the value dimension and the exact sampled
+    family of the first: the precondition of a product and its check."""
+    dims = [col.value_dim for col in cols]
+    if len(set(dims)) > 1:
+        raise DimensionError(f"value dimensions differ: {', '.join(map(str, dims))}")
+    if not all(cols[0].table.same_family(col.table) for col in cols[1:]):
+        raise StructureError("factors are sampled on different families")
+
+
 def product(col1: Colligation, col2: Colligation) -> Colligation:
     """Colligation realizing the pointwise product of two transfer functions.
 
@@ -343,12 +350,7 @@ def product(col1: Colligation, col2: Colligation) -> Colligation:
     whenever both factors are.  Its transfer function at every point is
     evaluate(col1, i) @ evaluate(col2, i).
     """
-    if col1.value_dim != col2.value_dim:
-        raise DimensionError(
-            f"value dimensions {col1.value_dim} and {col2.value_dim} differ"
-        )
-    if not col1.table.same_family(col2.table):
-        raise StructureError("factors are sampled on different families")
+    _require_compatible(col1, col2)
     n1 = col1.state_dim
     n2 = col2.state_dim
     a = col1.A @ col2.A
@@ -415,26 +417,33 @@ def random_colligation(
     seed: int,
 ) -> Colligation:
     """Uniformly random isometric colligation over the given data."""
-    if rep.m != table.m:
-        raise StructureError(
-            f"representation has {rep.m} projections for {table.m} functions"
-        )
     u = random_isometry(value_dim + rep.state_dim, value_dim + rep.state_dim, seed)
     return Colligation.from_matrix(u, value_dim, rep, table)
 
 
-def _complete_columns(
-    rng: np.random.Generator, first: np.ndarray, extra: int
-) -> np.ndarray:
-    """Random orthonormal columns spanning the complement of ``first``."""
-    total = first.shape[0]
+def _absorbed_value_dim(value_dim: int, rep: Representation) -> int:
+    """``value_dim`` as an int, refused when the state space is smaller."""
+    d = int(value_dim)
+    if rep.state_dim < d:
+        raise DimensionError(
+            f"state dimension {rep.state_dim} cannot absorb value dimension {d}"
+        )
+    return d
+
+
+def _completed(
+    rng: np.random.Generator,
+    first: np.ndarray,
+    rep: Representation,
+    table: TestFunctionTable,
+) -> Colligation:
+    """Colligation whose first block column is the isometric ``first``,
+    completed by random orthonormal columns spanning its complement."""
     u, s, _ = np.linalg.svd(first, full_matrices=True)
     rank = int(np.count_nonzero(s > 1e-12)) if s.size else 0
-    comp = u[:, rank:]
-    if comp.shape[1] < extra:
-        raise DimensionError("complement too small to complete the operator")
-    mix = _rng_isometry(rng, comp.shape[1], extra)
-    return comp @ mix
+    # first is (d + n) x d of rank at most d: its complement has room for n
+    rest = u[:, rank:] @ _rng_isometry(rng, u.shape[0] - rank, rep.state_dim)
+    return Colligation.from_matrix(np.hstack([first, rest]), first.shape[1], rep, table)
 
 
 def random_vanishing_colligation(
@@ -448,18 +457,11 @@ def random_vanishing_colligation(
     Needs state_dim >= value_dim: the first block column is [0; C] with
     C a random isometry, completed by random orthonormal columns.
     """
-    n = rep.state_dim
-    d = int(value_dim)
-    if n < d:
-        raise DimensionError(
-            f"state dimension {n} cannot absorb value dimension {d}"
-        )
+    d = _absorbed_value_dim(value_dim, rep)
     rng = np.random.default_rng(seed)
-    c = _rng_isometry(rng, n, d)
+    c = _rng_isometry(rng, rep.state_dim, d)
     first = np.vstack([np.zeros((d, d), dtype=np.complex128), c])
-    rest = _complete_columns(rng, first, n)
-    u = np.hstack([first, rest])
-    return Colligation.from_matrix(u, d, rep, table)
+    return _completed(rng, first, rep, table)
 
 
 def random_selfadjoint_base_colligation(
@@ -479,21 +481,12 @@ def random_selfadjoint_base_colligation(
     lo, hi = spectrum
     if not 0.0 < lo <= hi < 1.0:
         raise StructureError(f"spectrum must sit inside (0, 1), got {spectrum}")
-    n = rep.state_dim
-    d = int(value_dim)
-    if n < d:
-        raise DimensionError(
-            f"state dimension {n} cannot absorb value dimension {d}"
-        )
+    d = _absorbed_value_dim(value_dim, rep)
     rng = np.random.default_rng(seed)
     v = _rng_isometry(rng, d, d)
     eigs = rng.uniform(lo, hi, size=d)
     a = v @ np.diag(eigs) @ v.conj().T
     a = (a + a.conj().T) / 2.0
     root = v @ np.diag(np.sqrt(1.0 - eigs**2)) @ v.conj().T
-    w = _rng_isometry(rng, n, d)
-    c = w @ root
-    first = np.vstack([a, c])
-    rest = _complete_columns(rng, first, n)
-    u = np.hstack([first, rest])
-    return Colligation.from_matrix(u, d, rep, table)
+    w = _rng_isometry(rng, rep.state_dim, d)
+    return _completed(rng, np.vstack([a, w @ root]), rep, table)

@@ -139,6 +139,14 @@ def validate_test_family(
     )
 
 
+def _coefficients(g, m: int) -> np.ndarray:
+    """``g`` as a flat complex vector of one coefficient per test function."""
+    gv = np.asarray(g, dtype=np.complex128).reshape(-1)
+    if gv.shape[0] != m:
+        raise DimensionError(f"coefficient vector has length {gv.shape[0]}, expected {m}")
+    return gv
+
+
 def eval_map(t: TestFunctionTable, i: int) -> np.ndarray:
     """Column i of the table: all m test functions at point i.
 
@@ -265,14 +273,7 @@ def cp_kernel_check(
         for op in ops:
             if op.shape != (dim, dim):
                 raise DimensionError("sample operators must be square and equal sized")
-        funs = []
-        for f in functions:
-            fv = np.asarray(f, dtype=np.complex128).reshape(-1)
-            if fv.shape[0] != t.m:
-                raise DimensionError(
-                    f"coefficient vector has length {fv.shape[0]}, expected {t.m}"
-                )
-            funs.append(fv)
+        funs = [_coefficients(f, t.m) for f in functions]
         for i in indices:
             if not 0 <= int(i) < t.n:
                 raise StructureError(f"sample point index {i} outside 0..{t.n - 1}")
@@ -380,14 +381,13 @@ def agler_norm_lower_bound(
 
     if passes(0.0):
         return 0.0
-    # the theory guarantees a passing bound at the bracket top; widen a
-    # few times in case rounding lands it exactly on the boundary
-    for _ in range(8):
-        if passes(np.sqrt(hi2)):
-            break
+    # values of a Schur-Agler class function pass at 1, below the first
+    # top; other values can need far more, so widen until a bound passes
+    # or its square leaves double precision
+    while not passes(np.sqrt(hi2)):
         hi2 *= 2.0
-    else:
-        raise StructureError("no passing bound found above the initial bracket")
+        if np.isinf(hi2):
+            raise StructureError("no bound with a finite square passes the witness check")
     lo2 = 0.0
     while hi2 - lo2 > atol:
         mid = (lo2 + hi2) / 2.0

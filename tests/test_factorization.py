@@ -99,6 +99,12 @@ class TestSplitBlocks:
         with pytest.raises(StructureError):
             split_blocks(bent)
 
+    @pytest.mark.parametrize("atol", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative_tolerance_is_refused(self, atol):
+        # an infinite or NaN atol would let any stray block through
+        with pytest.raises(ToleranceError):
+            split_blocks(blaschke_colligation(), atol=atol)
+
 
 class TestVanishingSelfadjoint:
     def test_blaschke_witness_passes(self):
@@ -176,8 +182,12 @@ class TestBothVanishing:
 
     def test_search_requires_the_vanishing_pattern(self):
         s = split_blocks(blaschke_colligation())
-        with pytest.raises(StructureError):
+        with pytest.raises(WitnessError, match="vanishing pattern fails") as info:
             find_LY_witness(s)
+        assert info.value.certificate.residuals == pytest.approx(
+            {"parent_base_vanishes": 0.0, "c1_vanishes": 0.5, "b2_vanishes": 0.0},
+            abs=1e-15,
+        )
 
     def test_squared_coordinate_extraction(self):
         s = split_blocks(squared_coordinate())

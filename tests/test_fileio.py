@@ -170,7 +170,7 @@ class TestArrayCodec:
     def test_printed_array_decodes_to_the_same_bytes(self, m):
         doc = json.loads(dumps_canonical(m))
         assert _decoded(decode_matrix, doc) == _decoded(fileio._decode_entries, doc)
-        # JSON reads -0 as the integer 0, so only the values are compared
+        # -0.0 is written as 0, so only the values are compared
         npt.assert_array_equal(decode_matrix(doc, "m"), m)
 
     @CODEC
@@ -383,7 +383,16 @@ class TestValuesFile:
         assert points.labels == col.table.points.labels
         npt.assert_array_equal(back, stack)
 
-    def test_ragged_value_shapes_are_rejected(self, tmp_path):
+    def test_negative_zero_round_trips_byte_for_byte(self, tmp_path):
+        # json reads -0 back as the integer 0, so -0.0 must be written as 0
+        stack = np.array([[[complex(-0.0, 0.25)]], [[complex(0.5, -0.0)]]])
+        path = tmp_path / "v.json"
+        save_values(disc_table([0.0, 0.5]).points, stack, str(path))
+        saved = path.read_bytes()
+        save_values(*load_values(str(path)), str(path))
+        assert path.read_bytes() == saved
+        assert dumps_canonical([-0.0, np.float64(-0.0)]) == "[0, 0]\n"
+
         path = tmp_path / "v.json"
         doc = {
             "kind": "values",

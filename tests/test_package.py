@@ -96,19 +96,38 @@ def test_every_exported_name_resolves():
         assert hasattr(colligate, name), name
 
 
+def _raises():
+    """(where, node) for every raise with an exception in the package."""
+    for path in sorted(Path(colligate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                yield f"{path.name}:{node.lineno}", node
+
+
 def _raised_names():
     """(where, name) for every raise with an exception in the package.
 
     The name is the class raised, or the called or raised name for any
     other expression, so a raised variable also counts against the guard.
     """
-    for path in sorted(Path(colligate.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                name = getattr(target, "attr", None) or getattr(target, "id", None)
-                yield f"{path.name}:{node.lineno}", name
+    for where, node in _raises():
+        target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        yield where, getattr(target, "attr", None) or getattr(target, "id", None)
+
+
+def _message_template(exc: ast.expr) -> str | None:
+    """The literal message of a raised call, each f-string field as {}."""
+    if not (isinstance(exc, ast.Call) and exc.args):
+        return None
+    msg = exc.args[0]
+    if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+        return msg.value
+    if isinstance(msg, ast.JoinedStr):
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else "{}" for part in msg.values
+        )
+    return None
 
 
 def test_every_raise_names_a_colligate_error():
@@ -125,3 +144,14 @@ def test_every_raise_names_a_colligate_error():
         )
     ]
     assert not stray
+
+
+def test_every_raise_message_has_one_site():
+    # a rule raised from two sites is checked twice; give it one home
+    sites: dict[str, list[str]] = {}
+    for where, node in _raises():
+        template = _message_template(node.exc)
+        if template is not None:
+            sites.setdefault(template, []).append(where)
+    assert len(sites) > 50
+    assert not {t: w for t, w in sites.items() if len(w) > 1}

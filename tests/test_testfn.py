@@ -387,6 +387,21 @@ class TestNormLowerBound:
         f = [np.array([[2.0 * z]]) for z in TWO_POINTS]
         assert agler_norm_lower_bound(f, [s], atol=1e-300) == pytest.approx(2.0, abs=1e-8)
 
+    @pytest.mark.parametrize("z, exact", [(0.01, 90.0), (0.001, 900.0)])
+    def test_a_bound_far_above_the_value_norms_is_reached(self, z, exact):
+        # 0 at the base point and 0.9 at z: the smallest interpolant is 0.9 w / z
+        f = [np.zeros((1, 1)), np.array([[0.9]])]
+        bound = agler_norm_lower_bound(f, [szego_samples([0.0, z])])
+        assert bound == pytest.approx(exact, rel=1e-6)
+
+    def test_a_kernel_no_bound_can_pass_is_an_error(self):
+        # c^2 [[1, 1], [1, 1]] - diag(0, 1e300) is indefinite for every c,
+        # by far more than rounding at any c whose square is finite
+        ones = HermitianKernel(disc_points(TWO_POINTS), np.ones((2, 2, 1, 1)))
+        f = [np.zeros((1, 1)), np.array([[1e150]])]
+        with pytest.raises(StructureError, match="no bound with a finite square"):
+            agler_norm_lower_bound(f, [ones])
+
     def test_values_whose_square_overflows_are_named(self):
         s = szego_samples(TWO_POINTS)
         f = [np.array([[0.5]]), np.array([[1e160]])]
