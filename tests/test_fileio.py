@@ -393,6 +393,7 @@ class TestValuesFile:
         assert path.read_bytes() == saved
         assert dumps_canonical([-0.0, np.float64(-0.0)]) == "[0, 0]\n"
 
+    def test_ragged_value_shapes_are_rejected(self, tmp_path):
         path = tmp_path / "v.json"
         doc = {
             "kind": "values",

@@ -177,7 +177,10 @@ class TestHermitianKernel:
         skew[1, 0] = -2.0
         assert HermitianKernel(pts, skew).hermiticity_defect() == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), complex(0.0, float("-inf")), complex(0.0, float("nan"))],
+    )
     def test_non_finite_blocks_are_a_format_error(self, bad):
         blocks = np.ones((2, 2, 1, 1), dtype=complex)
         blocks[1, 0] = bad
