@@ -382,12 +382,16 @@ def agler_norm_lower_bound(
     if passes(0.0):
         return 0.0
     # values of a Schur-Agler class function pass at 1, below the first
-    # top; other values can need far more, so widen until a bound passes
-    # or its square leaves double precision
+    # top; others can need far more.  Widen at least 8 times, then while
+    # eigvalsh's rounding, about eps * c^2 * |S|, stays below atol
+    least = 256.0 * hi2
     while not passes(np.sqrt(hi2)):
         hi2 *= 2.0
-        if np.isinf(hi2):
-            raise StructureError("no bound with a finite square passes the witness check")
+        if hi2 < least:
+            continue
+        norm = max(np.linalg.norm(s.assemble(), 2) for s in kernels)
+        if not hi2 * np.finfo(float).eps * norm < atol:
+            raise StructureError("no bound passes the witness check before rounding exceeds atol")
     lo2 = 0.0
     while hi2 - lo2 > atol:
         mid = (lo2 + hi2) / 2.0

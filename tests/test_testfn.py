@@ -398,12 +398,20 @@ class TestNormLowerBound:
         assert bound == pytest.approx(exact, rel=1e-6)
 
     def test_a_kernel_no_bound_can_pass_is_an_error(self):
-        # c^2 [[1, 1], [1, 1]] - diag(0, 1e300) is indefinite for every c,
-        # by far more than rounding at any c whose square is finite
+        # c^2 [[1, 1], [1, 1]] - diag(0, 0.81) has an eigenvalue near -0.405
+        # for every c; widened without a limit, eigvalsh's rounding at
+        # c^2 near 9e15 passed it
         ones = HermitianKernel(disc_points(TWO_POINTS), np.ones((2, 2, 1, 1)))
-        f = [np.zeros((1, 1)), np.array([[1e150]])]
-        with pytest.raises(StructureError, match="no bound with a finite square"):
+        f = [np.zeros((1, 1)), np.array([[0.9]])]
+        with pytest.raises(StructureError, match="before rounding exceeds atol"):
             agler_norm_lower_bound(f, [ones])
+
+    def test_large_values_keep_eight_widenings(self):
+        # 0 and 1e3 at z = 0.1 need c = 1e4, five doublings above the first
+        # top, where rounding already exceeds the default atol
+        f = [np.zeros((1, 1)), np.array([[1e3]])]
+        bound = agler_norm_lower_bound(f, [szego_samples([0.0, 0.1])])
+        assert bound == pytest.approx(1e4, rel=1e-6)
 
     def test_values_whose_square_overflows_are_named(self):
         s = szego_samples(TWO_POINTS)
