@@ -13,15 +13,26 @@ missing witness the detail must still name each missing witness.
 The corpus is regenerated, only when a report is meant to change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py --regenerate
+
+and a change that should move report floats by rounding only is first
+checked with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --diff
+
+which regenerates into a temporary directory, lists every changed leaf,
+and exits 1 when a key, a verdict, an exit code, any other non-float leaf
+or a written file changed, or a float moved by more than FLOAT_DRIFT.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +42,10 @@ from colligate.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
+
+# Largest move of a report float that --diff accepts.  Absolute, since
+# residual leaves sit near eps, where no relative bound can hold.
+FLOAT_DRIFT = 1e-14
 
 VSA = ["--variant", "vanishing-selfadjoint"]
 BV = ["--variant", "both-vanishing"]
@@ -157,6 +172,25 @@ def test_corpus_covers_every_subcommand():
     }
 
 
+def test_diff_allows_only_small_float_drift():
+    old = {"residual": 1.1e-16, "verdict": True, "exact": 0, "values": [0.5, "x"]}
+    assert _leaf_changes(old, old) == []
+    moved = dict(old, residual=1.7e-16, exact=2e-16)
+    assert [c[0] for c in _leaf_changes(old, moved)] == ["$.residual", "$.exact"]
+    assert all(c[3] for c in _leaf_changes(old, moved))
+    refused = [
+        dict(old, residual=1.1e-16 + 2 * FLOAT_DRIFT),
+        dict(old, verdict=False),
+        dict(old, values=[0.5, "y"]),
+        dict(old, values=[0.5]),
+        dict(old, exact=1),
+        {**old, "extra": 0.0},
+    ]
+    for new in refused:
+        (change,) = _leaf_changes(old, new)
+        assert not change[3], new
+
+
 def _write_inputs(directory: Path) -> None:
     """Build the input documents with the library and the test builders."""
     from colligate import (
@@ -226,28 +260,100 @@ def _write_inputs(directory: Path) -> None:
     save_values(szego3.points, values, path("vals_op.json"))
 
 
-def regenerate() -> None:
-    """Rewrite the whole corpus from the current library."""
-    import tempfile
-
+def _generate(root: Path) -> None:
+    """Write the whole corpus from the current library into ``root``."""
     sys.path.insert(0, str(Path(__file__).parent))
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    INPUTS.mkdir(parents=True)
-    _write_inputs(INPUTS)
+    inputs = root / "inputs"
+    inputs.mkdir(parents=True)
+    _write_inputs(inputs)
     for case, argv, code, _ in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            shutil.copytree(INPUTS, tmp, dirs_exist_ok=True)
+            shutil.copytree(inputs, tmp, dirs_exist_ok=True)
             got_code, stdout, written = _run(Path(tmp), argv)
         if got_code != code:
             raise SystemExit(f"{case}: exit code {got_code}, expected {code}")
-        (GOLDEN / case).mkdir()
-        (GOLDEN / case / "stdout").write_bytes(stdout)
+        (root / case).mkdir()
+        (root / case / "stdout").write_bytes(stdout)
         for name, data in written.items():
-            (GOLDEN / case / name).write_bytes(data)
+            (root / case / name).write_bytes(data)
+
+
+def regenerate() -> None:
+    """Rewrite the whole corpus from the current library."""
+    if GOLDEN.exists():
+        shutil.rmtree(GOLDEN)
+    _generate(GOLDEN)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _leaf_changes(old, new, where: str = "$") -> list[tuple]:
+    """Every leaf where two parsed reports differ, as (where, old, new, allowed).
+
+    Only a float moving by at most FLOAT_DRIFT is allowed; an integer
+    written for a float that is exactly zero counts as a float when the
+    other side is one.  A change of keys, length or any other leaf is not.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        if list(old) != list(new):
+            return [(where, list(old), list(new), False)]
+        return [c for k in old for c in _leaf_changes(old[k], new[k], f"{where}.{k}")]
+    if isinstance(old, list) and isinstance(new, list):
+        if len(old) != len(new):
+            return [(f"{where} length", len(old), len(new), False)]
+        return [c for k, (a, b) in enumerate(zip(old, new))
+                for c in _leaf_changes(a, b, f"{where}[{k}]")]
+    if type(old) is type(new) and old == new:
+        return []
+    floats = (_is_number(old) and _is_number(new)
+              and (isinstance(old, float) or isinstance(new, float)))
+    return [(where, old, new, floats and abs(new - old) <= FLOAT_DRIFT)]
+
+
+def _corpus_changes(old_root: Path, new_root: Path) -> list[tuple]:
+    """Every change from one corpus to another, as (where, old, new, allowed).
+
+    Reports are compared leaf by leaf; the inputs and every written file
+    must stay byte for byte.
+    """
+    changes = []
+    files = sorted({p.relative_to(root) for root in (old_root, new_root)
+                    for p in root.rglob("*") if p.is_file()})
+    for rel in files:
+        old, new = old_root / rel, new_root / rel
+        if not (old.is_file() and new.is_file()):
+            changes.append((str(rel), *("present" if f.is_file() else "absent"
+                                        for f in (old, new)), False))
+            continue
+        old_bytes, new_bytes = old.read_bytes(), new.read_bytes()
+        if old_bytes == new_bytes:
+            continue
+        if rel.name != "stdout":
+            changes.append((str(rel), "bytes", "changed bytes", False))
+            continue
+        changes += _leaf_changes(json.loads(old_bytes), json.loads(new_bytes), f"{rel} $")
+    return changes
+
+
+def diff() -> int:
+    """Regenerate into a temporary directory and list every change to the
+    corpus; 1 when any change is more than float drift, else 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _generate(Path(tmp))
+        changes = _corpus_changes(GOLDEN, Path(tmp))
+    for where, old, new, allowed in changes:
+        print(f"{'drift' if allowed else 'FAIL '}  {where}: {old!r} -> {new!r}")
+    failed = sum(not allowed for *_, allowed in changes)
+    print(f"{len(changes)} changed leaves, {failed} beyond a float drift of {FLOAT_DRIFT:g}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
+    if sys.argv[1:] == ["--regenerate"]:
+        regenerate()
+    elif sys.argv[1:] == ["--diff"]:
+        sys.exit(diff())
+    else:
         raise SystemExit(__doc__)
-    regenerate()
