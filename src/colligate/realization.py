@@ -13,7 +13,7 @@ split that the factorization checks consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -54,14 +54,18 @@ class Representation:
     The projections must be Hermitian idempotents that are mutually
     orthogonal and sum to the identity; defects() measures how far a
     given family strays from that.  ``split`` optionally records that
-    the state space is an ordered direct sum of two blocks.
+    the state space is an ordered direct sum of two blocks.  The
+    projections are kept as read-only copies, so a later write to the
+    caller's arrays cannot change the representation.
     """
 
     projections: tuple[np.ndarray, ...]
     split: tuple[int, int] | None = None
+    # coordinate label of each state basis vector, None unless coordinate
+    _labels: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        mats = tuple(as_matrix(p, "projection") for p in self.projections)
+        mats = tuple(_frozen(p, "projection") for p in self.projections)
         if not mats:
             raise StructureError("a representation needs at least one projection")
         n = mats[0].shape[0]
@@ -71,6 +75,7 @@ class Representation:
                     f"projections must share one square shape, got {p.shape}"
                 )
         object.__setattr__(self, "projections", mats)
+        object.__setattr__(self, "_labels", _coordinate_labels(mats))
         if self.split is not None:
             n1, n2 = self.split
             if n1 < 1 or n2 < 1 or n1 + n2 != n:
@@ -117,9 +122,39 @@ class Representation:
         """Corner restriction to one block of the split (0 or 1)."""
         if self.split is None:
             raise StructureError("restriction requires a split")
+        if half not in (0, 1):
+            raise StructureError(f"restriction takes half 0 or 1, got {half!r}")
         n1, _ = self.split
         sl = slice(0, n1) if half == 0 else slice(n1, self.state_dim)
-        return Representation(tuple(p[sl, sl].copy() for p in self.projections))
+        return Representation(tuple(p[sl, sl] for p in self.projections))
+
+
+def _frozen(m, name: str) -> np.ndarray:
+    """``as_matrix(m, name)`` as a read-only copy of its own."""
+    a = as_matrix(np.array(m, dtype=np.complex128), name)
+    a.setflags(write=False)
+    return a
+
+
+def _coordinate_labels(mats: tuple[np.ndarray, ...]) -> np.ndarray | None:
+    """Label vector of a coordinate family, else None.
+
+    A family is coordinate when every projection is exactly diagonal
+    with 0/1 entries and the diagonals sum to exactly one per
+    coordinate; then P_j = diag(labels == j), and L(x) is the diagonal
+    psi[labels].  The scan stops at the first projection with an
+    off-diagonal nonzero, so a dense family costs one count.
+    """
+    for p in mats:
+        if np.count_nonzero(p) != np.count_nonzero(p.diagonal()):
+            return None
+    diagonals = np.array([p.diagonal() for p in mats])
+    ones = diagonals == 1
+    if not (ones | (diagonals == 0)).all() or not (ones.sum(axis=0) == 1).all():
+        return None
+    labels = ones.argmax(axis=0)
+    labels.setflags(write=False)
+    return labels
 
 
 def coordinate_representation(sizes: Sequence[int]) -> Representation:
@@ -297,22 +332,44 @@ class Colligation:
 
 
 def _resolvent(col: Colligation, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """L_i = L(x_i) and G_i = (I - D L_i)^{-1} C at point index ``i``.
+    """G_i = (I - D L_i)^{-1} C and H_i = L_i G_i at point index ``i``.
 
-    The one resolvent solve of the module: every evaluation and the
+    The one per-point kernel of the module: every evaluation and the
     Gramian identity go through it, so a singular resolvent is reported
     the same way, with its point index, wherever it shows up.
+
+    For a coordinate representation L_i is the diagonal psi[labels], so
+    I - D L_i is a column scaling of D and H_i a row scaling of G_i.  If
+    the colligation also splits there (a lower-left D block of exact
+    zeros along the recorded split, as ``product`` writes it), the block
+    triangular system is solved by back-substitution: the D3 block first,
+    then the D1 block with the coupling term D2 H_i2.  Any other family
+    builds L_i densely and solves once.
     """
-    lam = rep_apply(col.rep, eval_map(col.table, i))
-    lhs = np.eye(col.state_dim) - col.D @ lam
+    psi = eval_map(col.table, i)
+    labels = col.rep._labels
     try:
-        g = np.linalg.solve(lhs, col.C)
+        if labels is None:
+            lam = rep_apply(col.rep, psi)
+            g = np.linalg.solve(np.eye(col.state_dim) - col.D @ lam, col.C)
+            return g, lam @ g
+        lam = psi[labels]
+        d, c = col.D, col.C
+        n1 = col.rep.split[0] if col.rep.split else 0
+        if n1 and not d[n1:, :n1].any():
+            lam2 = lam[n1:]
+            g2 = np.linalg.solve(np.eye(lam2.size) - d[n1:, n1:] * lam2, c[n1:])
+            coupled = c[:n1] + d[:n1, n1:] @ (lam2[:, None] * g2)
+            g1 = np.linalg.solve(np.eye(n1) - d[:n1, :n1] * lam[:n1], coupled)
+            g = np.vstack([g1, g2])
+        else:
+            g = np.linalg.solve(np.eye(col.state_dim) - d * lam, c)
+        return g, lam[:, None] * g
     except np.linalg.LinAlgError as exc:
         raise SingularResolventError(
             f"resolvent is singular at point index {i}; the sampled family "
             "or the operator violates contractivity"
         ) from exc
-    return lam, g
 
 
 def evaluate(col: Colligation, i: int) -> np.ndarray:
@@ -322,8 +379,8 @@ def evaluate(col: Colligation, i: int) -> np.ndarray:
     A + B L x.  At the base point L vanishes and the result is exactly
     the A block.
     """
-    lam, g = _resolvent(col, i)
-    return col.A + col.B @ (lam @ g)
+    _, h = _resolvent(col, i)
+    return col.A + col.B @ h
 
 
 def evaluate_all(col: Colligation) -> np.ndarray:
@@ -395,8 +452,7 @@ def gramian_identity_check(col: Colligation) -> float:
     n_state = col.state_dim
     stack = np.empty((d + 2 * n_state, n_points * d), dtype=np.complex128)
     for i in range(n_points):
-        lam, g = _resolvent(col, i)
-        h = lam @ g
+        g, h = _resolvent(col, i)
         cols = slice(i * d, (i + 1) * d)
         stack[:d, cols] = col.A + col.B @ h
         stack[d : d + n_state, cols] = g

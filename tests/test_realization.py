@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from colligate import realization
 from colligate import (
     Colligation,
     DimensionError,
@@ -50,13 +51,72 @@ def singular_colligation() -> Colligation:
     )
 
 
+def _singular_products() -> tuple[Colligation, Colligation]:
+    """Products whose D1, then D3, block is the singular colligation's D."""
+    single = singular_colligation()
+    shift = coordinate_colligation(single.table)
+    return product(single, shift), product(shift, single)
+
+
+SINGULAR = (singular_colligation(), *_singular_products())
+SINGULAR_IDS = ("single", "product-D1", "product-D3")
+
+
+def coordinate_rep(rng: np.random.Generator, m: int, n: int) -> Representation:
+    """Coordinate family dealing n coordinates at random over m functions,
+    so some projections are zero (always when m > n)."""
+    labels = rng.integers(0, m, size=n)
+    return Representation(
+        tuple(np.diag((labels == j).astype(complex)) for j in range(m))
+    )
+
+
+def conjugated(col: Colligation, w: np.ndarray) -> Colligation:
+    """``col`` in the state basis w: P_j -> W P_j W*, U -> diag(I, W) U diag(I, W*)."""
+    d = col.value_dim
+    rep = Representation(tuple(w @ p @ w.conj().T for p in col.rep.projections))
+    v = np.eye(d + col.state_dim, dtype=complex)
+    v[d:, d:] = w
+    return Colligation.from_matrix(v @ col.matrix() @ v.conj().T, d, rep, col.table)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Records ("rep_apply", N) for each dense L(x) and ("solve", n) for each solve."""
+    calls = []
+    solve, rep_apply_ = np.linalg.solve, realization.rep_apply
+
+    def counted_solve(a, b):
+        calls.append(("solve", a.shape[0]))
+        return solve(a, b)
+
+    def counted_rep_apply(rep, g):
+        calls.append(("rep_apply", rep.state_dim))
+        return rep_apply_(rep, g)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(realization, "rep_apply", counted_rep_apply)
+    return calls
+
+
+def dense_resolvent(col: Colligation, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference per-point evaluation for every family: L(x_i) built densely
+    with rep_apply, then one full solve; returns (L_i, G_i)."""
+    lam = rep_apply(col.rep, col.table.values[:, i])
+    return lam, np.linalg.solve(np.eye(col.state_dim) - col.D @ lam, col.C)
+
+
+def dense_evaluate(col: Colligation, i: int) -> np.ndarray:
+    lam, g = dense_resolvent(col, i)
+    return col.A + col.B @ (lam @ g)
+
+
 def pairwise_gramian_residual(col: Colligation) -> float:
     """The defect identity checked pair by pair with N x N products."""
     eye_state = np.eye(col.state_dim)
     lams, gs, fs = [], [], []
     for i in range(col.table.n):
-        lam = rep_apply(col.rep, col.table.values[:, i])
-        g = np.linalg.solve(eye_state - col.D @ lam, col.C)
+        lam, g = dense_resolvent(col, i)
         lams.append(lam)
         gs.append(g)
         fs.append(col.A + col.B @ (lam @ g))
@@ -113,6 +173,23 @@ class TestRepresentation:
         assert second.state_dim == 3
         npt.assert_array_equal(first.projections[0], np.diag([1.0, 0.0, 0.0]))
         npt.assert_array_equal(second.projections[1], np.diag([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("half", [-1, 2, 7])
+    def test_restrict_refuses_a_half_outside_zero_and_one(self, half):
+        rep = direct_sum(coordinate_representation([1, 1]), coordinate_representation([2, 0]))
+        with pytest.raises(StructureError, match="half"):
+            rep.restrict(half)
+
+    def test_later_writes_to_the_callers_arrays_change_nothing(self):
+        projections = [np.diag([1.0, 0.0, 1.0]).astype(complex), np.diag([0.0, 1.0, 0.0])]
+        table = random_table(2, 4, seed=12)
+        col = random_colligation(2, Representation(tuple(projections)), table, seed=13)
+        before = evaluate_all(col)
+        projections[0][:] = 0.0
+        projections[1][0, 1] = 0.5
+        npt.assert_array_equal(evaluate_all(col), before)
+        with pytest.raises(ValueError):
+            col.rep.projections[0][0, 0] = 0.5
 
     def test_rep_apply_is_a_unital_star_homomorphism(self):
         rng = np.random.default_rng(1)
@@ -204,8 +281,8 @@ class TestEvaluate:
         with pytest.raises(SingularResolventError):
             evaluate(singular_colligation(), 1)
 
-    def test_every_batched_caller_names_the_singular_point(self):
-        col = singular_colligation()
+    @pytest.mark.parametrize("col", SINGULAR, ids=SINGULAR_IDS)
+    def test_every_batched_caller_names_the_singular_point(self, col):
         calls = (
             lambda: evaluate_all(col),
             lambda: gramian_identity_check(col),
@@ -214,6 +291,78 @@ class TestEvaluate:
         for call in calls:
             with pytest.raises(SingularResolventError, match="point index 1"):
                 call()
+
+
+class TestStructuredKernel:
+    """The per-point kernel against the dense reference, on every path."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_coordinate_families_match_the_dense_reference(self, d, m):
+        # the factor-many-small shape grid, on coordinate families
+        rng = np.random.default_rng(10 * d + m)
+        for n1 in range(1, 5):
+            for n2 in range(1, 5):
+                table = random_table(m, 4, seed=int(rng.integers(2**32)))
+                first, second = (
+                    random_colligation(d, coordinate_rep(rng, m, n), table,
+                                       seed=int(rng.integers(2**32)))
+                    for n in (n1, n2)
+                )
+                for col in (first, second, product(first, second)):
+                    reference = np.stack([dense_evaluate(col, i) for i in range(table.n)])
+                    assert max_abs(evaluate_all(col) - reference) <= 1e-13
+                    gap = gramian_identity_check(col) - pairwise_gramian_residual(col)
+                    assert abs(gap) <= 1e-13
+
+    def test_each_path_makes_its_own_solves(self, kernel_calls):
+        rng = np.random.default_rng(14)
+        table = random_table(2, 4, seed=15)
+        first = random_colligation(2, coordinate_rep(rng, 2, 3), table, seed=16)
+        second = random_colligation(2, coordinate_rep(rng, 2, 2), table, seed=17)
+        joined = product(first, second)
+        evaluate_all(first)
+        assert kernel_calls == [("solve", 3)] * 4
+        kernel_calls.clear()
+        evaluate_all(joined)
+        assert kernel_calls == [("solve", 2), ("solve", 3)] * 4
+        kernel_calls.clear()
+        evaluate_all(conjugated(joined, random_isometry(5, 5, seed=18)))
+        assert kernel_calls == [("rep_apply", 5), ("solve", 5)] * 4
+
+    def test_a_tiny_lower_left_entry_takes_the_full_solve(self, kernel_calls):
+        rng = np.random.default_rng(19)
+        table = random_table(2, 4, seed=20)
+        joined = product(
+            random_colligation(2, coordinate_rep(rng, 2, 3), table, seed=21),
+            random_colligation(2, coordinate_rep(rng, 2, 2), table, seed=22),
+        )
+        u = joined.matrix().copy()
+        u[2 + 3, 2] = 1e-300  # D[n1, 0]
+        nudged = Colligation.from_matrix(u, 2, joined.rep, table)
+        values = evaluate_all(nudged)
+        assert kernel_calls == [("solve", 5)] * 4
+        reference = np.stack([dense_evaluate(nudged, i) for i in range(table.n)])
+        assert max_abs(values - reference) <= 1e-13
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_unitary_change_of_basis_changes_no_value(self, seed):
+        rng = np.random.default_rng(30 + seed)
+        d, m, n1, n2 = 1 + seed % 3, 1 + (seed // 3) % 3, 1 + seed % 4, 2 + seed % 3
+        table = random_table(m, 5, seed=40 + seed)
+        col = product(
+            random_colligation(d, coordinate_rep(rng, m, n1), table, seed=50 + seed),
+            random_colligation(d, coordinate_rep(rng, m, n2), table, seed=60 + seed),
+        )
+        u = col.matrix().copy()
+        u[0, d] += 1e-3  # B, so the lower-left D block stays zero
+        bumped = Colligation.from_matrix(u, d, col.rep, table)
+        w = random_isometry(n1 + n2, n1 + n2, seed=70 + seed)
+        for model in (col, bumped):
+            moved = conjugated(model, w)
+            assert max_abs(evaluate_all(moved) - evaluate_all(model)) <= 1e-12
+            assert abs(gramian_identity_check(moved) - gramian_identity_check(model)) <= 1e-12
+        assert gramian_identity_check(bumped) > 1e-7
 
 
 class TestProduct:
