@@ -143,7 +143,8 @@ def _coordinate_labels(mats: tuple[np.ndarray, ...]) -> np.ndarray | None:
     with 0/1 entries and the diagonals sum to exactly one per
     coordinate; then P_j = diag(labels == j), and L(x) is the diagonal
     psi[labels].  The scan stops at the first projection with an
-    off-diagonal nonzero, so a dense family costs one count.
+    off-diagonal nonzero, so a dense family usually costs one pass over
+    one projection.
     """
     for p in mats:
         if np.count_nonzero(p) != np.count_nonzero(p.diagonal()):

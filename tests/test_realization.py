@@ -51,17 +51,6 @@ def singular_colligation() -> Colligation:
     )
 
 
-def _singular_products() -> tuple[Colligation, Colligation]:
-    """Products whose D1, then D3, block is the singular colligation's D."""
-    single = singular_colligation()
-    shift = coordinate_colligation(single.table)
-    return product(single, shift), product(shift, single)
-
-
-SINGULAR = (singular_colligation(), *_singular_products())
-SINGULAR_IDS = ("single", "product-D1", "product-D3")
-
-
 def coordinate_rep(rng: np.random.Generator, m: int, n: int) -> Representation:
     """Coordinate family dealing n coordinates at random over m functions,
     so some projections are zero (always when m > n)."""
@@ -281,16 +270,19 @@ class TestEvaluate:
         with pytest.raises(SingularResolventError):
             evaluate(singular_colligation(), 1)
 
-    @pytest.mark.parametrize("col", SINGULAR, ids=SINGULAR_IDS)
-    def test_every_batched_caller_names_the_singular_point(self, col):
-        calls = (
-            lambda: evaluate_all(col),
-            lambda: gramian_identity_check(col),
-            lambda: verify_factorization(col, col, col),
-        )
-        for call in calls:
-            with pytest.raises(SingularResolventError, match="point index 1"):
-                call()
+    def test_every_batched_caller_names_the_singular_point(self):
+        # the colligation itself, then products whose D1 or D3 block it is
+        single = singular_colligation()
+        shift = coordinate_colligation(single.table)
+        for col in (single, product(single, shift), product(shift, single)):
+            calls = (
+                lambda: evaluate_all(col),
+                lambda: gramian_identity_check(col),
+                lambda: verify_factorization(col, col, col),
+            )
+            for call in calls:
+                with pytest.raises(SingularResolventError, match="point index 1"):
+                    call()
 
 
 class TestStructuredKernel:
