@@ -34,7 +34,7 @@ from .realization import (
     product,
     random_colligation,
 )
-from .testfn import agler_norm_lower_bound, is_admissible, validate_test_family
+from .testfn import _norm_bracket, is_admissible, validate_test_family
 
 __all__ = ["main"]
 
@@ -279,9 +279,11 @@ def _cmd_norm_bound(args, report):
     for path, kernel in zip(args.kernels.split(","), kernels):
         if kernel.points.labels != points.labels:
             raise StructureError(f"{path}: kernel labels do not match the values file")
-    bound = agler_norm_lower_bound(stack, kernels, atol=args.atol)
+    lo, bound, checks = _norm_bracket(stack, kernels, args.atol)
     report["kernel_count"] = len(kernels)
     report["bound"] = bound
+    report["bracket"] = [lo, bound]
+    report["witness_checks"] = checks
     return 0
 
 

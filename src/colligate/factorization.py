@@ -144,7 +144,8 @@ class SplitColligation:
     """Block view of a colligation along its recorded state split.
 
     B and C split into (B1, B2) and (C1, C2); the D block splits into
-    [[D1, D2], [D21, D3]] with D21 required to vanish.  The parent
+    [[D1, D2], [D21, D3]] with D21 required to vanish.  The blocks are
+    views of the parent's read-only arrays.  The parent
     colligation is kept so extractors can reuse its table and the two
     corner restrictions of its representation.
     """
@@ -190,13 +191,13 @@ def split_blocks(col: Colligation, atol: float = DEFAULT_ATOL) -> SplitColligati
     return SplitColligation(
         parent=col,
         A=col.A,
-        B1=col.B[:, :n1].copy(),
-        B2=col.B[:, n1:].copy(),
-        C1=col.C[:n1, :].copy(),
-        C2=col.C[n1:, :].copy(),
-        D1=col.D[:n1, :n1].copy(),
-        D2=col.D[:n1, n1:].copy(),
-        D3=col.D[n1:, n1:].copy(),
+        B1=col.B[:, :n1],
+        B2=col.B[:, n1:],
+        C1=col.C[:n1, :],
+        C2=col.C[n1:, :],
+        D1=col.D[:n1, :n1],
+        D2=col.D[:n1, n1:],
+        D3=col.D[n1:, n1:],
     )
 
 
@@ -257,10 +258,10 @@ def _factors(
     rep, table = s.parent.rep, s.parent.table
     factors = (
         Colligation(
-            rep=rep.restrict(0), table=table, A=a1.copy(), B=s.B1, C=x1.copy(), D=s.D1
+            rep=rep.restrict(0), table=table, A=a1, B=s.B1, C=x1, D=s.D1
         ),
         Colligation(
-            rep=rep.restrict(1), table=table, A=a2.copy(), B=y2.copy(), C=s.C2, D=s.D3
+            rep=rep.restrict(1), table=table, A=a2, B=y2, C=s.C2, D=s.D3
         ),
     )
     for name, col in zip(("first", "second"), factors):

@@ -130,10 +130,27 @@ class Representation:
 
 
 def _frozen(m, name: str) -> np.ndarray:
-    """``as_matrix(m, name)`` as a read-only copy of its own."""
-    a = as_matrix(np.array(m, dtype=np.complex128), name)
-    a.setflags(write=False)
-    return a
+    """``as_matrix(m, name)`` as a read-only array of its own.
+
+    An array that is already read-only, complex128 and owns its data, as
+    this module's builders hand over, is kept; anything else is copied.
+    """
+    if not (
+        type(m) is np.ndarray
+        and m.dtype == np.complex128
+        and m.flags.owndata
+        and not m.flags.writeable
+    ):
+        m = np.array(m, dtype=np.complex128)
+        m.setflags(write=False)
+    return as_matrix(m, name)
+
+
+def _handed_over(m: np.ndarray) -> np.ndarray:
+    """A complex128 array just built here, made read-only so that the
+    constructor it goes to keeps it instead of copying it."""
+    m.setflags(write=False)
+    return m
 
 
 def _coordinate_labels(mats: tuple[np.ndarray, ...]) -> np.ndarray | None:
@@ -175,7 +192,7 @@ def coordinate_representation(sizes: Sequence[int]) -> Representation:
     for s in sizes:
         p = np.zeros((n, n), dtype=np.complex128)
         p[offset : offset + s, offset : offset + s] = np.eye(s)
-        mats.append(p)
+        mats.append(_handed_over(p))
         offset += s
     return Representation(tuple(mats))
 
@@ -197,7 +214,7 @@ def random_representation(m: int, state_dim: int, seed: int) -> Representation:
     v = _rng_isometry(rng, state_dim, state_dim)
     base = _round_robin_representation(m, state_dim)
     return Representation(
-        tuple(v @ p @ v.conj().T for p in base.projections)
+        tuple(_handed_over(v @ p @ v.conj().T) for p in base.projections)
     )
 
 
@@ -213,7 +230,7 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
         p = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
         p[:n1, :n1] = p1
         p[n1:, n1:] = p2
-        mats.append(p)
+        mats.append(_handed_over(p))
     return Representation(tuple(mats), split=(n1, n2))
 
 
@@ -246,7 +263,9 @@ class Colligation:
     off-diagonal blocks of U = [[A, B], [C, D]].  Instances are plain
     data: isometry is measured by isometry_defect() and enforced by
     validate(), not by the constructor, so perturbed operators can be
-    studied with the same type.
+    studied with the same type.  The four blocks are kept as read-only
+    copies, so a later write to the caller's arrays cannot change the
+    colligation.
     """
 
     rep: Representation
@@ -257,10 +276,10 @@ class Colligation:
     D: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.A, "A")
-        b = as_matrix(self.B, "B")
-        c = as_matrix(self.C, "C")
-        d = as_matrix(self.D, "D")
+        a = _frozen(self.A, "A")
+        b = _frozen(self.B, "B")
+        c = _frozen(self.C, "C")
+        d = _frozen(self.D, "D")
         dim, n = a.shape[0], d.shape[0]
         if a.shape != (dim, dim) or d.shape != (n, n):
             raise DimensionError("diagonal blocks must be square")
@@ -325,10 +344,10 @@ class Colligation:
         return cls(
             rep=rep,
             table=table,
-            A=m[:d, :d].copy(),
-            B=m[:d, d:].copy(),
-            C=m[d:, :d].copy(),
-            D=m[d:, d:].copy(),
+            A=m[:d, :d],
+            B=m[:d, d:],
+            C=m[d:, :d],
+            D=m[d:, d:],
         )
 
 
@@ -423,10 +442,10 @@ def product(col1: Colligation, col2: Colligation) -> Colligation:
     return Colligation(
         rep=direct_sum(col1.rep, col2.rep),
         table=col1.table,
-        A=a,
-        B=b,
-        C=c,
-        D=d,
+        A=_handed_over(a),
+        B=_handed_over(b),
+        C=_handed_over(c),
+        D=_handed_over(d),
     )
 
 

@@ -327,13 +327,22 @@ def schur_agler_witness_check(
         raise StructureError(
             f"bound {bound} is too large to square in double precision"
         ) from None
-    n, d, df = s.n, f.shape[1], s.block_dim
-    head = square * np.eye(d) - np.einsum("iba,jbc->ijac", f.conj(), f)
+    gram = np.einsum("iba,jbc->ijac", f.conj(), f)
+    return is_psd(_witness_matrix(square * np.eye(f.shape[1]) - gram, s), atol)
+
+
+def _witness_matrix(head: np.ndarray, s: HermitianKernel) -> np.ndarray:
+    """Assemble the matrix with (i, j) block head[i, j] kron conj(S(x_i, x_j)).
+
+    ``head`` is an (n, n, d, d) grid, or broadcasts to one.  The one home
+    of the witness layout, shared by the check and the norm bound's pencil.
+    """
+    n, d, df = s.n, head.shape[2], s.block_dim
     conj = s.blocks.conj()[:, :, None, :, None, :]
     # np.kron's layout for every (i, j): kron(A, B)[a*df + c, b*df + e] is
     # A[a, b] * B[c, e]; the 6-D product is unnamed, so freed before is_psd
     shape = (n, n, d * df, d * df)
-    return is_psd(_assemble((head[:, :, :, None, :, None] * conj).reshape(shape)), atol)
+    return _assemble((head[:, :, :, None, :, None] * conj).reshape(shape))
 
 
 def agler_norm_lower_bound(
@@ -343,11 +352,31 @@ def agler_norm_lower_bound(
 ) -> float:
     """Smallest bound passing the witness check on every sampled kernel.
 
-    Bisects on the squared bound until the bracket width drops below
-    atol and returns the certified upper end.  This is a lower bound
-    for the true norm: adding kernels can only push it up.  atol is the
-    bracket width to stop at, so it must be positive; a width below the
-    spacing of doubles stops at two adjacent doubles.
+    Returns the upper end of a bracket [lo, hi] on the bound that the
+    witness check itself certifies: it passes at hi and fails at lo, and
+    hi**2 - lo**2 is at most atol.  This is a lower bound for the true
+    norm: adding kernels can only push it up.  atol is the bracket width
+    to stop at, so it must be positive; a width below the spacing of
+    doubles stops at two adjacent doubles.
+    """
+    return _norm_bracket(fvals, kernels, atol)[1]
+
+
+def _norm_bracket(
+    fvals, kernels: Sequence[HermitianKernel], atol: float
+) -> tuple[float, float, int]:
+    """The certified bracket (lo, hi) of agler_norm_lower_bound and the
+    number of witness checks spent on it.
+
+    With t = c**2 the witness matrix is the pencil t P - Q, P and Q
+    assembled once per kernel.  Newton steps from t = 0 on
+    phi(t) = min over kernels of lambda_min(t P - Q) + atol place the
+    bracket: phi is concave and nondecreasing, since P is positive, so
+    each step, with slope v* P v for the binding eigenvector v, lands at
+    or below the threshold.  A bracket around the Newton point, about
+    max(atol, 4 eps t) wide, is then widened by doubling until the check
+    passes at its top and fails at its bottom, and bisected as far as atol.
+    Each Newton step costs one eigh per kernel.
     """
     _check_atol(atol)
     if atol == 0.0:
@@ -369,40 +398,88 @@ def agler_norm_lower_bound(
     norms = [float(np.linalg.norm(f[i], ord=2)) for i in range(f.shape[0])]
     i = int(np.argmax(norms))
     top = 2.0 * norms[i] + 1.0
-    hi2 = top * top
-    if np.isinf(hi2):
+    if np.isinf(top * top):
         raise StructureError(
             f"function value at point {i} has norm {norms[i]:.3e}, "
             "too large to square in double precision"
         )
+    checks = 0
 
-    def passes(c: float) -> bool:
-        return all(schur_agler_witness_check(f, s, c, atol) for s in kernels)
+    def passes(t: float) -> bool:
+        nonlocal checks
+        for s in kernels:
+            checks += 1
+            if not schur_agler_witness_check(f, s, np.sqrt(t), atol):
+                return False
+        return True
 
     if passes(0.0):
-        return 0.0
-    # values of a Schur-Agler class function pass at 1, below the first
-    # top; others can need far more.  Widen at least 8 times, then while
-    # eigvalsh's rounding, about eps * c^2 * |S|, stays below atol
-    least = 256.0 * hi2
-    while not passes(np.sqrt(hi2)):
-        hi2 *= 2.0
-        if hi2 < least:
-            continue
-        norm = max(np.linalg.norm(s.assemble(), 2) for s in kernels)
-        if not hi2 * np.finfo(float).eps * norm < atol:
+        return 0.0, 0.0, checks
+    eps = np.finfo(float).eps
+    # values of a Schur-Agler class function pass at 1, others can need far
+    # more.  Past 256 top**2, go on only while eigvalsh's rounding, about
+    # eps * t * |S|, stays below atol: beyond it a pass could be rounding alone
+    least = 256.0 * top * top
+    norm = None
+
+    def reach(t: float) -> None:
+        nonlocal norm
+        if t < least:
+            return
+        if norm is None:
+            norm = max(np.linalg.norm(s.assemble(), 2) for s in kernels)
+        if not t * eps * norm < atol:
             raise StructureError("no bound passes the witness check before rounding exceeds atol")
-    lo2 = 0.0
-    while hi2 - lo2 > atol:
-        mid = (lo2 + hi2) / 2.0
-        # adjacent doubles: an atol below their spacing is never reached
-        if not lo2 < mid < hi2:
+
+    gram = np.einsum("iba,jbc->ijac", f.conj(), f)
+    eye = np.eye(f.shape[1])[None, None]
+    pencils = [(_witness_matrix(eye, s), _witness_matrix(gram, s)) for s in kernels]
+    t = 0.0
+    # from below on a concave phi, Newton needs no safeguard; the cap only
+    # bounds a plateau whose slope vanishes at the threshold
+    for _ in range(64):
+        lowest, slope = min(_lowest_pair(p, q, t) for p, q in pencils)
+        phi = lowest + atol
+        if phi >= 0.0 or slope <= 0.0:
             break
-        if passes(np.sqrt(mid)):
-            hi2 = mid
+        step = -phi / slope
+        t += step
+        reach(t)
+        if step <= max(atol, 4.0 * eps * t):
+            break
+
+    # three quarters, so that each width, doubled or halved, stays clear of
+    # atol by more than the rounding of the square roots in the report
+    w = 0.75 * max(atol, 4.0 * eps * t)
+    lo, hi = max(t - w / 2.0, 0.0), t + w / 2.0
+    lo_fails = lo == 0.0
+    while not passes(hi):
+        lo, lo_fails = hi, True
+        w *= 2.0
+        hi = lo + w
+        reach(hi)
+    while not lo_fails and passes(lo):
+        hi = lo
+        w *= 2.0
+        lo = max(hi - w, 0.0)
+        lo_fails = lo == 0.0
+    while hi - lo > atol:
+        mid = (lo + hi) / 2.0
+        # adjacent doubles: an atol below their spacing is never reached
+        if not lo < mid < hi:
+            break
+        if passes(mid):
+            hi = mid
         else:
-            lo2 = mid
-    return float(np.sqrt(hi2))
+            lo = mid
+    return float(np.sqrt(lo)), float(np.sqrt(hi)), checks
+
+
+def _lowest_pair(p: np.ndarray, q: np.ndarray, t: float) -> tuple[float, float]:
+    """Smallest eigenvalue of t P - Q and v* P v for its eigenvector v."""
+    vals, vecs = np.linalg.eigh(t * p - q)
+    v = vecs[:, 0]
+    return float(vals[0]), float((v.conj() @ p @ v).real)
 
 
 def _as_value_stack(fvals) -> np.ndarray:

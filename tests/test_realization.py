@@ -238,6 +238,33 @@ class TestColligation:
         with pytest.raises(StructureError):
             broken.validate(1e-9)
 
+    def test_later_writes_to_the_callers_blocks_change_nothing(self):
+        ref = blaschke_colligation()
+        blocks = {name: getattr(ref, name).copy() for name in "ABCD"}
+        col = Colligation(rep=ref.rep, table=ref.table, **blocks)
+        before = evaluate_all(col)
+        # a nonzero lower-left D block would also move the kernel off the
+        # block back-substitution path
+        blocks["D"][1, 0] = 0.25
+        blocks["B"][0, 1] = 0.5
+        npt.assert_array_equal(evaluate_all(col), before)
+        for name in "ABCD":
+            with pytest.raises(ValueError):
+                getattr(col, name)[0, 0] = 0.5
+
+    def test_only_a_handed_over_array_is_kept_without_a_copy(self):
+        owned = np.zeros((2, 2), dtype=complex)
+        owned.setflags(write=False)
+        assert realization._frozen(owned, "x") is owned
+        writable = np.zeros((2, 2), dtype=complex)
+        view = owned[:1, :1]
+        real = np.zeros((2, 2))
+        real.setflags(write=False)
+        for m in (writable, view, real):
+            kept = realization._frozen(m, "x")
+            assert kept is not m and not np.shares_memory(kept, m)
+            assert kept.dtype == np.complex128 and not kept.flags.writeable
+
     @pytest.mark.parametrize("atol", [float("nan"), float("inf"), -1.0])
     def test_validation_rejects_a_bad_tolerance(self, atol):
         col = blaschke_colligation()

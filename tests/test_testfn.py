@@ -72,6 +72,77 @@ def kron_witness_reference(f: np.ndarray, s: HermitianKernel, bound: float) -> n
     return out
 
 
+def bisection_bound(f, kernels, atol: float = 1e-9) -> float:
+    """The norm bound by blind bisection on c**2 from 0, as first written.
+
+    Widens from twice the largest value norm plus one, at least eight
+    times and then while rounding stays below atol, and bisects the
+    bracket to atol; the Newton-placed bracket is held to this reference.
+    """
+    f = np.asarray(f, dtype=np.complex128)
+
+    def passes(c):
+        return all(schur_agler_witness_check(f, s, c, atol) for s in kernels)
+
+    if passes(0.0):
+        return 0.0
+    top = 2.0 * max(float(np.linalg.norm(v, ord=2)) for v in f) + 1.0
+    hi2 = top * top
+    least = 256.0 * hi2
+    while not passes(np.sqrt(hi2)):
+        hi2 *= 2.0
+        if hi2 < least:
+            continue
+        norm = max(np.linalg.norm(s.assemble(), 2) for s in kernels)
+        if not hi2 * np.finfo(float).eps * norm < atol:
+            raise StructureError("no bound passes before rounding exceeds atol")
+    lo2 = 0.0
+    while hi2 - lo2 > atol:
+        mid = (lo2 + hi2) / 2.0
+        if not lo2 < mid < hi2:
+            break
+        if passes(np.sqrt(mid)):
+            hi2 = mid
+        else:
+            lo2 = mid
+    return float(np.sqrt(hi2))
+
+
+def random_disc_values(n: int, d: int, seed: int) -> tuple[list, np.ndarray]:
+    """n points of the disc (0 first) and the values there of a random
+    contractive colligation with value dimension d."""
+    rng = np.random.default_rng(seed)
+    radii = 0.9 * np.sqrt(rng.random(n - 1))
+    zs = [0.0] + list(radii * np.exp(2j * np.pi * rng.random(n - 1)))
+    rep = random_representation(1, d + 4, seed=seed + 1)
+    return zs, evaluate_all(random_colligation(d, rep, disc_table(zs), seed=seed + 2))
+
+
+def operator_kernels(zs) -> list[HermitianKernel]:
+    """Szego kernels of power 1 and 2 tensored with fixed positive 2 x 2 blocks."""
+    pos = np.array([[2.0, 0.5 - 0.5j], [0.5 + 0.5j, 1.0]])
+    pos_sq = np.array([[1.0, 0.25j], [-0.25j, 1.0]])
+    szego = szego_samples(zs)
+    return [
+        HermitianKernel(szego.points, szego.blocks * pos),
+        HermitianKernel(szego.points, szego_samples(zs, power=2).blocks * pos_sq),
+    ]
+
+
+@pytest.fixture
+def witness_checks(monkeypatch):
+    """Count the calls of testfn.schur_agler_witness_check."""
+    calls = []
+    check = testfn.schur_agler_witness_check
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(testfn, "schur_agler_witness_check", counted)
+    return calls
+
+
 class TestPointSet:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -445,3 +516,44 @@ class TestNormLowerBound:
         kernels = [szego_samples(FOUR_POINTS), szego_samples(FOUR_POINTS, power=2)]
         bound = agler_norm_lower_bound(list(evaluate_all(col)), kernels)
         assert bound <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize(
+        "n, d, family",
+        [(2, 1, "szego"), (2, 3, "operator"), (5, 2, "szego"), (8, 1, "operator"),
+         (13, 3, "szego"), (20, 2, "operator"), (32, 1, "szego"), (32, 2, "szego"),
+         (32, 3, "szego"), (32, 2, "operator")],
+    )
+    def test_the_bracket_is_certified_and_matches_bisection(self, n, d, family):
+        atol = 1e-9
+        for seed in range(3):
+            zs, f = random_disc_values(n, d, seed=1000 * n + 10 * d + seed)
+            if family == "szego":
+                kernels = [szego_samples(zs), szego_samples(zs, power=2)]
+            else:
+                kernels = operator_kernels(zs)
+            for ks in (kernels[:1], kernels):
+                lo, hi, _ = testfn._norm_bracket(f, ks, atol)
+                assert hi == agler_norm_lower_bound(f, ks, atol)
+                assert all(schur_agler_witness_check(f, s, hi, atol) for s in ks)
+                assert not all(schur_agler_witness_check(f, s, lo, atol) for s in ks)
+                assert hi**2 - lo**2 <= atol
+                assert abs(hi**2 - bisection_bound(f, ks, atol) ** 2) <= atol
+
+    def test_the_certify_large_shape_takes_few_checks(self, witness_checks):
+        zs, f = random_disc_values(32, 2, seed=4)
+        kernels = [szego_samples(zs), szego_samples(zs, power=2)]
+        _, _, checks = testfn._norm_bracket(f, kernels, 1e-9)
+        assert checks == len(witness_checks)
+        assert checks <= 15
+
+    def test_a_tiny_tolerance_takes_no_more_checks_than_bisection(self, witness_checks):
+        s = szego_samples(TWO_POINTS)
+        f = [np.array([[2.0 * z]]) for z in TWO_POINTS]
+        lo, hi, checks = testfn._norm_bracket(f, [s], 1e-300)
+        assert checks == len(witness_checks)
+        # the parent's blind bisection took 56 checks here
+        assert checks <= 56
+        # the bracket ends as two adjacent doubles, certified at both
+        assert lo < hi == np.nextafter(lo, np.inf)
+        assert schur_agler_witness_check(f, s, hi, 1e-300)
+        assert not schur_agler_witness_check(f, s, lo, 1e-300)
