@@ -22,6 +22,11 @@ checked with
 which regenerates into a temporary directory, lists every changed leaf,
 and exits 1 when a key, a verdict, an exit code, any other non-float leaf
 or a written file changed, or a float moved by more than FLOAT_DRIFT.
+
+Every stored report with a positive ``bound`` is also checked against its
+inputs: the witness check passes at the bound and fails at the lower end
+of the reported bracket, so a regenerated bound is shown certified, not
+only stored.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from colligate import load_kernel, load_values, schur_agler_witness_check
 from colligate.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -163,6 +169,34 @@ def test_golden_report(tmp_path, case, argv, code, missing):
     assert set(written) == stored
     for name, data in written.items():
         assert data == (expected_dir / name).read_bytes(), name
+
+
+def _bound_cases() -> list[str]:
+    """Every stored case whose report carries a positive bound."""
+    return sorted(
+        path.parent.name for path in GOLDEN.glob("*/stdout")
+        if json.loads(path.read_bytes()).get("bound", 0.0) > 0.0
+    )
+
+
+def test_every_successful_norm_bound_is_guarded():
+    assert _bound_cases() == sorted(
+        case for case, argv, code, _ in CASES if argv[0] == "norm-bound" and code == 0
+    )
+
+
+@pytest.mark.parametrize("case", _bound_cases())
+def test_stored_bound_is_certified_by_the_witness_check(case):
+    report = json.loads((GOLDEN / case / "stdout").read_bytes())
+    argv, atol, bound = report["argv"], report["atol"], report["bound"]
+    _, values = load_values(str(INPUTS / argv[1]))
+    paths = argv[argv.index("--kernels") + 1].split(",")
+    kernels = [load_kernel(str(INPUTS / p)) for p in paths]
+    lo, hi = report["bracket"]
+    assert hi == bound
+    assert all(schur_agler_witness_check(values, s, bound, atol) for s in kernels)
+    assert not all(schur_agler_witness_check(values, s, lo, atol) for s in kernels)
+    assert bound**2 - lo**2 <= atol
 
 
 def test_corpus_covers_every_subcommand():
