@@ -137,9 +137,9 @@ def _frozen(m, name: str) -> np.ndarray:
     """
     if not (
         type(m) is np.ndarray
-        and m.dtype == np.complex128
-        and m.flags.owndata
         and not m.flags.writeable
+        and m.flags.owndata
+        and m.dtype == np.complex128
     ):
         m = np.array(m, dtype=np.complex128)
         m.setflags(write=False)
@@ -147,8 +147,8 @@ def _frozen(m, name: str) -> np.ndarray:
 
 
 def _handed_over(m: np.ndarray) -> np.ndarray:
-    """A complex128 array just built here, made read-only so that the
-    constructor it goes to keeps it instead of copying it."""
+    """A complex128 array just built by the package, made read-only so
+    that the constructor it goes to keeps it instead of copying it."""
     m.setflags(write=False)
     return m
 
