@@ -133,7 +133,7 @@ def _frozen(m, name: str) -> np.ndarray:
     """``as_matrix(m, name)`` as a read-only array of its own.
 
     An array that is already read-only, complex128 and owns its data, as
-    this module's builders hand over, is kept; anything else is copied.
+    the package's builders hand over, is kept; anything else is copied.
     """
     if not (
         type(m) is np.ndarray
