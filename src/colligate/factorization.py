@@ -56,13 +56,7 @@ from .linalg import (
 )
 # evaluate stays bound in this namespace: bench/test_bench.py patches it here
 from .realization import evaluate  # noqa: F401
-from .realization import (
-    Colligation,
-    _handed_over,
-    _require_compatible,
-    evaluate_all,
-    rep_is_reducible,
-)
+from .realization import Colligation, _require_compatible, evaluate_all, rep_is_reducible
 
 __all__ = [
     "VARIANTS",
@@ -150,9 +144,7 @@ class SplitColligation:
     """Block view of a colligation along its recorded state split.
 
     B and C split into (B1, B2) and (C1, C2); the D block splits into
-    [[D1, D2], [D21, D3]] with D21 required to vanish.  The blocks are
-    read-only copies, contiguous for the small products that use them,
-    which the factor colligations keep without copying again.  The parent
+    [[D1, D2], [D21, D3]] with D21 required to vanish.  The parent
     colligation is kept so extractors can reuse its table and the two
     corner restrictions of its representation.
     """
@@ -198,13 +190,13 @@ def split_blocks(col: Colligation, atol: float = DEFAULT_ATOL) -> SplitColligati
     return SplitColligation(
         parent=col,
         A=col.A,
-        B1=_handed_over(col.B[:, :n1].copy()),
-        B2=_handed_over(col.B[:, n1:].copy()),
-        C1=_handed_over(col.C[:n1, :].copy()),
-        C2=_handed_over(col.C[n1:, :].copy()),
-        D1=_handed_over(col.D[:n1, :n1].copy()),
-        D2=_handed_over(col.D[:n1, n1:].copy()),
-        D3=_handed_over(col.D[n1:, n1:].copy()),
+        B1=col.B[:, :n1].copy(),
+        B2=col.B[:, n1:].copy(),
+        C1=col.C[:n1, :].copy(),
+        C2=col.C[n1:, :].copy(),
+        D1=col.D[:n1, :n1].copy(),
+        D2=col.D[:n1, n1:].copy(),
+        D3=col.D[n1:, n1:].copy(),
     )
 
 

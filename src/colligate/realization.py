@@ -130,27 +130,10 @@ class Representation:
 
 
 def _frozen(m, name: str) -> np.ndarray:
-    """``as_matrix(m, name)`` as a read-only array of its own.
-
-    An array that is already read-only, complex128 and owns its data, as
-    the package's builders hand over, is kept; anything else is copied.
-    """
-    if not (
-        type(m) is np.ndarray
-        and not m.flags.writeable
-        and m.flags.owndata
-        and m.dtype == np.complex128
-    ):
-        m = np.array(m, dtype=np.complex128)
-        m.setflags(write=False)
-    return as_matrix(m, name)
-
-
-def _handed_over(m: np.ndarray) -> np.ndarray:
-    """A complex128 array just built by the package, made read-only so
-    that the constructor it goes to keeps it instead of copying it."""
-    m.setflags(write=False)
-    return m
+    """``as_matrix(m, name)`` as a read-only copy of its own."""
+    a = as_matrix(np.array(m, dtype=np.complex128), name)
+    a.setflags(write=False)
+    return a
 
 
 def _coordinate_labels(mats: tuple[np.ndarray, ...]) -> np.ndarray | None:
@@ -192,7 +175,7 @@ def coordinate_representation(sizes: Sequence[int]) -> Representation:
     for s in sizes:
         p = np.zeros((n, n), dtype=np.complex128)
         p[offset : offset + s, offset : offset + s] = np.eye(s)
-        mats.append(_handed_over(p))
+        mats.append(p)
         offset += s
     return Representation(tuple(mats))
 
@@ -214,7 +197,7 @@ def random_representation(m: int, state_dim: int, seed: int) -> Representation:
     v = _rng_isometry(rng, state_dim, state_dim)
     base = _round_robin_representation(m, state_dim)
     return Representation(
-        tuple(_handed_over(v @ p @ v.conj().T) for p in base.projections)
+        tuple(v @ p @ v.conj().T for p in base.projections)
     )
 
 
@@ -230,7 +213,7 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
         p = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
         p[:n1, :n1] = p1
         p[n1:, n1:] = p2
-        mats.append(_handed_over(p))
+        mats.append(p)
     return Representation(tuple(mats), split=(n1, n2))
 
 
@@ -442,10 +425,10 @@ def product(col1: Colligation, col2: Colligation) -> Colligation:
     return Colligation(
         rep=direct_sum(col1.rep, col2.rep),
         table=col1.table,
-        A=_handed_over(a),
-        B=_handed_over(b),
-        C=_handed_over(c),
-        D=_handed_over(d),
+        A=a,
+        B=b,
+        C=c,
+        D=d,
     )
 
 

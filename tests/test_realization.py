@@ -252,19 +252,6 @@ class TestColligation:
             with pytest.raises(ValueError):
                 getattr(col, name)[0, 0] = 0.5
 
-    def test_only_a_handed_over_array_is_kept_without_a_copy(self):
-        owned = np.zeros((2, 2), dtype=complex)
-        owned.setflags(write=False)
-        assert realization._frozen(owned, "x") is owned
-        writable = np.zeros((2, 2), dtype=complex)
-        view = owned[:1, :1]
-        real = np.zeros((2, 2))
-        real.setflags(write=False)
-        for m in (writable, view, real):
-            kept = realization._frozen(m, "x")
-            assert kept is not m and not np.shares_memory(kept, m)
-            assert kept.dtype == np.complex128 and not kept.flags.writeable
-
     @pytest.mark.parametrize("atol", [float("nan"), float("inf"), -1.0])
     def test_validation_rejects_a_bad_tolerance(self, atol):
         col = blaschke_colligation()
