@@ -335,7 +335,8 @@ def _witness_matrix(head: np.ndarray, s: HermitianKernel) -> np.ndarray:
     """Assemble the matrix with (i, j) block head[i, j] kron conj(S(x_i, x_j)).
 
     ``head`` is an (n, n, d, d) grid, or broadcasts to one.  The one home
-    of the witness layout, shared by the check and the norm bound's pencil.
+    of the witness layout, shared by the check and the norm bound's
+    Newton steps.
     """
     n, d, df = s.n, head.shape[2], s.block_dim
     conj = s.blocks.conj()[:, :, None, :, None, :]
@@ -368,8 +369,9 @@ def _norm_bracket(
     """The certified bracket (lo, hi) of agler_norm_lower_bound and the
     number of witness checks spent on it.
 
-    With t = c**2 the witness matrix is the pencil t P - Q, P and Q
-    assembled once per kernel.  Newton steps from t = 0 on
+    With t = c**2 the witness matrix is the pencil t P - Q, P the
+    witness matrix on the identity head and Q the one on the Gram head.
+    Newton steps from t = 0 on
     phi(t) = min over kernels of lambda_min(t P - Q) + atol place the
     bracket: phi is concave and nondecreasing, since P is positive, so
     each step, with slope v* P v for the binding eigenvector v, lands at
@@ -432,13 +434,12 @@ def _norm_bracket(
             raise StructureError("no bound passes the witness check before rounding exceeds atol")
 
     gram = np.einsum("iba,jbc->ijac", f.conj(), f)
-    eye = np.eye(f.shape[1])[None, None]
-    pencils = [(_witness_matrix(eye, s), _witness_matrix(gram, s)) for s in kernels]
+    eye = np.eye(f.shape[1])
     t = 0.0
     # from below on a concave phi, Newton needs no safeguard; the cap only
     # bounds a plateau whose slope vanishes at the threshold
     for _ in range(64):
-        lowest, slope = min(_lowest_pair(p, q, t) for p, q in pencils)
+        lowest, slope = min(_lowest_pair(t * eye - gram, s) for s in kernels)
         phi = lowest + atol
         if phi >= 0.0 or slope <= 0.0:
             break
@@ -475,11 +476,15 @@ def _norm_bracket(
     return float(np.sqrt(lo)), float(np.sqrt(hi)), checks
 
 
-def _lowest_pair(p: np.ndarray, q: np.ndarray, t: float) -> tuple[float, float]:
-    """Smallest eigenvalue of t P - Q and v* P v for its eigenvector v."""
-    vals, vecs = np.linalg.eigh(t * p - q)
-    v = vecs[:, 0]
-    return float(vals[0]), float((v.conj() @ p @ v).real)
+def _lowest_pair(head: np.ndarray, s: HermitianKernel) -> tuple[float, float]:
+    """Smallest eigenvalue of the witness matrix on ``head`` and v* P v for
+    its eigenvector v, P being the witness matrix on the identity head."""
+    vals, vecs = np.linalg.eigh(_witness_matrix(head, s))
+    v = vecs[:, 0].reshape(s.n, head.shape[2], s.block_dim)
+    # P's (i, j) block is I kron conj(S(x_i, x_j)), so v* P v pairs only
+    # equal value indices a
+    slope = np.einsum("iac,ijce,jae->", v.conj(), s.blocks.conj(), v)
+    return float(vals[0]), float(slope.real)
 
 
 def _as_value_stack(fvals) -> np.ndarray:
