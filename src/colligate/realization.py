@@ -46,6 +46,9 @@ __all__ = [
     "random_selfadjoint_base_colligation",
 ]
 
+# points per row chunk of the Gramian residual
+_GRAMIAN_CHUNK = 8
+
 
 @dataclass(frozen=True, eq=False)
 class Representation:
@@ -55,17 +58,20 @@ class Representation:
     orthogonal and sum to the identity; defects() measures how far a
     given family strays from that.  ``split`` optionally records that
     the state space is an ordered direct sum of two blocks.  The
-    projections are kept as read-only copies, so a later write to the
-    caller's arrays cannot change the representation.
+    projections are copied once into one read-only stack, and
+    ``projections`` holds views of it, so a later write to the caller's
+    arrays cannot change the representation.
     """
 
     projections: tuple[np.ndarray, ...]
     split: tuple[int, int] | None = None
+    # row j is P_j flattened: the read-only (m, N^2) array the views share
+    _stack: np.ndarray = field(init=False, repr=False, default=None)
     # coordinate label of each state basis vector, None unless coordinate
     _labels: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        mats = tuple(_frozen(p, "projection") for p in self.projections)
+        mats = [as_matrix(p, "projection") for p in self.projections]
         if not mats:
             raise StructureError("a representation needs at least one projection")
         n = mats[0].shape[0]
@@ -74,8 +80,12 @@ class Representation:
                 raise DimensionError(
                     f"projections must share one square shape, got {p.shape}"
                 )
-        object.__setattr__(self, "projections", mats)
-        object.__setattr__(self, "_labels", _coordinate_labels(mats))
+        stack = np.array(mats)
+        stack.setflags(write=False)
+        views = tuple(stack)
+        object.__setattr__(self, "projections", views)
+        object.__setattr__(self, "_stack", stack.reshape(len(views), n * n))
+        object.__setattr__(self, "_labels", _coordinate_labels(views))
         if self.split is not None:
             n1, n2 = self.split
             if n1 < 1 or n2 < 1 or n1 + n2 != n:
@@ -208,22 +218,18 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
             f"representations act for {rep1.m} and {rep2.m} functions"
         )
     n1, n2 = rep1.state_dim, rep2.state_dim
-    mats = []
-    for p1, p2 in zip(rep1.projections, rep2.projections):
-        p = np.zeros((n1 + n2, n1 + n2), dtype=np.complex128)
-        p[:n1, :n1] = p1
-        p[n1:, n1:] = p2
-        mats.append(p)
-    return Representation(tuple(mats), split=(n1, n2))
+    stack = np.zeros((rep1.m, n1 + n2, n1 + n2), dtype=np.complex128)
+    stack[:, :n1, :n1] = rep1._stack.reshape(-1, n1, n1)
+    stack[:, n1:, n1:] = rep2._stack.reshape(-1, n2, n2)
+    return Representation(tuple(stack), split=(n1, n2))
 
 
 def rep_apply(rep: Representation, g) -> np.ndarray:
-    """Apply the representation to a coefficient vector: sum g_j P_j."""
+    """Apply the representation to a coefficient vector: sum g_j P_j,
+    one product of g with the projection stack."""
     gv = _coefficients(g, rep.m)
-    out = np.zeros((rep.state_dim, rep.state_dim), dtype=np.complex128)
-    for coeff, p in zip(gv, rep.projections):
-        out += coeff * p
-    return out
+    n = rep.state_dim
+    return (gv @ rep._stack).reshape(n, n)
 
 
 def rep_is_reducible(rep: Representation, atol: float = DEFAULT_ATOL) -> bool:
@@ -257,6 +263,8 @@ class Colligation:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
+    # row j is D P_j flattened, read-only; made by the first dense evaluation
+    _dp: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         a = _frozen(self.A, "A")
@@ -294,7 +302,7 @@ class Colligation:
 
     def matrix(self) -> np.ndarray:
         """The full block operator [[A, B], [C, D]]."""
-        return np.block([[self.A, self.B], [self.C, self.D]])
+        return _block2(self.A, self.B, self.C, self.D)
 
     def isometry_defect(self) -> float:
         u = self.matrix()
@@ -334,6 +342,33 @@ class Colligation:
         )
 
 
+def _block2(a: np.ndarray, b: np.ndarray, c, d: np.ndarray) -> np.ndarray:
+    """The 2 x 2 block matrix [[a, b], [c, d]], written into one fresh
+    array; ``c`` may be a scalar filling its block."""
+    r, s = a.shape
+    out = np.empty((r + d.shape[0], s + d.shape[1]), dtype=np.complex128)
+    out[:r, :s] = a
+    out[:r, s:] = b
+    out[r:, :s] = c
+    out[r:, s:] = d
+    return out
+
+
+def _d_projections(col: Colligation) -> np.ndarray:
+    """Every D P_j as one read-only (m, N^2) array, made by one batched
+    product on the first call and kept on the colligation.
+
+    Safe to keep because D and the projections are read-only copies.
+    """
+    dp = col._dp
+    if dp is None:
+        n = col.state_dim
+        dp = np.matmul(col.D, col.rep._stack.reshape(-1, n, n)).reshape(-1, n * n)
+        dp.setflags(write=False)
+        object.__setattr__(col, "_dp", dp)
+    return dp
+
+
 def _resolvent(col: Colligation, i: int) -> tuple[np.ndarray, np.ndarray]:
     """G_i = (I - D L_i)^{-1} C and H_i = L_i G_i at point index ``i``.
 
@@ -347,14 +382,18 @@ def _resolvent(col: Colligation, i: int) -> tuple[np.ndarray, np.ndarray]:
     zeros along the recorded split, as ``product`` writes it), the block
     triangular system is solved by back-substitution: the D3 block first,
     then the D1 block with the coupling term D2 H_i2.  Any other family
-    builds L_i densely and solves once.
+    forms D L_i = sum_j psi_j D P_j from the cached products, O(m N^2)
+    in place of an N x N product, solves once, and builds L_i densely
+    for H_i.
     """
     psi = eval_map(col.table, i)
     labels = col.rep._labels
     try:
         if labels is None:
+            n = col.state_dim
             lam = rep_apply(col.rep, psi)
-            g = np.linalg.solve(np.eye(col.state_dim) - col.D @ lam, col.C)
+            d_lam = (psi @ _d_projections(col)).reshape(n, n)
+            g = np.linalg.solve(np.eye(n) - d_lam, col.C)
             return g, lam @ g
         lam = psi[labels]
         d, c = col.D, col.C
@@ -411,17 +450,10 @@ def product(col1: Colligation, col2: Colligation) -> Colligation:
     evaluate(col1, i) @ evaluate(col2, i).
     """
     _require_compatible(col1, col2)
-    n1 = col1.state_dim
-    n2 = col2.state_dim
     a = col1.A @ col2.A
     b = np.hstack([col1.B, col1.A @ col2.B])
     c = np.vstack([col1.C @ col2.A, col2.C])
-    d = np.block(
-        [
-            [col1.D, col1.C @ col2.B],
-            [np.zeros((n2, n1), dtype=np.complex128), col2.D],
-        ]
-    )
+    d = _block2(col1.D, col1.C @ col2.B, 0.0, col2.D)
     return Colligation(
         rep=direct_sum(col1.rep, col2.rep),
         table=col1.table,
@@ -443,12 +475,14 @@ def gramian_identity_check(col: Colligation) -> float:
     the largest entrywise deviation over all (i, j).
 
     With H_i = L_i G_i the residual of the pair is
-    I - F_j* F_i - G_j* G_i + H_j* H_i, plain algebra that needs no
-    projection axiom, so perturbed colligations are measured the same
+    R_ij = I - F_j* F_i - G_j* G_i + H_j* H_i, plain algebra that needs
+    no projection axiom, so perturbed colligations are measured the same
     way.  The columns [F_i; G_i; H_i] are stacked once into K, of shape
-    (d + 2N, n d), and each point row j of residuals is one product of
-    [F_j; G_j; -H_j]* with K: O(n^2 d^2 (d + 2N)) flops and O(n N d)
-    memory.
+    (d + 2N, n d).  Since R_ji = R_ij*, only the pairs with i >= j are
+    formed: the points are taken in row chunks of _GRAMIAN_CHUNK, and
+    each chunk's [F_j; G_j; -H_j]* is multiplied with the columns of K
+    from the chunk's first point on.  That is about n^2 d^2 (d + 2N) / 2
+    flops, O(n N d) memory for K and O(n d^2 _GRAMIAN_CHUNK) per chunk.
     """
     n_points = col.table.n
     d = col.value_dim
@@ -460,12 +494,16 @@ def gramian_identity_check(col: Colligation) -> float:
         stack[:d, cols] = col.A + col.B @ h
         stack[d : d + n_state, cols] = g
         stack[d + n_state :, cols] = h
-    eye_row = np.tile(np.eye(d), n_points)
+    eye = np.eye(d)[:, None, :]
     worst = 0.0
-    for j in range(n_points):
-        w = stack[:, j * d : (j + 1) * d].copy()
-        w[d + n_state :] *= -1.0
-        worst = max(worst, max_abs(eye_row - w.conj().T @ stack))
+    for start in range(0, n_points, _GRAMIAN_CHUNK):
+        first = start * d
+        rows = stack[:, first : min(start + _GRAMIAN_CHUNK, n_points) * d].conj().T
+        rows[:, d + n_state :] *= -1.0
+        residual = rows @ stack[:, first:]
+        # as (row point, row, column point, column): I_d off every block
+        residual.reshape(-1, d, n_points - start, d)[...] -= eye
+        worst = max(worst, max_abs(residual))
     return worst
 
 

@@ -34,6 +34,9 @@ __all__ = [
     "szego_samples",
 ]
 
+# complex differences held at once by the point-separation sweep
+_SEPARATION_BUDGET = 1 << 15
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -125,10 +128,16 @@ def validate_test_family(
     )
     bad_base = tuple(int(j) for j in np.flatnonzero(np.abs(v[:, 0]) > atol))
     bad_pairs = []
-    # one sweep per point i against every later point, O(n m) memory
-    for i in range(t.n - 1):
-        gaps = np.max(np.abs(v[:, i + 1 :] - v[:, i : i + 1]), axis=0)
-        bad_pairs.extend((i, i + 1 + int(k)) for k in np.flatnonzero(gaps <= atol))
+    # row chunks of points i against every point k after the chunk's first,
+    # at most _SEPARATION_BUDGET differences at once; the pairs with k <= i
+    # are masked, and np.nonzero keeps the (i, k) order of a pair-by-pair sweep
+    chunk = max(1, _SEPARATION_BUDGET // (t.m * t.n))
+    for start in range(0, t.n - 1, chunk):
+        stop = min(start + chunk, t.n - 1)
+        gaps = np.max(np.abs(v[:, None, start + 1 :] - v[:, start:stop, None]), axis=0)
+        later = np.arange(t.n - start - 1) >= np.arange(stop - start)[:, None]
+        rows, cols = np.nonzero((gaps <= atol) & later)
+        bad_pairs.extend(zip((rows + start).tolist(), (cols + start + 1).tolist()))
     return TableDiagnostics(
         contractive=not bad_points,
         contractivity_violations=bad_points,

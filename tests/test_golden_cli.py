@@ -225,6 +225,22 @@ def test_diff_allows_only_small_float_drift():
         assert not change[3], new
 
 
+def test_diff_looks_beneath_a_changed_key_list():
+    old = {"bound": 0.5, "gone": 1, "nested": {"x": 0.25, "y": "a"}}
+    new = {"bound": 0.5 + FLOAT_DRIFT / 2, "nested": {"x": 0.25 + 2 * FLOAT_DRIFT, "z": 0},
+           "bracket": [0.0, 1.0]}
+    changes = _leaf_changes(old, new)
+    assert [c[:3] for c in changes] == [
+        ("$ keys", ["gone"], ["bracket"]),
+        ("$.bound", 0.5, 0.5 + FLOAT_DRIFT / 2),
+        ("$.nested keys", ["y"], ["z"]),
+        ("$.nested.x", 0.25, 0.25 + 2 * FLOAT_DRIFT),
+    ]
+    assert [c[3] for c in changes] == [False, True, False, False]
+    (order,) = _leaf_changes({"a": 1, "b": 2}, {"b": 2, "a": 1})
+    assert order == ("$ key order", ["a", "b"], ["b", "a"], False)
+
+
 def _write_inputs(directory: Path) -> None:
     """Build the input documents with the library and the test builders."""
     from colligate import (
@@ -329,11 +345,21 @@ def _leaf_changes(old, new, where: str = "$") -> list[tuple]:
     Only a float moving by at most FLOAT_DRIFT is allowed; an integer
     written for a float that is exactly zero counts as a float when the
     other side is one.  A change of keys, length or any other leaf is not.
+    When two dicts' keys differ, the removed and added keys (or, if only
+    their order moved, both key lists) are one change, and the keys they
+    share are still compared.
     """
     if isinstance(old, dict) and isinstance(new, dict):
+        changes = []
         if list(old) != list(new):
-            return [(where, list(old), list(new), False)]
-        return [c for k in old for c in _leaf_changes(old[k], new[k], f"{where}.{k}")]
+            removed = [k for k in old if k not in new]
+            added = [k for k in new if k not in old]
+            if removed or added:
+                changes.append((f"{where} keys", removed, added, False))
+            else:
+                changes.append((f"{where} key order", list(old), list(new), False))
+        return changes + [c for k in old if k in new
+                          for c in _leaf_changes(old[k], new[k], f"{where}.{k}")]
     if isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
             return [(f"{where} length", len(old), len(new), False)]

@@ -89,9 +89,12 @@ def kernel_calls(monkeypatch):
 
 
 def dense_resolvent(col: Colligation, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reference per-point evaluation for every family: L(x_i) built densely
-    with rep_apply, then one full solve; returns (L_i, G_i)."""
-    lam = rep_apply(col.rep, col.table.values[:, i])
+    """Reference per-point evaluation for every family: L(x_i) summed here
+    as psi_1 P_1 + ... + psi_m P_m, the product D L(x_i), then one full
+    solve; returns (L_i, G_i)."""
+    lam = np.zeros((col.state_dim, col.state_dim), dtype=complex)
+    for psi, p in zip(col.table.values[:, i], col.rep.projections):
+        lam += psi * p
     return lam, np.linalg.solve(np.eye(col.state_dim) - col.D @ lam, col.C)
 
 
@@ -252,6 +255,17 @@ class TestColligation:
             with pytest.raises(ValueError):
                 getattr(col, name)[0, 0] = 0.5
 
+    def test_block_matrices_are_the_blocks_written_in_place(self):
+        table = random_table(2, 4, seed=23)
+        first = random_colligation(2, random_representation(2, 3, seed=24), table, seed=25)
+        second = random_colligation(2, random_representation(2, 4, seed=26), table, seed=27)
+        joined = product(first, second)
+        for col in (first, second, joined):
+            npt.assert_array_equal(col.matrix(), np.block([[col.A, col.B], [col.C, col.D]]))
+        npt.assert_array_equal(
+            joined.D, np.block([[first.D, first.C @ second.B], [np.zeros((4, 3)), second.D]])
+        )
+
     @pytest.mark.parametrize("atol", [float("nan"), float("inf"), -1.0])
     def test_validation_rejects_a_bad_tolerance(self, atol):
         col = blaschke_colligation()
@@ -369,6 +383,96 @@ class TestStructuredKernel:
             assert max_abs(evaluate_all(moved) - evaluate_all(model)) <= 1e-12
             assert abs(gramian_identity_check(moved) - gramian_identity_check(model)) <= 1e-12
         assert gramian_identity_check(bumped) > 1e-7
+
+
+class TestDenseKernel:
+    """Families that are not coordinate: D L(x_i) from the cached D P_j."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dense_families_match_the_reference(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        d, m, n1, n2 = 1 + seed % 3, 1 + (seed // 3) % 3, 2 + seed % 4, 2 + seed % 3
+        table = random_table(m, 6, seed=91 + seed)
+        first = random_colligation(d, random_representation(m, n1, seed=92 + seed), table,
+                                   seed=93 + seed)
+        second = random_colligation(d, random_representation(m, n2, seed=94 + seed), table,
+                                    seed=95 + seed)
+        coordinate = product(
+            random_colligation(d, coordinate_rep(rng, m, n1), table, seed=96 + seed),
+            random_colligation(d, coordinate_rep(rng, m, n2), table, seed=97 + seed),
+        )
+        w = random_isometry(n1 + n2, n1 + n2, seed=98 + seed)
+        for col in (first, second, product(first, second), product(second, first),
+                    conjugated(coordinate, w)):
+            assert col.rep._labels is None
+            reference = np.stack([dense_evaluate(col, i) for i in range(table.n)])
+            assert max_abs(evaluate_all(col) - reference) <= 1e-13
+            for i in range(table.n):
+                g, h = realization._resolvent(col, i)
+                lam, g_ref = dense_resolvent(col, i)
+                assert max_abs(g - g_ref) <= 1e-13
+                assert max_abs(h - lam @ g_ref) <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [0, -1, 1, None])
+    def test_gramian_halves_match_the_pairwise_loop(self, d, shift):
+        # shift None: 33 points; otherwise one chunk of points, give or take one
+        chunk = realization._GRAMIAN_CHUNK
+        sizes = [33] if shift is None else [chunk + shift]
+        if shift == 0:
+            sizes.append(1)
+        for n in sizes:
+            table = random_table(2, n, seed=100 * d + n)
+            rep = random_representation(2, 3 + d, seed=200 * d + n)
+            col = random_colligation(d, rep, table, seed=300 * d + n)
+            u = col.matrix().copy()
+            u[d - 1, 0] += 1e-3
+            u[d, d + 1] -= 2e-3  # C, and with it every G_i
+            for model in (col, Colligation.from_matrix(u, d, rep, table),
+                          Colligation.from_matrix(1.01 * u, d, rep, table)):
+                gap = gramian_identity_check(model) - pairwise_gramian_residual(model)
+                assert abs(gap) <= 1e-13
+            assert gramian_identity_check(Colligation.from_matrix(u, d, rep, table)) > 1e-7
+
+    def test_projections_are_read_only_views_of_one_stack(self):
+        rep = random_representation(3, 5, seed=110)
+        projections = [p.copy() for p in rep.projections]
+        held = Representation(tuple(projections))
+        assert held._stack.shape == (3, 25)
+        assert not held._stack.flags.writeable
+        for j, p in enumerate(held.projections):
+            assert np.shares_memory(p, held._stack)
+            assert not p.flags.writeable
+            npt.assert_array_equal(p, projections[j])
+            npt.assert_array_equal(held._stack[j].reshape(5, 5), projections[j])
+        g = np.array([0.5, -0.25j, 0.125])
+        explicit = sum(c * p for c, p in zip(g, projections))
+        assert max_abs(rep_apply(held, g) - explicit) <= 1e-15
+
+    def test_later_writes_change_neither_values_nor_the_cached_products(self):
+        table = random_table(2, 5, seed=111)
+        pristine = random_colligation(2, random_representation(2, 4, seed=112), table, seed=113)
+        projections = [p.copy() for p in pristine.rep.projections]
+        blocks = {name: getattr(pristine, name).copy() for name in "ABCD"}
+        col = Colligation(rep=Representation(tuple(projections)), table=table, **blocks)
+        # before the first evaluation, which makes the D P_j
+        projections[0][0, 1] = 0.75
+        blocks["D"][0, 0] = 0.75
+        before = evaluate_all(col)
+        npt.assert_array_equal(before, evaluate_all(pristine))
+        cached = col._dp
+        assert not cached.flags.writeable
+        expected = np.stack([pristine.D @ p for p in pristine.rep.projections])
+        assert max_abs(cached - expected.reshape(2, 16)) <= 1e-15
+        kept = cached.copy()
+        # and after it
+        projections[1][:] = 0.0
+        blocks["D"][:] = 0.0
+        npt.assert_array_equal(evaluate_all(col), before)
+        assert col._dp is cached
+        npt.assert_array_equal(col._dp, kept)
+        with pytest.raises(ValueError):
+            col._dp[0, 0] = 0.5
 
 
 class TestProduct:

@@ -58,6 +58,30 @@ def pairwise_diagnostics(t: FunctionTable, atol: float = 0.0) -> TableDiagnostic
     )
 
 
+def sweep_separation(t: FunctionTable, atol: float = 0.0) -> tuple[tuple[int, int], ...]:
+    """Separation violations by one sweep per point against every later point."""
+    v = t.values
+    bad_pairs = []
+    for i in range(t.n - 1):
+        gaps = np.max(np.abs(v[:, i + 1 :] - v[:, i : i + 1]), axis=0)
+        bad_pairs.extend((i, i + 1 + int(k)) for k in np.flatnonzero(gaps <= atol))
+    return tuple(bad_pairs)
+
+
+def planted_table(m: int, n: int, seed: int) -> FunctionTable:
+    """Random table with exact and near-duplicate columns planted at
+    random, a few of them next to each other."""
+    rng = np.random.default_rng(seed)
+    values = 0.6 * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / 2
+    values[:, 0] = 0.0
+    for _ in range(n // 3):
+        src, dst = rng.integers(0, n, size=2)
+        values[:, dst] = values[:, src] + rng.choice([0.0, 1e-12, 1e-10, 1e-8]) * rng.standard_normal(m)
+    if n > 1:
+        values[:, n - 1] = values[:, n - 2]
+    return FunctionTable(PointSet(tuple(f"x{k}" for k in range(n))), values)
+
+
 def kron_witness_reference(f: np.ndarray, s: HermitianKernel, bound: float) -> np.ndarray:
     """The witness matrix assembled block by block with np.kron."""
     n, d, df = s.n, f.shape[1], s.block_dim
@@ -217,6 +241,27 @@ class TestValidateTestFamily:
             assert not diag.passed
         assert validate_test_family(t).separation_violations == ((5, 17), (5, 30), (17, 30))
         assert (2, 9) in validate_test_family(t, 1e-9).separation_violations
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 300])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("budget", [1, 50, None])
+    def test_chunked_sweep_matches_the_per_point_sweep(self, monkeypatch, n, m, budget):
+        # budget 1 makes one-row chunks, 50 a few rows, None the default
+        if budget is not None:
+            monkeypatch.setattr(testfn, "_SEPARATION_BUDGET", budget * m * n)
+        t = planted_table(m, n, seed=1000 * m + n)
+        found = []
+        for atol in (0.0, 1e-11, 1e-9, 1e-7):
+            diag = validate_test_family(t, atol)
+            assert diag.separation_violations == sweep_separation(t, atol)
+            if n <= 40:
+                assert diag == pairwise_diagnostics(t, atol)
+            found.append(len(diag.separation_violations))
+        if n > 1:
+            assert (n - 2, n - 1) in validate_test_family(t).separation_violations
+        if n == 300:
+            # the near duplicates separate at 0 but not at the larger atols
+            assert found[0] < found[-1]
 
     def test_single_point_table(self):
         t = FunctionTable(PointSet(("o",)), np.zeros((2, 1), dtype=complex))
