@@ -478,11 +478,12 @@ def gramian_identity_check(col: Colligation) -> float:
     R_ij = I - F_j* F_i - G_j* G_i + H_j* H_i, plain algebra that needs
     no projection axiom, so perturbed colligations are measured the same
     way.  The columns [F_i; G_i; H_i] are stacked once into K, of shape
-    (d + 2N, n d).  Since R_ji = R_ij*, only the pairs with i >= j are
-    formed: the points are taken in row chunks of _GRAMIAN_CHUNK, and
-    each chunk's [F_j; G_j; -H_j]* is multiplied with the columns of K
-    from the chunk's first point on.  That is about n^2 d^2 (d + 2N) / 2
-    flops, O(n N d) memory for K and O(n d^2 _GRAMIAN_CHUNK) per chunk.
+    (d + 2N, n d).  Since R_ji = R_ij*, only the upper block triangle is
+    formed: the points j go in row chunks of _GRAMIAN_CHUNK, and each
+    chunk's [F_j; G_j; -H_j]* is multiplied with the columns of K from
+    the chunk's first point on.  That is about n^2 d^2 (d + 2N) / 2
+    flops, O(n N d) memory for K and O(n d^2 _GRAMIAN_CHUNK) for the
+    residuals of one chunk.
     """
     n_points = col.table.n
     d = col.value_dim
@@ -501,7 +502,7 @@ def gramian_identity_check(col: Colligation) -> float:
         rows = stack[:, first : min(start + _GRAMIAN_CHUNK, n_points) * d].conj().T
         rows[:, d + n_state :] *= -1.0
         residual = rows @ stack[:, first:]
-        # as (row point, row, column point, column): I_d off every block
+        # viewed as (row point, row, column point, column): I_d from every block
         residual.reshape(-1, d, n_points - start, d)[...] -= eye
         worst = max(worst, max_abs(residual))
     return worst
