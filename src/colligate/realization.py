@@ -392,8 +392,11 @@ def _resolvent(col: Colligation, i: int) -> tuple[np.ndarray, np.ndarray]:
         if labels is None:
             n = col.state_dim
             lam = rep_apply(col.rep, psi)
-            d_lam = (psi @ _d_projections(col)).reshape(n, n)
-            g = np.linalg.solve(np.eye(n) - d_lam, col.C)
+            # I - D L_i in place: every (n + 1)-th entry of the flat -D L_i
+            # is on its diagonal
+            resolvent = -psi @ _d_projections(col)
+            resolvent[:: n + 1] += 1.0
+            g = np.linalg.solve(resolvent.reshape(n, n), col.C)
             return g, lam @ g
         lam = psi[labels]
         d, c = col.D, col.C
