@@ -385,6 +385,9 @@ class TestStructuredKernel:
         assert gramian_identity_check(bumped) > 1e-7
 
 
+CHUNK = realization._GRAMIAN_CHUNK
+
+
 class TestDenseKernel:
     """Families that are not coordinate: D L(x_i) from the cached D P_j."""
 
@@ -414,25 +417,19 @@ class TestDenseKernel:
                 assert max_abs(h - lam @ g_ref) <= 1e-13
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("shift", [0, -1, 1, None])
-    def test_gramian_halves_match_the_pairwise_loop(self, d, shift):
-        # shift None: 33 points; otherwise one chunk of points, give or take one
-        chunk = realization._GRAMIAN_CHUNK
-        sizes = [33] if shift is None else [chunk + shift]
-        if shift == 0:
-            sizes.append(1)
-        for n in sizes:
-            table = random_table(2, n, seed=100 * d + n)
-            rep = random_representation(2, 3 + d, seed=200 * d + n)
-            col = random_colligation(d, rep, table, seed=300 * d + n)
-            u = col.matrix().copy()
-            u[d - 1, 0] += 1e-3
-            u[d, d + 1] -= 2e-3  # C, and with it every G_i
-            for model in (col, Colligation.from_matrix(u, d, rep, table),
-                          Colligation.from_matrix(1.01 * u, d, rep, table)):
-                gap = gramian_identity_check(model) - pairwise_gramian_residual(model)
-                assert abs(gap) <= 1e-13
-            assert gramian_identity_check(Colligation.from_matrix(u, d, rep, table)) > 1e-7
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 33])
+    def test_gramian_halves_match_the_pairwise_loop(self, d, n):
+        table = random_table(2, n, seed=100 * d + n)
+        rep = random_representation(2, 3 + d, seed=200 * d + n)
+        col = random_colligation(d, rep, table, seed=300 * d + n)
+        u = col.matrix().copy()
+        u[d - 1, 0] += 1e-3
+        u[d, d + 1] -= 2e-3  # C, and with it every G_i
+        bumped = Colligation.from_matrix(u, d, rep, table)
+        for model in (col, bumped, Colligation.from_matrix(1.01 * u, d, rep, table)):
+            gap = gramian_identity_check(model) - pairwise_gramian_residual(model)
+            assert abs(gap) <= 1e-13
+        assert gramian_identity_check(bumped) > 1e-7
 
     def test_projections_are_read_only_views_of_one_stack(self):
         rep = random_representation(3, 5, seed=110)
