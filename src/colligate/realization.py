@@ -48,6 +48,9 @@ __all__ = [
 
 # points per row chunk of the Gramian residual
 _GRAMIAN_CHUNK = 8
+# entries of one (c, N, N) stack of resolvent matrices: a chunk of the
+# resolvent kernel holds max(1, _RESOLVENT_BUDGET // N^2) points
+_RESOLVENT_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +83,25 @@ class Representation:
                 raise DimensionError(
                     f"projections must share one square shape, got {p.shape}"
                 )
-        stack = np.array(mats)
+        self._adopt(np.array(mats))
+
+    @classmethod
+    def _of_stack(
+        cls, stack: np.ndarray, split: tuple[int, int] | None = None
+    ) -> "Representation":
+        """Representation over a fresh (m, N, N) complex stack that no
+        caller holds: kept as it is, not copied.  The module's builders
+        come here; public construction copies first."""
+        rep = cls.__new__(cls)
+        object.__setattr__(rep, "split", split)
+        rep._adopt(stack)
+        return rep
+
+    def _adopt(self, stack: np.ndarray) -> None:
+        """Freeze ``stack`` and make it the projections' one home."""
         stack.setflags(write=False)
         views = tuple(stack)
+        n = stack.shape[1]
         object.__setattr__(self, "projections", views)
         object.__setattr__(self, "_stack", stack.reshape(len(views), n * n))
         object.__setattr__(self, "_labels", _coordinate_labels(views))
@@ -136,7 +155,10 @@ class Representation:
             raise StructureError(f"restriction takes half 0 or 1, got {half!r}")
         n1, _ = self.split
         sl = slice(0, n1) if half == 0 else slice(n1, self.state_dim)
-        return Representation(tuple(p[sl, sl] for p in self.projections))
+        n = self.state_dim
+        return Representation._of_stack(
+            self._stack.reshape(-1, n, n)[:, sl, sl].copy()
+        )
 
 
 def _frozen(m, name: str) -> np.ndarray:
@@ -180,14 +202,12 @@ def coordinate_representation(sizes: Sequence[int]) -> Representation:
     n = sum(sizes)
     if n < 1:
         raise StructureError("total state dimension must be at least 1")
-    mats = []
+    stack = np.zeros((len(sizes), n, n), dtype=np.complex128)
     offset = 0
-    for s in sizes:
-        p = np.zeros((n, n), dtype=np.complex128)
-        p[offset : offset + s, offset : offset + s] = np.eye(s)
-        mats.append(p)
+    for j, s in enumerate(sizes):
+        stack[j, offset : offset + s, offset : offset + s] = np.eye(s)
         offset += s
-    return Representation(tuple(mats))
+    return Representation._of_stack(stack)
 
 
 def _round_robin_representation(m: int, state_dim: int) -> Representation:
@@ -206,9 +226,8 @@ def random_representation(m: int, state_dim: int, seed: int) -> Representation:
     rng = np.random.default_rng(seed)
     v = _rng_isometry(rng, state_dim, state_dim)
     base = _round_robin_representation(m, state_dim)
-    return Representation(
-        tuple(v @ p @ v.conj().T for p in base.projections)
-    )
+    stack = base._stack.reshape(m, state_dim, state_dim)
+    return Representation._of_stack(v @ stack @ v.conj().T)
 
 
 def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
@@ -221,7 +240,7 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
     stack = np.zeros((rep1.m, n1 + n2, n1 + n2), dtype=np.complex128)
     stack[:, :n1, :n1] = rep1._stack.reshape(-1, n1, n1)
     stack[:, n1:, n1:] = rep2._stack.reshape(-1, n2, n2)
-    return Representation(tuple(stack), split=(n1, n2))
+    return Representation._of_stack(stack, split=(n1, n2))
 
 
 def rep_apply(rep: Representation, g) -> np.ndarray:
@@ -263,8 +282,6 @@ class Colligation:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    # row j is D P_j flattened, read-only; made by the first dense evaluation
-    _dp: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         a = _frozen(self.A, "A")
@@ -354,83 +371,137 @@ def _block2(a: np.ndarray, b: np.ndarray, c, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _d_projections(col: Colligation) -> np.ndarray:
-    """Every D P_j as one read-only (m, N^2) array, made by one batched
-    product on the first call and kept on the colligation.
+def _solve(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` over the (c, M, M) stack ``a``, whose item k
+    is the resolvent system at point index ``at[k]``.
 
-    Safe to keep because D and the projections are read-only copies.
+    A failed batched solve is repeated item by item, so a singular
+    resolvent is reported with its own point index wherever it sits in
+    the chunk.
     """
-    dp = col._dp
-    if dp is None:
-        n = col.state_dim
-        dp = np.matmul(col.D, col.rep._stack.reshape(-1, n, n)).reshape(-1, n * n)
-        dp.setflags(write=False)
-        object.__setattr__(col, "_dp", dp)
-    return dp
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        pass
+    b = np.broadcast_to(b, a.shape[:1] + b.shape[-2:])
+    out = np.empty(b.shape, dtype=np.complex128)
+    for k, i in enumerate(at):
+        try:
+            out[k] = np.linalg.solve(a[k], b[k])
+        except np.linalg.LinAlgError as exc:
+            raise SingularResolventError(
+                f"resolvent is singular at point index {i}; the sampled family "
+                "or the operator violates contractivity"
+            ) from exc
+    return out
 
 
-def _resolvent(col: Colligation, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """G_i = (I - D L_i)^{-1} C and H_i = L_i G_i at point index ``i``.
+def _resolvents(col: Colligation, indices):
+    """Yield (at, G, H) for the point indices ``indices``, chunk by chunk:
+    G[k] = (I - D L_k)^{-1} C and H[k] = L_k G[k] at point index at[k].
 
-    The one per-point kernel of the module: every evaluation and the
+    The one resolvent kernel of the module: every evaluation and the
     Gramian identity go through it, so a singular resolvent is reported
-    the same way, with its point index, wherever it shows up.
+    the same way, with its point index, wherever it shows up.  A chunk
+    holds max(1, _RESOLVENT_BUDGET // N^2) points, so its (c, N, N)
+    stack of I - D L_k stays under the budget, and chunks are yielded
+    one at a time rather than kept.
 
-    For a coordinate representation L_i is the diagonal psi[labels], so
-    I - D L_i is a column scaling of D and H_i a row scaling of G_i.  If
+    Each point's matrix is built by the same one-point operation whatever
+    the chunk (a vector-matrix product, or a broadcast multiply), written
+    into the chunk's array; only the solve and the matrix products that
+    follow run over the stack, and those act item by item, so a point's
+    G and H do not depend on the chunk it was computed in.
+
+    For a coordinate representation L_k is the diagonal psi[labels], so
+    I - D L_k is a column scaling of D and H_k a row scaling of G_k.  If
     the colligation also splits there (a lower-left D block of exact
     zeros along the recorded split, as ``product`` writes it), the block
     triangular system is solved by back-substitution: the D3 block first,
-    then the D1 block with the coupling term D2 H_i2.  Any other family
-    forms D L_i = sum_j psi_j D P_j from the cached products, O(m N^2)
-    in place of an N x N product, solves once, and builds L_i densely
-    for H_i.
+    then the D1 block with the coupling term D2 H_k2.  Any other family
+    forms every D P_j once per call (m N^3) and then D L_k = sum_j psi_j
+    D P_j, O(m N^2) per point, solves, and builds L_k densely for H_k.
     """
-    psi = eval_map(col.table, i)
+    at = np.atleast_1d(indices)
+    psi = eval_map(col.table, at).T.copy()
+    d, c = col.D, col.C
+    n = col.state_dim
     labels = col.rep._labels
-    try:
-        if labels is None:
-            n = col.state_dim
-            lam = rep_apply(col.rep, psi)
-            # I - D L_i in place: every (n + 1)-th entry of the flat -D L_i
-            # is on its diagonal
-            resolvent = -psi @ _d_projections(col)
-            resolvent[:: n + 1] += 1.0
-            g = np.linalg.solve(resolvent.reshape(n, n), col.C)
-            return g, lam @ g
-        lam = psi[labels]
-        d, c = col.D, col.C
+    if labels is None:
+        stack = col.rep._stack
+        dp = np.matmul(d, stack.reshape(-1, n, n)).reshape(-1, n * n)
+        negated = -psi
+    else:
+        eye = np.eye(n)
         n1 = col.rep.split[0] if col.rep.split else 0
-        if n1 and not d[n1:, :n1].any():
-            lam2 = lam[n1:]
-            g2 = np.linalg.solve(np.eye(lam2.size) - d[n1:, n1:] * lam2, c[n1:])
-            coupled = c[:n1] + d[:n1, n1:] @ (lam2[:, None] * g2)
-            g1 = np.linalg.solve(np.eye(n1) - d[:n1, :n1] * lam[:n1], coupled)
-            g = np.vstack([g1, g2])
+        split = n1 and not d[n1:, :n1].any()
+    step = max(1, _RESOLVENT_BUDGET // (n * n))
+    for start in range(0, at.size, step):
+        rows = slice(start, start + step)
+        chunk = at[rows]
+        count = chunk.size
+        if labels is None:
+            # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k
+            # is on its diagonal
+            resolvent = np.empty((count, n * n), dtype=np.complex128)
+            lam = np.empty((count, n * n), dtype=np.complex128)
+            for k, (neg, coeffs) in enumerate(zip(negated[rows], psi[rows])):
+                np.matmul(neg, dp, out=resolvent[k])
+                np.matmul(coeffs, stack, out=lam[k])
+            resolvent[:, :: n + 1] += 1.0
+            g = _solve(resolvent.reshape(count, n, n), c, chunk)
+            h = lam.reshape(count, n, n) @ g
         else:
-            g = np.linalg.solve(np.eye(col.state_dim) - d * lam, c)
-        return g, lam[:, None] * g
-    except np.linalg.LinAlgError as exc:
-        raise SingularResolventError(
-            f"resolvent is singular at point index {i}; the sampled family "
-            "or the operator violates contractivity"
-        ) from exc
+            lam = psi[rows][:, labels]
+            if split:
+                n2 = n - n1
+                lower = np.empty((count, n2, n2), dtype=np.complex128)
+                for k in range(count):
+                    np.multiply(d[n1:, n1:], lam[k, n1:], out=lower[k])
+                np.subtract(eye[n1:, n1:], lower, out=lower)
+                g2 = _solve(lower, c[n1:], chunk)
+                h2 = np.empty_like(g2)
+                for k in range(count):
+                    np.multiply(lam[k, n1:, None], g2[k], out=h2[k])
+                upper = np.empty((count, n1, n1), dtype=np.complex128)
+                for k in range(count):
+                    np.multiply(d[:n1, :n1], lam[k, :n1], out=upper[k])
+                np.subtract(eye[:n1, :n1], upper, out=upper)
+                g1 = _solve(upper, c[:n1] + d[:n1, n1:] @ h2, chunk)
+                g = np.concatenate([g1, g2], axis=1)
+            else:
+                full = np.empty((count, n, n), dtype=np.complex128)
+                for k in range(count):
+                    np.multiply(d, lam[k], out=full[k])
+                np.subtract(eye, full, out=full)
+                g = _solve(full, c, chunk)
+            h = np.empty_like(g)
+            for k in range(count):
+                np.multiply(lam[k, :, None], g[k], out=h[k])
+        yield chunk, g, h
 
 
-def evaluate(col: Colligation, i: int) -> np.ndarray:
-    """Transfer function of ``col`` at point index ``i``.
+def evaluate(col: Colligation, i) -> np.ndarray:
+    """Transfer function of ``col`` at point index ``i``, shape (d, d).
 
-    Solves (I - D L) x = C directly at every call and returns
-    A + B L x.  At the base point L vanishes and the result is exactly
-    the A block.
+    ``i`` may also be a 1-D integer array of point indices; the values
+    are then stacked as shape (k, d, d), and each is bit-identical to
+    the one-point value.  Solves (I - D L) x = C directly at every call
+    and returns A + B L x.  At the base point L vanishes and the result
+    is exactly the A block.
     """
-    _, h = _resolvent(col, i)
-    return col.A + col.B @ h
+    at = np.atleast_1d(i)
+    values = np.empty((at.size, col.value_dim, col.value_dim), dtype=np.complex128)
+    stop = 0
+    for chunk, _, h in _resolvents(col, at):
+        start, stop = stop, stop + chunk.size
+        values[start:stop] = col.A + col.B @ h
+    return values[0] if np.ndim(i) == 0 else values
 
 
 def evaluate_all(col: Colligation) -> np.ndarray:
     """Transfer function on every point, stacked as shape (n, d, d)."""
-    return np.stack([evaluate(col, i) for i in range(col.table.n)])
+    return evaluate(col, np.arange(col.table.n))
 
 
 def _require_compatible(*cols: Colligation) -> None:
@@ -491,13 +562,14 @@ def gramian_identity_check(col: Colligation) -> float:
     n_points = col.table.n
     d = col.value_dim
     n_state = col.state_dim
-    stack = np.empty((d + 2 * n_state, n_points * d), dtype=np.complex128)
-    for i in range(n_points):
-        g, h = _resolvent(col, i)
-        cols = slice(i * d, (i + 1) * d)
-        stack[:d, cols] = col.A + col.B @ h
-        stack[d : d + n_state, cols] = g
-        stack[d + n_state :, cols] = h
+    # column i * d + r of the flat stack is column r of [F_i; G_i; H_i]
+    stack = np.empty((d + 2 * n_state, n_points, d), dtype=np.complex128)
+    for chunk, g, h in _resolvents(col, np.arange(n_points)):
+        points = slice(chunk[0], chunk[-1] + 1)
+        stack[:d, points] = (col.A + col.B @ h).transpose(1, 0, 2)
+        stack[d : d + n_state, points] = g.transpose(1, 0, 2)
+        stack[d + n_state :, points] = h.transpose(1, 0, 2)
+    stack = stack.reshape(d + 2 * n_state, n_points * d)
     eye = np.eye(d)[:, None, :]
     worst = 0.0
     for start in range(0, n_points, _GRAMIAN_CHUNK):

@@ -156,14 +156,25 @@ def _coefficients(g, m: int) -> np.ndarray:
     return gv
 
 
-def eval_map(t: TestFunctionTable, i: int) -> np.ndarray:
-    """Column i of the table: all m test functions at point i.
+def eval_map(t: TestFunctionTable, i) -> np.ndarray:
+    """Column i of the table: all m test functions at point i, shape (m,).
 
-    Every evaluation at a point index goes through this range check.
+    ``i`` may also be a 1-D integer array of point indices; then the
+    result holds their columns, shape (m, k).  Every evaluation at a
+    point index goes through this type and range check: booleans and
+    non-integers are refused, whether scalars or arrays.
     """
-    if not 0 <= i < t.n:
-        raise StructureError(f"point index {i} outside 0..{t.n - 1}")
-    return t.values[:, i].copy()
+    idx = np.asarray(i)
+    if idx.dtype.kind not in "iu" or idx.ndim > 1:
+        raise StructureError(
+            "point index must be an integer or a 1-D array of integers in "
+            f"0..{t.n - 1}, got {i!r}"
+        )
+    flat = idx.reshape(-1)
+    outside = flat[(flat < 0) | (flat >= t.n)]
+    if outside.size:
+        raise StructureError(f"point index {outside[0]} outside 0..{t.n - 1}")
+    return t.values[:, idx]
 
 
 @dataclass(frozen=True, eq=False)

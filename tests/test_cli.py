@@ -21,7 +21,9 @@ from colligate import (
     save_values,
     save_witness,
     szego_samples,
+    verify_factorization,
 )
+from colligate import realization
 from colligate.cli import main
 from conftest import blaschke_colligation, coordinate_colligation, invertible_pair
 
@@ -74,6 +76,22 @@ class TestEval:
         for entry in every["evaluations"]:
             _, one = run(capsys, "eval", workdir / "squared.json", "--point", entry["index"])
             assert one["evaluations"] == [entry]
+
+    def test_every_batched_caller_reaches_the_module_evaluate(self, workdir, capsys,
+                                                              monkeypatch):
+        # the benchmark injects its faults into realization.evaluate alone, so
+        # evaluate_all, verify_factorization and eval --all must all call it
+        shift = coordinate_colligation(disc_table([0.0, 0.5, -1.0 / 3.0, 0.25j]))
+        squared = product(shift, shift)
+        clean = evaluate_all(squared)
+        assert verify_factorization(squared, shift, shift) <= 1e-15
+        original = realization.evaluate
+        monkeypatch.setattr(realization, "evaluate", lambda col, i: original(col, i) + 1.0)
+        npt.assert_array_equal(evaluate_all(squared), clean + 1.0)
+        # (x^2 + 1) - (x + 1)^2 = -2x, largest at x = 0.5
+        assert verify_factorization(squared, shift, shift) == pytest.approx(1.0)
+        _, report = run(capsys, "eval", workdir / "squared.json", "--all")
+        assert report["evaluations"][1]["value"][0][0][0] == pytest.approx(1.25, abs=1e-12)
 
     @pytest.mark.parametrize(
         "field, value",

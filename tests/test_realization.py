@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from colligate import realization
+from colligate import TestFunctionTable as FunctionTable
 from colligate import (
     Colligation,
     DimensionError,
@@ -71,20 +72,15 @@ def conjugated(col: Colligation, w: np.ndarray) -> Colligation:
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Records ("rep_apply", N) for each dense L(x) and ("solve", n) for each solve."""
+    """Records ("solve", shape) with the full stack shape of each solve."""
     calls = []
-    solve, rep_apply_ = np.linalg.solve, realization.rep_apply
+    solve = np.linalg.solve
 
     def counted_solve(a, b):
-        calls.append(("solve", a.shape[0]))
+        calls.append(("solve", a.shape))
         return solve(a, b)
 
-    def counted_rep_apply(rep, g):
-        calls.append(("rep_apply", rep.state_dim))
-        return rep_apply_(rep, g)
-
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(realization, "rep_apply", counted_rep_apply)
     return calls
 
 
@@ -182,6 +178,18 @@ class TestRepresentation:
         npt.assert_array_equal(evaluate_all(col), before)
         with pytest.raises(ValueError):
             col.rep.projections[0][0, 0] = 0.5
+
+    def test_builders_keep_one_read_only_stack_each(self):
+        parts = coordinate_representation([1, 2]), random_representation(2, 3, seed=9)
+        joined = direct_sum(*parts)
+        halves = joined.restrict(0), joined.restrict(1)
+        for rep in (*parts, joined, *halves):
+            assert not rep._stack.flags.writeable
+            assert all(np.shares_memory(p, rep._stack) for p in rep.projections)
+        for half, part in zip(halves, parts):
+            assert not np.shares_memory(half._stack, joined._stack)
+            npt.assert_array_equal(half._stack, part._stack)
+            npt.assert_array_equal(half._labels, part._labels)
 
     def test_rep_apply_is_a_unital_star_homomorphism(self):
         rng = np.random.default_rng(1)
@@ -294,6 +302,29 @@ class TestEvaluate:
         assert stack.shape == (4, 1, 1)
         npt.assert_allclose(stack[1], evaluate(col, 1))
 
+    def test_an_index_array_stacks_the_values(self):
+        col = blaschke_colligation()
+        picked = np.array([3, 1, 1, 0])
+        values = evaluate(col, picked)
+        assert values.shape == (4, 1, 1)
+        npt.assert_array_equal(values, evaluate_all(col)[picked])
+        npt.assert_array_equal(evaluate(col, np.int64(2)), evaluate(col, 2))
+        assert evaluate(col, np.array([], dtype=int)).shape == (0, 1, 1)
+
+    @pytest.mark.parametrize(
+        "index",
+        [1.5, 1.0, True, np.True_, "1", None, [0, 1.5], np.array([True, False]),
+         np.array([[0, 1]])],
+        ids=repr,
+    )
+    def test_a_non_integer_index_is_a_structure_error(self, index):
+        with pytest.raises(StructureError, match="point index must be an integer"):
+            evaluate(blaschke_colligation(), index)
+
+    def test_an_index_array_names_its_first_index_outside_the_table(self):
+        with pytest.raises(StructureError, match=r"point index 7 outside 0\.\.3"):
+            evaluate(blaschke_colligation(), np.array([1, 7, -2]))
+
     def test_singular_resolvent_is_reported(self):
         with pytest.raises(SingularResolventError):
             evaluate(singular_colligation(), 1)
@@ -341,14 +372,16 @@ class TestStructuredKernel:
         first = random_colligation(2, coordinate_rep(rng, 2, 3), table, seed=16)
         second = random_colligation(2, coordinate_rep(rng, 2, 2), table, seed=17)
         joined = product(first, second)
+        # the four points go as one chunk: the D3 block before the D1 block
+        # on the split, one full solve otherwise
         evaluate_all(first)
-        assert kernel_calls == [("solve", 3)] * 4
+        assert kernel_calls == [("solve", (4, 3, 3))]
         kernel_calls.clear()
         evaluate_all(joined)
-        assert kernel_calls == [("solve", 2), ("solve", 3)] * 4
+        assert kernel_calls == [("solve", (4, 2, 2)), ("solve", (4, 3, 3))]
         kernel_calls.clear()
         evaluate_all(conjugated(joined, random_isometry(5, 5, seed=18)))
-        assert kernel_calls == [("rep_apply", 5), ("solve", 5)] * 4
+        assert kernel_calls == [("solve", (4, 5, 5))]
 
     def test_a_tiny_lower_left_entry_takes_the_full_solve(self, kernel_calls):
         rng = np.random.default_rng(19)
@@ -361,7 +394,7 @@ class TestStructuredKernel:
         u[2 + 3, 2] = 1e-300  # D[n1, 0]
         nudged = Colligation.from_matrix(u, 2, joined.rep, table)
         values = evaluate_all(nudged)
-        assert kernel_calls == [("solve", 5)] * 4
+        assert kernel_calls == [("solve", (4, 5, 5))]
         reference = np.stack([dense_evaluate(nudged, i) for i in range(table.n)])
         assert max_abs(values - reference) <= 1e-13
 
@@ -410,11 +443,11 @@ class TestDenseKernel:
             assert col.rep._labels is None
             reference = np.stack([dense_evaluate(col, i) for i in range(table.n)])
             assert max_abs(evaluate_all(col) - reference) <= 1e-13
-            for i in range(table.n):
-                g, h = realization._resolvent(col, i)
-                lam, g_ref = dense_resolvent(col, i)
-                assert max_abs(g - g_ref) <= 1e-13
-                assert max_abs(h - lam @ g_ref) <= 1e-13
+            for chunk, gs, hs in realization._resolvents(col, np.arange(table.n)):
+                for i, g, h in zip(chunk, gs, hs):
+                    lam, g_ref = dense_resolvent(col, i)
+                    assert max_abs(g - g_ref) <= 1e-13
+                    assert max_abs(h - lam @ g_ref) <= 1e-13
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 33])
@@ -446,30 +479,117 @@ class TestDenseKernel:
         explicit = sum(c * p for c, p in zip(g, projections))
         assert max_abs(rep_apply(held, g) - explicit) <= 1e-15
 
-    def test_later_writes_change_neither_values_nor_the_cached_products(self):
+    def test_later_writes_change_no_value(self):
         table = random_table(2, 5, seed=111)
         pristine = random_colligation(2, random_representation(2, 4, seed=112), table, seed=113)
         projections = [p.copy() for p in pristine.rep.projections]
         blocks = {name: getattr(pristine, name).copy() for name in "ABCD"}
         col = Colligation(rep=Representation(tuple(projections)), table=table, **blocks)
-        # before the first evaluation, which makes the D P_j
+        # before the first evaluation
         projections[0][0, 1] = 0.75
         blocks["D"][0, 0] = 0.75
         before = evaluate_all(col)
         npt.assert_array_equal(before, evaluate_all(pristine))
-        cached = col._dp
-        assert not cached.flags.writeable
-        expected = np.stack([pristine.D @ p for p in pristine.rep.projections])
-        assert max_abs(cached - expected.reshape(2, 16)) <= 1e-15
-        kept = cached.copy()
         # and after it
         projections[1][:] = 0.0
         blocks["D"][:] = 0.0
         npt.assert_array_equal(evaluate_all(col), before)
-        assert col._dp is cached
-        npt.assert_array_equal(col._dp, kept)
-        with pytest.raises(ValueError):
-            col._dp[0, 0] = 0.5
+
+
+def chunked_models(n_points: int, n1: int, seed: int) -> dict[str, Colligation]:
+    """One colligation for each kernel path, with state dimension n1 on
+    the first three (so N = 1 when n1 = 1)."""
+    rng = np.random.default_rng(seed)
+    table = random_table(2, n_points, seed=seed)
+    coordinate = random_colligation(2, coordinate_rep(rng, 2, n1), table, seed=seed + 1)
+    other = random_colligation(2, coordinate_rep(rng, 2, 2), table, seed=seed + 2)
+    dense = random_colligation(2, random_representation(2, n1, seed=seed + 3), table,
+                               seed=seed + 4)
+    return {
+        "coordinate": coordinate,
+        "split": product(coordinate, other),
+        "dense": dense,
+        "dense product": product(dense, other),
+    }
+
+
+class TestChunkedKernel:
+    """Points go through the kernel in chunks of max(1, budget // N^2)."""
+
+    @pytest.mark.parametrize("n1", [1, 3])
+    @pytest.mark.parametrize("n_points", [2, 3, 4])
+    def test_a_value_does_not_depend_on_its_chunk(self, monkeypatch, n_points, n1):
+        # three points per chunk: n = chunk - 1, chunk and chunk + 1
+        models = chunked_models(n_points, n1, seed=120 + 10 * n_points + n1)
+        assert models["coordinate"].rep._labels is not None
+        assert models["split"].rep.split is not None
+        assert models["dense"].rep._labels is None
+        for col in models.values():
+            whole = gramian_identity_check(col)
+            monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", 3 * col.state_dim ** 2)
+            values = evaluate_all(col)
+            assert values.shape == (n_points, 2, 2)
+            for i in range(n_points):
+                npt.assert_array_equal(evaluate(col, i), values[i])
+            picked = np.array([n_points - 1, 0, n_points - 1])
+            npt.assert_array_equal(evaluate(col, picked), values[picked])
+            assert gramian_identity_check(col) == whole
+            monkeypatch.undo()
+
+    def test_a_singular_point_inside_a_chunk_is_named(self):
+        # I - D L(x_2) vanishes: 1 - 2 * 0.5 on the coordinate family, and
+        # I - 2 (0.5 P + 0.5 (I - P)) on the dense one; five points, one chunk
+        table = disc_table([0.0, 0.25, 0.5, -0.25, 0.125])
+        single = Colligation(
+            rep=coordinate_representation([1]),
+            table=table,
+            A=np.zeros((1, 1), dtype=complex),
+            B=np.ones((1, 1), dtype=complex),
+            C=np.ones((1, 1), dtype=complex),
+            D=np.array([[2.0]], dtype=complex),
+        )
+        half = np.full((2, 2), 0.5, dtype=complex)
+        values = np.vstack([table.values, [0.0, 0.1, 0.5, -0.3, 0.2]])
+        dense = Colligation(
+            rep=Representation((half, np.eye(2) - half)),
+            table=FunctionTable(table.points, values),
+            A=np.zeros((1, 1), dtype=complex),
+            B=np.ones((1, 2), dtype=complex),
+            C=np.ones((2, 1), dtype=complex),
+            D=2.0 * np.eye(2, dtype=complex),
+        )
+        assert dense.rep._labels is None
+        shift = coordinate_colligation(table)
+        for col in (single, product(single, shift), product(shift, single), dense):
+            calls = (
+                lambda: evaluate_all(col),
+                lambda: evaluate(col, np.array([4, 2, 1])),
+                lambda: gramian_identity_check(col),
+                lambda: verify_factorization(col, col, col),
+            )
+            for call in calls:
+                with pytest.raises(SingularResolventError, match="point index 2;"):
+                    call()
+            assert np.isfinite(evaluate(col, np.array([0, 1, 3, 4]))).all()
+
+    @pytest.mark.parametrize("budget", [9, 25, 60, 1 << 15])
+    def test_no_solve_stack_exceeds_the_budget(self, monkeypatch, kernel_calls, budget):
+        monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", budget)
+        for name, col in chunked_models(9, 3, seed=130).items():
+            kernel_calls.clear()
+            evaluate_all(col)
+            gramian_identity_check(col)
+            shapes = [shape for _, shape in kernel_calls]
+            assert max(np.prod(shape) for shape in shapes) <= max(budget, col.state_dim ** 2)
+            # every point once per call, through both blocks on the split
+            systems = 2 if name == "split" else 1
+            assert sum(shape[0] for shape in shapes) == 2 * 9 * systems
+
+    def test_the_default_budget_holds_at_large_state_dimension(self, kernel_calls):
+        table = random_table(3, 20, seed=131)
+        col = random_colligation(2, random_representation(3, 64, seed=132), table, seed=133)
+        evaluate_all(col)
+        assert [shape for _, shape in kernel_calls] == [(8, 64, 64), (8, 64, 64), (4, 64, 64)]
 
 
 class TestProduct:

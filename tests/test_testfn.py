@@ -196,6 +196,20 @@ class TestTable:
         with pytest.raises(StructureError, match="point index -1"):
             eval_map(t, -1)
 
+    def test_eval_map_takes_an_index_array(self):
+        t = disc_table(FOUR_POINTS)
+        npt.assert_array_equal(eval_map(t, np.array([3, 1, 3])), t.values[:, [3, 1, 3]])
+        assert eval_map(t, np.arange(4)).shape == (1, 4)
+        with pytest.raises(StructureError, match=r"point index 4 outside 0\.\.3"):
+            eval_map(t, np.array([0, 4, -1]))
+
+    @pytest.mark.parametrize("index", [2.0, False, np.bool_(True), np.array([1.0]),
+                                       np.array([False]), np.zeros((1, 1), dtype=int)],
+                             ids=repr)
+    def test_eval_map_refuses_booleans_and_non_integers(self, index):
+        with pytest.raises(StructureError, match="point index must be an integer"):
+            eval_map(disc_table(FOUR_POINTS), index)
+
     def test_bidisc_lookup(self):
         values = np.array([[0.0, 0.5], [0.0, 1.0 / 3.0]], dtype=complex)
         t = FunctionTable(PointSet(("o", "p")), values)
