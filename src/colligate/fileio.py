@@ -11,9 +11,11 @@ The exact field names live in FORMATS.md at the repository root.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -147,23 +149,26 @@ def decode_matrix(obj, where: str) -> np.ndarray:
 def _float_pairs(obj) -> np.ndarray | None:
     """obj as an (r, c, 2) finite float array, or None to take the walk.
 
+    The leaf types are checked on one flat list at a time, rows, then
+    pairs, then numbers, and numpy converts the flat numbers in one step.
     Only lists and exact int or float leaves qualify: numpy would also
     accept tuples, convert numeric strings and fold booleans into floats.
     """
-    if type(obj) is not list or set(map(type, obj)) != {list}:
+    if type(obj) is not list or set(map(type, obj)) != {list} or len(set(map(len, obj))) != 1:
         return None
     pairs = list(chain.from_iterable(obj))
-    if set(map(type, pairs)) != {list}:
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
         return None
-    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+    numbers = list(chain.from_iterable(pairs))
+    if not set(map(type, numbers)) <= {int, float}:
         return None
     try:
-        a = np.array(obj, dtype=np.float64)
-    except (ValueError, OverflowError):
+        a = np.array(numbers, dtype=np.float64)
+    except OverflowError:
         return None
-    if a.ndim != 3 or a.shape[2] != 2 or not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         return None
-    return a
+    return a.reshape(len(obj), -1, 2)
 
 
 def _decode_entries(obj, where: str) -> np.ndarray:
@@ -200,11 +205,29 @@ def _decode_entries(obj, where: str) -> np.ndarray:
     return a
 
 
+@contextmanager
+def _collector_paused():
+    """Keep the cyclic garbage collector off while a document is decoded.
+
+    A parsed document can be a tree of some 10^5 fresh lists, which
+    trigger collections that sweep the whole tree again and again, yet
+    it holds no cycle: reference counting frees it before the loader
+    returns.  The collector is turned back on only if it was on.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -250,6 +273,7 @@ def _table_doc(t: TestFunctionTable) -> dict:
     return {"labels": list(t.points.labels), "values": t.values}
 
 
+@_collector_paused()
 def load_table(path: str) -> TestFunctionTable:
     obj = _check_kind(_read_json(path), path, "table")
     return _table_from(obj, path)
@@ -261,6 +285,7 @@ def save_table(t: TestFunctionTable, path: str) -> None:
     _write(doc, path)
 
 
+@_collector_paused()
 def load_colligation(path: str) -> Colligation:
     obj = _check_kind(_read_json(path), path, "colligation")
     value_dim = _require(obj, "value_dim", path)
@@ -312,6 +337,7 @@ def save_colligation(col: Colligation, path: str) -> None:
     _write(doc, path)
 
 
+@_collector_paused()
 def load_kernel(path: str) -> HermitianKernel:
     obj = _check_kind(_read_json(path), path, "kernel")
     points = _labels(_require(obj, "labels", path), f"{path}.labels")
@@ -348,6 +374,7 @@ def save_kernel(k: HermitianKernel, path: str) -> None:
     _write(doc, path)
 
 
+@_collector_paused()
 def load_witness(path: str) -> dict[str, np.ndarray]:
     obj = _check_kind(_read_json(path), path, "witness")
     out: dict[str, np.ndarray] = {}
@@ -372,6 +399,7 @@ def save_witness(witnesses: dict[str, np.ndarray], path: str) -> None:
     _write(doc, path)
 
 
+@_collector_paused()
 def load_values(path: str) -> tuple[PointSet, np.ndarray]:
     """Per-point square function values: (points, stack of shape (n, d, d))."""
     obj = _check_kind(_read_json(path), path, "values")

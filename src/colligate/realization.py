@@ -48,8 +48,9 @@ __all__ = [
 
 # points per row chunk of the Gramian residual
 _GRAMIAN_CHUNK = 8
-# entries of one (c, N, N) stack of resolvent matrices: a chunk of the
-# resolvent kernel holds max(1, _RESOLVENT_BUDGET // N^2) points
+# entries of one (c, side, side) stack of resolvent matrices: a chunk of
+# the resolvent kernel holds max(1, _RESOLVENT_BUDGET // side^2) points,
+# side the largest block it solves
 _RESOLVENT_BUDGET = 1 << 15
 
 
@@ -403,9 +404,11 @@ def _resolvents(col: Colligation, indices):
     The one resolvent kernel of the module: every evaluation and the
     Gramian identity go through it, so a singular resolvent is reported
     the same way, with its point index, wherever it shows up.  A chunk
-    holds max(1, _RESOLVENT_BUDGET // N^2) points, so its (c, N, N)
-    stack of I - D L_k stays under the budget, and chunks are yielded
-    one at a time rather than kept.
+    holds max(1, _RESOLVENT_BUDGET // side^2) points, side the largest
+    block the chunk solves: N, or max(n1, n2) on a coordinate split, whose
+    stacks are (c, n1, n1) and (c, n2, n2).  So every stack of I - D L_k
+    stays under the budget, and chunks are yielded one at a time rather
+    than kept.
 
     Each point's matrix is built by the same one-point operation whatever
     the chunk (a vector-matrix product, or a broadcast multiply), written
@@ -427,6 +430,7 @@ def _resolvents(col: Colligation, indices):
     d, c = col.D, col.C
     n = col.state_dim
     labels = col.rep._labels
+    side = n
     if labels is None:
         stack = col.rep._stack
         dp = np.matmul(d, stack.reshape(-1, n, n)).reshape(-1, n * n)
@@ -435,7 +439,9 @@ def _resolvents(col: Colligation, indices):
         eye = np.eye(n)
         n1 = col.rep.split[0] if col.rep.split else 0
         split = n1 and not d[n1:, :n1].any()
-    step = max(1, _RESOLVENT_BUDGET // (n * n))
+        if split:
+            side = max(n1, n - n1)
+    step = max(1, _RESOLVENT_BUDGET // (side * side))
     for start in range(0, at.size, step):
         rows = slice(start, start + step)
         chunk = at[rows]

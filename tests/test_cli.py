@@ -112,6 +112,13 @@ class TestEval:
         code, report = run(capsys, "eval", workdir / "bad.json")
         assert (code, report["error"]) == (2, "FormatError")
 
+    def test_deeply_nested_json_exits_two(self, workdir, capsys):
+        path = workdir / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, report = run(capsys, "eval", path)
+        assert (code, report["error"]) == (2, "FormatError")
+        assert report["detail"].startswith(f"{path}: not valid JSON (")
+
     def test_reports_carry_input_digests(self, workdir, capsys):
         code, report = run(capsys, "eval", workdir / "blaschke.json")
         digest = report["inputs"][str(workdir / "blaschke.json")]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -120,18 +121,23 @@ NESTINGS = [
 
 # leaf, pair, row and whole-matrix replacements the decoder must reject
 # or read exactly as the per-entry walk does
-LEAVES = [True, False, "1", "0.5", None, 10**400, -(10**400), float("nan"),
-          float("inf"), 3, 2**70, [1.0], {}]
-PAIRS = [(1.0, 0.0), [1.0], [1.0, 0.0, 0.0], [], [[1.0], 0.0], "x", 1.0, None]
-ROWS = [(), "row", 1.0, None, {}]
-WHOLE = [[], [[]], [[], []], (), "m", None, 1.0, {}, [[[]]]]
+LEAVES = [True, False, "1", "0.5", None, 10**400, -(10**400), 2 * 10**308, float("nan"),
+          float("inf"), 3, 2**53 + 1, 2**63, -(2**63) - 1, 2**64 + 1, 2**70, 10**308,
+          [1.0], [1.0, 0.0], [[1.0]], {}]
+PAIRS = [(1.0, 0.0), [1.0], [3], [1.0, 0.0, 0.0], [1, 2, 3], [], [[1.0], 0.0],
+         [[1.0, 0.0]], [[1.0], [0.0]], [1.0, [0.0]], [True, 1.0], [0.5, False], [None, 0.0],
+         ["1", "0"], [10**400, 0], [0.0, 2 * 10**308], "x", 1.0, None]
+ROWS = [(), [], "row", 1.0, None, {}]
+WHOLE = [[], [[]], [[], []], [[], [], []], (), "m", None, 1.0, {}, [[[]]], [[[[1.0, 0.0]]]],
+         [[[[1.0, 0.0]], [[0.5, 0.0]]]], [[[1, 0]], [[0, 1]]]]
 
 
 @st.composite
 def mutated_documents(draw):
     doc = encode_matrix(draw(complex_matrices()))
     r, c = draw(st.integers(0, len(doc) - 1)), draw(st.integers(0, len(doc[0]) - 1))
-    kind = draw(st.sampled_from(["leaf", "pair", "row", "ragged", "tuple-row", "whole"]))
+    kind = draw(st.sampled_from(["leaf", "pair", "row", "ragged", "tuple-row", "every-leaf",
+                                 "every-pair", "zero-width", "deeper", "whole"]))
     if kind == "leaf":
         doc[r][c][draw(st.integers(0, 1))] = draw(st.sampled_from(LEAVES))
     elif kind == "pair":
@@ -142,6 +148,20 @@ def mutated_documents(draw):
         doc[r] = doc[r][:-1] if draw(st.booleans()) else doc[r] + [[0.0, 0.0]]
     elif kind == "tuple-row":
         doc[r] = tuple(doc[r])
+    elif kind == "every-leaf":
+        # the same leaf in every pair, so the shape stays rectangular
+        leaf, part = draw(st.sampled_from(LEAVES)), draw(st.integers(0, 1))
+        for row in doc:
+            for pair in row:
+                pair[part] = leaf
+    elif kind == "every-pair":
+        pair = draw(st.sampled_from(PAIRS))
+        doc = [[pair for _ in row] for row in doc]
+    elif kind == "zero-width":
+        doc = [[] for _ in doc]
+    elif kind == "deeper":
+        doc = draw(st.sampled_from([[doc], [[[pair] for pair in row] for row in doc],
+                                    [[[[x] for x in pair] for pair in row] for row in doc]]))
     else:
         return draw(st.sampled_from(WHOLE))
     return doc
@@ -173,9 +193,33 @@ class TestArrayCodec:
         # -0.0 is written as 0, so only the values are compared
         npt.assert_array_equal(decode_matrix(doc, "m"), m)
 
-    @CODEC
+    @settings(CODEC, max_examples=400)
     @given(mutated_documents())
     def test_mutated_documents_decode_as_the_walk_does(self, doc):
+        assert _decoded(decode_matrix, doc) == _decoded(fileio._decode_entries, doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            pytest.param([[[1.0], [0.5]]], id="pairs-of-length-1"),
+            pytest.param([[[1.0, 0.0, 0.0]], [[0.5, 0.0, 0.0]]], id="pairs-of-length-3"),
+            pytest.param([[[1.0, 0.0], [0.5]]], id="one-short-pair"),
+            pytest.param([[[True, False]]], id="booleans"),
+            pytest.param([[[1.0, 0.0], [0.0, True]]], id="one-boolean"),
+            pytest.param([[[None, 0.0]]], id="null"),
+            pytest.param([[["1", "0"]]], id="strings"),
+            pytest.param([[[0.5, "0"]]], id="one-string"),
+            pytest.param([[[[1.0, 0.0]]]], id="nested-pairs"),
+            pytest.param([[[[1.0], [0.0]]]], id="nested-leaves"),
+            pytest.param([[[[1.0, 0.0]]], [[[0.5, 0.0]]]], id="nested-rows"),
+            pytest.param([[], []], id="zero-width-rows"),
+            pytest.param([[[1.0, 0.0]], []], id="one-zero-width-row"),
+            pytest.param([[[10**400, 0]]], id="beyond-double"),
+            pytest.param([[[1.0, 0.0], [0, -(10**400)]]], id="one-beyond-double"),
+            pytest.param([[[2**53 + 1, 2**64 + 1], [-(2**63) - 1, 10**308]]], id="large-ints"),
+        ],
+    )
+    def test_named_mutations_decode_as_the_walk_does(self, doc):
         assert _decoded(decode_matrix, doc) == _decoded(fileio._decode_entries, doc)
 
     @pytest.mark.parametrize(
@@ -403,6 +447,85 @@ class TestValuesFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="shape"):
             load_values(str(path))
+
+
+LOADERS = [load_colligation, load_table, load_kernel, load_witness, load_values]
+
+
+@pytest.fixture()
+def documents(tmp_path):
+    """One valid file per loader, keyed by the loader's name."""
+    col = blaschke_colligation()
+    paths = {name: str(tmp_path / f"{name}.json") for name in (f.__name__ for f in LOADERS)}
+    save_colligation(col, paths["load_colligation"])
+    save_table(col.table, paths["load_table"])
+    save_kernel(szego_samples([0.0, 0.5]), paths["load_kernel"])
+    save_witness({"A": np.array([[0.5]])}, paths["load_witness"])
+    save_values(col.table.points, evaluate_all(col), paths["load_values"])
+    return paths
+
+
+class TestDocumentGuards:
+    @pytest.mark.parametrize("load", LOADERS, ids=lambda f: f.__name__)
+    def test_deeply_nested_json_is_a_format_error(self, tmp_path, load):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(FormatError, match=r"deep\.json: not valid JSON \(.*recursion"):
+            load(str(path))
+
+    @pytest.mark.parametrize("load", LOADERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("text", ["[]", "3", '"colligation"', "null"])
+    def test_a_document_must_be_an_object(self, tmp_path, load, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(FormatError) as info:
+            load(str(path))
+        assert str(info.value) == f"{path}: document must be a JSON object"
+
+    @pytest.mark.parametrize("values", [[[[[0, 0]]]], [], {"a": [[[0, 0]]]}, None])
+    def test_values_need_one_matrix_per_label(self, tmp_path, values):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"kind": "values", "labels": ["a", "b"], "values": values}))
+        with pytest.raises(FormatError) as info:
+            load_values(str(path))
+        assert str(info.value) == f"{path}: need one value matrix per label"
+
+
+class TestCollectorPause:
+    """Every loader pauses the cyclic collector and restores its state."""
+
+    @pytest.mark.parametrize("load", LOADERS, ids=lambda f: f.__name__)
+    def test_paused_while_parsing_and_decoding(self, documents, monkeypatch, load):
+        seen = []
+
+        def recording(wrapped):
+            def call(*args):
+                seen.append(gc.isenabled())
+                return wrapped(*args)
+            return call
+
+        monkeypatch.setattr(fileio, "_read_json", recording(fileio._read_json))
+        monkeypatch.setattr(fileio, "decode_matrix", recording(fileio.decode_matrix))
+        assert gc.isenabled()
+        load(documents[load.__name__])
+        assert len(seen) >= 2 and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("load", LOADERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored_after_a_load(self, documents, tmp_path, load, enabled):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"kind": "nothing"}')
+        try:
+            if not enabled:
+                gc.disable()
+            load(documents[load.__name__])
+            assert gc.isenabled() == enabled
+            with pytest.raises(FormatError, match="kind is 'nothing'"):
+                load(str(bad))
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
 
 
 class TestDigest:

@@ -514,27 +514,34 @@ def chunked_models(n_points: int, n1: int, seed: int) -> dict[str, Colligation]:
 
 
 class TestChunkedKernel:
-    """Points go through the kernel in chunks of max(1, budget // N^2)."""
+    """Points go through the kernel in chunks of max(1, budget // side^2),
+    side the largest block a chunk solves."""
 
     @pytest.mark.parametrize("n1", [1, 3])
     @pytest.mark.parametrize("n_points", [2, 3, 4])
-    def test_a_value_does_not_depend_on_its_chunk(self, monkeypatch, n_points, n1):
+    def test_a_value_does_not_depend_on_its_chunk(self, monkeypatch, kernel_calls,
+                                                  n_points, n1):
         # three points per chunk: n = chunk - 1, chunk and chunk + 1
         models = chunked_models(n_points, n1, seed=120 + 10 * n_points + n1)
         assert models["coordinate"].rep._labels is not None
         assert models["split"].rep.split is not None
         assert models["dense"].rep._labels is None
-        for col in models.values():
+        for name, col in models.items():
+            kernel_calls.clear()
             whole = gramian_identity_check(col)
-            monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", 3 * col.state_dim ** 2)
-            values = evaluate_all(col)
-            assert values.shape == (n_points, 2, 2)
-            for i in range(n_points):
-                npt.assert_array_equal(evaluate(col, i), values[i])
-            picked = np.array([n_points - 1, 0, n_points - 1])
-            npt.assert_array_equal(evaluate(col, picked), values[picked])
-            assert gramian_identity_check(col) == whole
-            monkeypatch.undo()
+            side = max(shape[-1] for _, shape in kernel_calls)
+            assert (side < col.state_dim) == (name == "split")
+            with monkeypatch.context() as patch:
+                patch.setattr(realization, "_RESOLVENT_BUDGET", 3 * side ** 2)
+                kernel_calls.clear()
+                values = evaluate_all(col)
+                assert max(shape[0] for _, shape in kernel_calls) == min(3, n_points)
+                assert values.shape == (n_points, 2, 2)
+                for i in range(n_points):
+                    npt.assert_array_equal(evaluate(col, i), values[i])
+                picked = np.array([n_points - 1, 0, n_points - 1])
+                npt.assert_array_equal(evaluate(col, picked), values[picked])
+                assert gramian_identity_check(col) == whole
 
     def test_a_singular_point_inside_a_chunk_is_named(self):
         # I - D L(x_2) vanishes: 1 - 2 * 0.5 on the coordinate family, and
@@ -590,6 +597,20 @@ class TestChunkedKernel:
         col = random_colligation(2, random_representation(3, 64, seed=132), table, seed=133)
         evaluate_all(col)
         assert [shape for _, shape in kernel_calls] == [(8, 64, 64), (8, 64, 64), (4, 64, 64)]
+
+    def test_a_split_chunk_is_sized_by_its_blocks(self, kernel_calls):
+        # N = 64 + 64: the budget holds 8 points of each 64 x 64 block,
+        # not 2 points of the full 128 x 128 matrix
+        rng = np.random.default_rng(134)
+        table = random_table(2, 20, seed=135)
+        col = product(
+            random_colligation(2, coordinate_rep(rng, 2, 64), table, seed=136),
+            random_colligation(2, coordinate_rep(rng, 2, 64), table, seed=137),
+        )
+        evaluate_all(col)
+        assert [shape for _, shape in kernel_calls] == (
+            [(8, 64, 64)] * 4 + [(4, 64, 64)] * 2
+        )
 
 
 class TestProduct:
