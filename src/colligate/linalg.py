@@ -18,6 +18,7 @@ from .errors import (
     OrthogonalityError,
     PaddingError,
     RankError,
+    StructureError,
     ToleranceError,
 )
 
@@ -235,8 +236,16 @@ def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
         raise DimensionError(
             f"cannot build a {rows}x{cols} isometry, need rows >= cols"
         )
-    rng = np.random.default_rng(seed)
-    return _rng_isometry(rng, rows, cols)
+    return _rng_isometry(_rng(seed), rows, cols)
+
+
+def _rng(seed) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)`` for a nonnegative integer seed.
+    Anything else is refused: numpy raises a bare ValueError for a
+    negative seed and draws an unseeded stream for ``None``."""
+    if not (type(seed) is int or isinstance(seed, np.integer)) or seed < 0:
+        raise StructureError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(int(seed))
 
 
 def _rng_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import DimensionError, SingularResolventError, StructureError
 from .linalg import (
     DEFAULT_ATOL,
     _check_atol,
+    _rng,
     _rng_isometry,
     as_matrix,
     max_abs,
@@ -107,12 +108,12 @@ class Representation:
         object.__setattr__(self, "_stack", stack.reshape(len(views), n * n))
         object.__setattr__(self, "_labels", _coordinate_labels(views))
         if self.split is not None:
-            n1, n2 = self.split
-            if n1 < 1 or n2 < 1 or n1 + n2 != n:
+            split = _integers(self.split, "split")
+            if len(split) != 2 or min(split) < 1 or sum(split) != n:
                 raise StructureError(
                     f"split {self.split} does not partition state dimension {n}"
                 )
-            object.__setattr__(self, "split", (int(n1), int(n2)))
+            object.__setattr__(self, "split", split)
 
     @property
     def state_dim(self) -> int:
@@ -169,6 +170,15 @@ def _frozen(m, name: str) -> np.ndarray:
     return a
 
 
+def _integers(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints: booleans and fractional entries are
+    refused, not truncated."""
+    items = tuple(values) if np.iterable(values) else (None,)
+    if not all(type(v) is int or isinstance(v, np.integer) for v in items):
+        raise StructureError(f"{name} must be a sequence of integers, got {values!r}")
+    return tuple(int(v) for v in items)
+
+
 def _coordinate_labels(mats: tuple[np.ndarray, ...]) -> np.ndarray | None:
     """Label vector of a coordinate family, else None.
 
@@ -197,7 +207,7 @@ def coordinate_representation(sizes: Sequence[int]) -> Representation:
     Zero-sized blocks give zero projections, which is legal as long as
     the total is at least 1.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = _integers(sizes, "block sizes")
     if any(s < 0 for s in sizes):
         raise StructureError("block sizes must be nonnegative")
     n = sum(sizes)
@@ -224,7 +234,7 @@ def random_representation(m: int, state_dim: int, seed: int) -> Representation:
     round-robin coordinate partition of the state space."""
     if m < 1 or state_dim < 1:
         raise StructureError("need at least one function and one state dimension")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     v = _rng_isometry(rng, state_dim, state_dim)
     base = _round_robin_representation(m, state_dim)
     stack = base._stack.reshape(m, state_dim, state_dim)
@@ -373,28 +383,55 @@ def _block2(a: np.ndarray, b: np.ndarray, c, d: np.ndarray) -> np.ndarray:
 
 
 def _solve(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` over the (c, M, M) stack ``a``, whose item k
-    is the resolvent system at point index ``at[k]``.
-
-    A failed batched solve is repeated item by item, so a singular
-    resolvent is reported with its own point index wherever it sits in
-    the chunk.
-    """
+    """``np.linalg.solve`` over the (c, M, M) stack ``a``, item k at point
+    index ``at[k]``.  A batched solve fails exactly when the solve of one
+    of its items does, so after a failure the items are solved one by one
+    only to name the point index of the first singular one."""
     try:
         return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        pass
-    b = np.broadcast_to(b, a.shape[:1] + b.shape[-2:])
-    out = np.empty(b.shape, dtype=np.complex128)
-    for k, i in enumerate(at):
-        try:
-            out[k] = np.linalg.solve(a[k], b[k])
-        except np.linalg.LinAlgError as exc:
-            raise SingularResolventError(
-                f"resolvent is singular at point index {i}; the sampled family "
-                "or the operator violates contractivity"
-            ) from exc
-    return out
+    except np.linalg.LinAlgError as exc:
+        b = np.broadcast_to(b, a.shape[:1] + b.shape[-2:])
+        for k, i in enumerate(at):
+            try:
+                np.linalg.solve(a[k], b[k])
+            except np.linalg.LinAlgError:
+                break
+        raise SingularResolventError(
+            f"resolvent is singular at point index {i}; the sampled family "
+            "or the operator violates contractivity"
+        ) from exc
+
+
+def _dense_block(dp, stack, psi, c, at) -> tuple[np.ndarray, np.ndarray]:
+    """(G, H) of one chunk of a dense family with coefficient rows ``psi``:
+    D L_k = sum_j psi_kj D P_j from the rows of ``dp``, and L_k from the
+    rows of ``stack``, one vector-matrix product per point."""
+    count, n = len(psi), c.shape[0]
+    resolvent = np.empty((count, n * n), dtype=np.complex128)
+    lam = np.empty((count, n * n), dtype=np.complex128)
+    for k, coeffs in enumerate(psi):
+        np.matmul(-coeffs, dp, out=resolvent[k])
+        np.matmul(coeffs, stack, out=lam[k])
+    # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k is on its diagonal
+    resolvent[:, :: n + 1] += 1.0
+    g = _solve(resolvent.reshape(count, n, n), c, at)
+    return g, lam.reshape(count, n, n) @ g
+
+
+def _scaled_block(d, lam, rhs, at) -> tuple[np.ndarray, np.ndarray]:
+    """(G, H) of one chunk for a block ``d`` of D whose L_k is diag(lam[k]):
+    I - d L_k scales the columns of d and H_k = L_k G_k the rows of G_k,
+    one point at a time."""
+    count, n = lam.shape
+    resolvent = np.empty((count, n, n), dtype=np.complex128)
+    for k in range(count):
+        np.multiply(d, lam[k], out=resolvent[k])
+    np.subtract(np.eye(n), resolvent, out=resolvent)
+    g = _solve(resolvent, rhs, at)
+    h = np.empty_like(g)
+    for k in range(count):
+        np.multiply(lam[k, :, None], g[k], out=h[k])
+    return g, h
 
 
 def _resolvents(col: Colligation, indices):
@@ -405,85 +442,46 @@ def _resolvents(col: Colligation, indices):
     Gramian identity go through it, so a singular resolvent is reported
     the same way, with its point index, wherever it shows up.  A chunk
     holds max(1, _RESOLVENT_BUDGET // side^2) points, side the largest
-    block the chunk solves: N, or max(n1, n2) on a coordinate split, whose
-    stacks are (c, n1, n1) and (c, n2, n2).  So every stack of I - D L_k
-    stays under the budget, and chunks are yielded one at a time rather
-    than kept.
+    block it solves: N, or max(n1, n2) on a coordinate split.  So every
+    stack of I - D L_k stays under the budget, and chunks are yielded one
+    at a time.
 
-    Each point's matrix is built by the same one-point operation whatever
-    the chunk (a vector-matrix product, or a broadcast multiply), written
-    into the chunk's array; only the solve and the matrix products that
-    follow run over the stack, and those act item by item, so a point's
-    G and H do not depend on the chunk it was computed in.
+    Each chunk goes through one of two block builders.  A coordinate
+    family has the diagonal L_k = psi[labels] and takes ``_scaled_block``;
+    if it also splits there (a lower-left D block of exact zeros along the
+    recorded split, as ``product`` writes it), the block triangular system
+    is back-substituted in two calls: the D3 block, then the D1 block with
+    the coupling term D2 H_k2.  Any other family forms every D P_j once per
+    call (m N^3) for ``_dense_block``, O(m N^2) per point and one solve.
 
-    For a coordinate representation L_k is the diagonal psi[labels], so
-    I - D L_k is a column scaling of D and H_k a row scaling of G_k.  If
-    the colligation also splits there (a lower-left D block of exact
-    zeros along the recorded split, as ``product`` writes it), the block
-    triangular system is solved by back-substitution: the D3 block first,
-    then the D1 block with the coupling term D2 H_k2.  Any other family
-    forms every D P_j once per call (m N^3) and then D L_k = sum_j psi_j
-    D P_j, O(m N^2) per point, solves, and builds L_k densely for H_k.
+    Each point's matrix is built by its one-point operation whatever the
+    chunk; only the solve and the products after it run over the stack,
+    item by item, so a point's G and H do not depend on its chunk.
     """
     at = np.atleast_1d(indices)
     psi = eval_map(col.table, at).T.copy()
-    d, c = col.D, col.C
-    n = col.state_dim
+    d, c, n = col.D, col.C, col.state_dim
     labels = col.rep._labels
-    side = n
+    # the D3 block is d[n1:, n1:]: all of D unless on a coordinate split
+    n1 = col.rep.split[0] if labels is not None and col.rep.split else 0
+    if n1 and d[n1:, :n1].any():
+        n1 = 0
     if labels is None:
         stack = col.rep._stack
         dp = np.matmul(d, stack.reshape(-1, n, n)).reshape(-1, n * n)
-        negated = -psi
-    else:
-        eye = np.eye(n)
-        n1 = col.rep.split[0] if col.rep.split else 0
-        split = n1 and not d[n1:, :n1].any()
-        if split:
-            side = max(n1, n - n1)
-    step = max(1, _RESOLVENT_BUDGET // (side * side))
+    step = max(1, _RESOLVENT_BUDGET // max(n1, n - n1) ** 2)
     for start in range(0, at.size, step):
         rows = slice(start, start + step)
         chunk = at[rows]
-        count = chunk.size
         if labels is None:
-            # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k
-            # is on its diagonal
-            resolvent = np.empty((count, n * n), dtype=np.complex128)
-            lam = np.empty((count, n * n), dtype=np.complex128)
-            for k, (neg, coeffs) in enumerate(zip(negated[rows], psi[rows])):
-                np.matmul(neg, dp, out=resolvent[k])
-                np.matmul(coeffs, stack, out=lam[k])
-            resolvent[:, :: n + 1] += 1.0
-            g = _solve(resolvent.reshape(count, n, n), c, chunk)
-            h = lam.reshape(count, n, n) @ g
+            g, h = _dense_block(dp, stack, psi[rows], c, chunk)
         else:
             lam = psi[rows][:, labels]
-            if split:
-                n2 = n - n1
-                lower = np.empty((count, n2, n2), dtype=np.complex128)
-                for k in range(count):
-                    np.multiply(d[n1:, n1:], lam[k, n1:], out=lower[k])
-                np.subtract(eye[n1:, n1:], lower, out=lower)
-                g2 = _solve(lower, c[n1:], chunk)
-                h2 = np.empty_like(g2)
-                for k in range(count):
-                    np.multiply(lam[k, n1:, None], g2[k], out=h2[k])
-                upper = np.empty((count, n1, n1), dtype=np.complex128)
-                for k in range(count):
-                    np.multiply(d[:n1, :n1], lam[k, :n1], out=upper[k])
-                np.subtract(eye[:n1, :n1], upper, out=upper)
-                g1 = _solve(upper, c[:n1] + d[:n1, n1:] @ h2, chunk)
-                g = np.concatenate([g1, g2], axis=1)
-            else:
-                full = np.empty((count, n, n), dtype=np.complex128)
-                for k in range(count):
-                    np.multiply(d, lam[k], out=full[k])
-                np.subtract(eye, full, out=full)
-                g = _solve(full, c, chunk)
-            h = np.empty_like(g)
-            for k in range(count):
-                np.multiply(lam[k, :, None], g[k], out=h[k])
+            g, h = _scaled_block(d[n1:, n1:], lam[:, n1:], c[n1:], chunk)
+            if n1:
+                rhs = c[:n1] + d[:n1, n1:] @ h
+                g1, h1 = _scaled_block(d[:n1, :n1], lam[:, :n1], rhs, chunk)
+                g, h = np.concatenate([g1, g], axis=1), np.concatenate([h1, h], axis=1)
         yield chunk, g, h
 
 
@@ -637,7 +635,7 @@ def random_vanishing_colligation(
     C a random isometry, completed by random orthonormal columns.
     """
     d = _absorbed_value_dim(value_dim, rep)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     c = _rng_isometry(rng, rep.state_dim, d)
     first = np.vstack([np.zeros((d, d), dtype=np.complex128), c])
     return _completed(rng, first, rep, table)
@@ -661,7 +659,7 @@ def random_selfadjoint_base_colligation(
     if not 0.0 < lo <= hi < 1.0:
         raise StructureError(f"spectrum must sit inside (0, 1), got {spectrum}")
     d = _absorbed_value_dim(value_dim, rep)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     v = _rng_isometry(rng, d, d)
     eigs = rng.uniform(lo, hi, size=d)
     a = v @ np.diag(eigs) @ v.conj().T

@@ -378,6 +378,27 @@ class TestMultiplyVerifyRandom:
         assert report["error"] == "StructureError"
 
 
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_random_refuses_a_negative_seed(self, workdir, capsys, seed):
+        code, report = run(
+            capsys,
+            "random",
+            "--table",
+            workdir / "table.json",
+            "--value-dim",
+            "1",
+            "--state-dims",
+            "2,2",
+            "--seed",
+            seed,
+            "-o",
+            workdir / "r.json",
+        )
+        assert code == 2
+        assert report["error"] == "StructureError"
+        assert report["detail"] == f"seed must be a nonnegative integer, got {seed}"
+        assert not (workdir / "r.json").exists()
+
 class TestAdmissibleAndNormBound:
     def test_szego_kernel_is_admissible(self, workdir, capsys):
         zs = [0.0, 0.5, -1.0 / 3.0, 0.25j]

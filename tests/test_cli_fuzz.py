@@ -1,10 +1,11 @@
-"""Exit-code contract under mutated input documents.
+"""Exit-code contract under mutated input documents and options.
 
 Each example takes one well-formed invocation, mutates one node of one of
 its input documents (the toy documents of ``tests/golden/inputs``) and
 runs ``main`` in a fresh directory.  Whatever the mutation, no exception
 may escape, the exit code must be 0, 1 or 2, and exit 1 must come with a
-false verdict or a residual in the report.
+false verdict or a residual in the report.  ``random`` also runs with
+mutated integer options.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from colligate.cli import main
@@ -115,3 +116,25 @@ def test_mutated_inputs_keep_the_exit_code_contract(invocation):
             ), report
 
     run()
+
+
+# small magnitudes only, so no draw allocates anything large
+STATE_DIMS = ["0,2", "-1,1", "a,b", "3", "2,1", "1,1", "1,-2", "0,0", ",", "1,2,3", "", "2, 1"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(-8, 8), st.integers(-8, 8), st.sampled_from(STATE_DIMS))
+@example(seed=-1, value_dim=1, state_dims="2,1")
+@example(seed=0, value_dim=0, state_dims="0,2")
+@example(seed=3, value_dim=-2, state_dims="-1,1")
+def test_mutated_random_options_keep_the_exit_code_contract(seed, value_dim, state_dims):
+    # random has no verdict: it writes a colligation or refuses its input;
+    # the --option=value form keeps argparse from reading "-1,1" as an option
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["random", "--table", str(INPUTS / "table2.json"),
+                     f"--value-dim={value_dim}", f"--state-dims={state_dims}",
+                     f"--seed={seed}", "-o", str(Path(tmp, "rand.json"))])
+        written = Path(tmp, "rand.json").exists()
+    report = json.loads(out.getvalue())
+    assert code in (0, 2), report
+    assert (code == 0) == written == ("error" not in report), report

@@ -15,6 +15,7 @@ from colligate import (
     OrthogonalityError,
     PaddingError,
     RankError,
+    StructureError,
     injective_on_range,
     is_isometry,
     is_psd,
@@ -244,3 +245,15 @@ class TestRandomIsometry:
     def test_too_few_rows_is_an_error(self):
         with pytest.raises(DimensionError):
             random_isometry(2, 3, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, -5, None, True, False, 1.0, 2.5, "3", [3]], ids=repr)
+    def test_a_seed_that_is_not_a_nonnegative_integer_is_refused(self, seed):
+        # numpy would raise a bare ValueError for a negative seed, and draw
+        # an unseeded stream for None
+        with pytest.raises(StructureError) as info:
+            random_isometry(2, 2, seed)
+        assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
+    def test_a_numpy_integer_seed_is_the_same_seed(self):
+        npt.assert_array_equal(random_isometry(4, 2, np.int64(7)), random_isometry(4, 2, 7))
+        npt.assert_array_equal(random_isometry(4, 2, np.uint8(0)), random_isometry(4, 2, 0))

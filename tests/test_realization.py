@@ -286,6 +286,129 @@ class TestColligation:
             broken.rep.validate(atol)
 
 
+def _blocks(d: int, n: int) -> dict[str, np.ndarray]:
+    return dict(A=np.zeros((d, d)), B=np.zeros((d, n)), C=np.zeros((n, d)), D=np.zeros((n, n)))
+
+
+GUARDS = {
+    "no projection": (
+        lambda: Representation(()),
+        StructureError, "a representation needs at least one projection",
+    ),
+    "restrict without a split": (
+        lambda: coordinate_representation([1, 2]).restrict(0),
+        StructureError, "restriction requires a split",
+    ),
+    "negative block size": (
+        lambda: coordinate_representation([2, -1]),
+        StructureError, "block sizes must be nonnegative",
+    ),
+    "zero total dimension": (
+        lambda: coordinate_representation([0, 0]),
+        StructureError, "total state dimension must be at least 1",
+    ),
+    "no block sizes": (
+        lambda: coordinate_representation([]),
+        StructureError, "total state dimension must be at least 1",
+    ),
+    "no function": (
+        lambda: random_representation(0, 3, seed=0),
+        StructureError, "need at least one function and one state dimension",
+    ),
+    "no state dimension": (
+        lambda: random_representation(2, 0, seed=0),
+        StructureError, "need at least one function and one state dimension",
+    ),
+    "direct sum over different families": (
+        lambda: direct_sum(coordinate_representation([1, 1]), coordinate_representation([1, 1, 1])),
+        StructureError, "representations act for 2 and 3 functions",
+    ),
+    "representation on another state space": (
+        lambda: Colligation(rep=coordinate_representation([1, 2]), table=disc_table([0.0, 0.5]),
+                            **_blocks(1, 2)),
+        DimensionError, "representation acts on dimension 3, state blocks have dimension 2",
+    ),
+    "representation for another family": (
+        lambda: Colligation(rep=coordinate_representation([1, 1]), table=disc_table([0.0, 0.5]),
+                            **_blocks(1, 2)),
+        StructureError, "representation has 2 projections for 1 test functions",
+    ),
+    "misshapen block operator": (
+        lambda: Colligation.from_matrix(np.eye(3), 1, coordinate_representation([3]),
+                                        disc_table([0.0, 0.5])),
+        DimensionError, "block operator is (3, 3), expected (4, 4)",
+    ),
+    "fractional split": (
+        lambda: Representation(coordinate_representation([1, 1, 1]).projections, split=(1.5, 1.5)),
+        StructureError, "split must be a sequence of integers, got (1.5, 1.5)",
+    ),
+    "boolean split": (
+        lambda: Representation(coordinate_representation([1, 1]).projections, split=(True, True)),
+        StructureError, "split must be a sequence of integers, got (True, True)",
+    ),
+    "scalar split": (
+        lambda: Representation(coordinate_representation([1, 1]).projections, split=2),
+        StructureError, "split must be a sequence of integers, got 2",
+    ),
+    "split of three blocks": (
+        lambda: Representation(coordinate_representation([1, 1, 1]).projections, split=(1, 1, 1)),
+        StructureError, "split (1, 1, 1) does not partition state dimension 3",
+    ),
+    "fractional block sizes": (
+        lambda: coordinate_representation([1.5, 1.5]),
+        StructureError, "block sizes must be a sequence of integers, got [1.5, 1.5]",
+    ),
+    "integral float block size": (
+        lambda: coordinate_representation([2.0]),
+        StructureError, "block sizes must be a sequence of integers, got [2.0]",
+    ),
+    "boolean block size": (
+        lambda: coordinate_representation([True, 1]),
+        StructureError, "block sizes must be a sequence of integers, got [True, 1]",
+    ),
+    "negative seed": (
+        lambda: random_representation(2, 3, -5),
+        StructureError, "seed must be a nonnegative integer, got -5",
+    ),
+    "no seed": (
+        lambda: random_colligation(1, coordinate_representation([1, 1]), random_table(2, 3, seed=1),
+                                   seed=None),
+        StructureError, "seed must be a nonnegative integer, got None",
+    ),
+    "negative seed of a vanishing colligation": (
+        lambda: random_vanishing_colligation(1, coordinate_representation([1, 1]),
+                                             random_table(2, 3, seed=1), seed=-1),
+        StructureError, "seed must be a nonnegative integer, got -1",
+    ),
+    "fractional seed of a selfadjoint base colligation": (
+        lambda: random_selfadjoint_base_colligation(1, coordinate_representation([1, 1]),
+                                                    random_table(2, 3, seed=1), seed=0.5),
+        StructureError, "seed must be a nonnegative integer, got 0.5",
+    ),
+}
+
+
+class TestGuards:
+    """Each refusal of bad input, with its class and its full message."""
+
+    @pytest.mark.parametrize("case", list(GUARDS))
+    def test_bad_input_is_refused_with_its_message(self, case):
+        call, error, message = GUARDS[case]
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_integer_sizes_of_any_integer_type_are_kept_as_ints(self):
+        rep = Representation(coordinate_representation([1, 2]).projections,
+                             split=[np.int64(1), np.uint8(2)])
+        assert rep.split == (1, 2)
+        assert all(type(n) is int for n in rep.split)
+        assert rep.restrict(1).state_dim == 2
+        assert coordinate_representation(np.array([2, 0, 1])).state_dim == 3
+        assert coordinate_representation(n for n in (1, 2)).state_dim == 3
+
+
 class TestEvaluate:
     def test_base_point_returns_the_a_block(self):
         col = random_colligation(2, random_representation(2, 4, seed=7), random_table(2, 4, seed=8), seed=9)
