@@ -48,6 +48,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_ATOL,
     _check_atol,
+    _saturating,
     as_matrix,
     injective_on_range,
     is_isometry,
@@ -56,7 +57,8 @@ from .linalg import (
 )
 # evaluate stays bound in this namespace: bench/test_bench.py patches it here
 from .realization import evaluate  # noqa: F401
-from .realization import Colligation, _require_compatible, evaluate_all, rep_is_reducible
+from .realization import Colligation, _require_compatible, _triangular_at
+from .realization import evaluate_all, rep_is_reducible
 
 __all__ = [
     "VARIANTS",
@@ -288,14 +290,15 @@ def check_vanishing_selfadjoint(
     d = s.value_dim
     aw = _witness(a, "a", (d, d))
     smin = float(np.linalg.svd(aw, compute_uv=False)[-1]) if d else 0.0
-    residuals = {
-        "parent_base_vanishes": max_abs(s.A),
-        "parent_b2_vanishes": max_abs(s.B2),
-        "witness_selfadjoint": max_abs(aw - aw.conj().T),
-        "witness_invertible": max(0.0, atol - smin),
-        "gram_match": max_abs(s.C1.conj().T @ s.C1 - aw @ aw),
-        "compression_match": float("inf"),
-    }
+    with _saturating():
+        residuals = {
+            "parent_base_vanishes": max_abs(s.A),
+            "parent_b2_vanishes": max_abs(s.B2),
+            "witness_selfadjoint": max_abs(aw - aw.conj().T),
+            "witness_invertible": max(0.0, atol - smin),
+            "gram_match": max_abs(s.C1.conj().T @ s.C1 - aw @ aw),
+            "compression_match": float("inf"),
+        }
     if smin > atol:
         # C1 a^-2 C1* D2 via two solves against a, never an inverse
         x = np.linalg.solve(aw, s.C1.conj().T @ s.D2)
@@ -367,12 +370,13 @@ def check_both_vanishing(
     d = s.value_dim
     lw = _witness(left, "L", (n1, d))
     yw = _witness(y, "Y", (d, n2))
-    residuals = {
-        **_vanishing_pattern(s),
-        "l_isometry": max_abs(lw.conj().T @ lw - np.eye(d)),
-        "l_range_orthogonal": max_abs(lw.conj().T @ s.D1),
-        "d2_factors": max_abs(s.D2 - lw @ yw),
-    }
+    with _saturating():
+        residuals = {
+            **_vanishing_pattern(s),
+            "l_isometry": max_abs(lw.conj().T @ lw - np.eye(d)),
+            "l_range_orthogonal": max_abs(lw.conj().T @ s.D1),
+            "d2_factors": max_abs(s.D2 - lw @ yw),
+        }
     return _certificate("both-vanishing", {"L": lw, "Y": yw}, residuals, atol)
 
 
@@ -406,15 +410,16 @@ def check_general(
     a2w = _witness(a2, "A2", (d, d))
     x1w = _witness(x1, "X1", (n1, d))
     y2w = _witness(y2, "Y2", (d, n2))
-    coupling = a1w.conj().T @ s.B1 + x1w.conj().T @ s.D1
-    residuals = {
-        "a_splits": max_abs(s.A - a1w @ a2w),
-        "b2_splits": max_abs(s.B2 - a1w @ y2w),
-        "c1_splits": max_abs(s.C1 - x1w @ a2w),
-        "d2_splits": max_abs(s.D2 - x1w @ y2w),
-        "column_isometry": max_abs(a1w.conj().T @ a1w + x1w.conj().T @ x1w - np.eye(d)),
-        "injectivity": 0.0 if injective_on_range(a2w.conj().T, coupling, atol) else 1.0,
-    }
+    with _saturating():
+        coupling = a1w.conj().T @ s.B1 + x1w.conj().T @ s.D1
+        residuals = {
+            "a_splits": max_abs(s.A - a1w @ a2w),
+            "b2_splits": max_abs(s.B2 - a1w @ y2w),
+            "c1_splits": max_abs(s.C1 - x1w @ a2w),
+            "d2_splits": max_abs(s.D2 - x1w @ y2w),
+            "column_isometry": max_abs(a1w.conj().T @ a1w + x1w.conj().T @ x1w - np.eye(d)),
+            "injectivity": 0.0 if injective_on_range(a2w.conj().T, coupling, atol) else 1.0,
+        }
     witnesses = {"A1": a1w, "A2": a2w, "X1": x1w, "Y2": y2w}
     return _certificate("general", witnesses, residuals, atol)
 
@@ -460,13 +465,37 @@ def extract_general(
     return _factors(s, cert, w["A1"], w["A2"], w["X1"], w["Y2"], 10.0 * atol)
 
 
+def _shares_blocks(parent: Colligation, f1: Colligation, f2: Colligation) -> bool:
+    """True iff D is exactly block upper triangular and every projection exactly
+    block diagonal along the parent's split, and f1 and f2 carry those blocks."""
+    if parent.rep.split is None or not rep_is_reducible(parent.rep, 0.0):
+        return False
+    n1 = parent.rep.split[0]
+    return _triangular_at(parent.D, n1) and all(
+        np.array_equal(f.D, parent.D[half, half])
+        and np.array_equal(f.rep._stack, parent.rep.restrict(i)._stack)
+        for i, (f, half) in enumerate(((f1, slice(n1)), (f2, slice(n1, None))))
+    )
+
+
 def verify_factorization(
     parent: Colligation, f1: Colligation, f2: Colligation
 ) -> float:
     """Worst pointwise defect of parent = f1 * f2 over all points.
 
     All three colligations must share the value dimension and the exact
-    same sampled family.
+    same sampled family.  Factors with the parent's diagonal blocks take one
+    resolvent pass: over its representation and D, A = diag(A, A1, A2), B = [B;
+    B1, 0; 0, Y2] and C = [C, (X1; 0), (0; C2)] give F, F1, F2 on the diagonal.
     """
     _require_compatible(parent, f1, f2)
-    return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
+    if not _shares_blocks(parent, f1, f2):
+        return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
+    d, n, n1 = parent.value_dim, parent.state_dim, parent.rep.split[0]
+    a, b, c = (np.zeros(s, complex) for s in ((3 * d, 3 * d), (3 * d, n), (n, 3 * d)))
+    blocks = [slice(k * d, (k + 1) * d) for k in range(3)]
+    for col, block, rows in zip((parent, f1, f2), blocks, (slice(n), slice(n1), slice(n1, n))):
+        a[block, block], b[block, rows], c[rows, block] = col.A, col.B, col.C
+    values = evaluate_all(Colligation(parent.rep, parent.table, a, b, c, parent.D))
+    f, g1, g2 = (values[:, block, block] for block in blocks)
+    return max_abs(f - g1 @ g2)

@@ -78,8 +78,19 @@ def is_isometry(m, atol: float = DEFAULT_ATOL) -> bool:
         raise DimensionError(
             f"isometry candidate must be square or tall, got {rows}x{cols}"
         )
-    gram = a.conj().T @ a
-    return max_abs(gram - np.eye(cols)) <= atol
+    return _isometry_defect(a) <= atol
+
+
+def _isometry_defect(a: np.ndarray) -> float:
+    """Largest entry of a* a - I."""
+    with _saturating():
+        return max_abs(a.conj().T @ a - np.eye(a.shape[1]))
+
+
+def _saturating() -> np.errstate:
+    """Context for residuals of finite input: an entry that overflows to inf
+    or NaN reads as inf through max_abs, without a numpy warning."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def is_psd(m, atol: float = DEFAULT_ATOL) -> bool:
@@ -174,7 +185,7 @@ def isometric_factor(
     _check_atol(atol)
     a = as_matrix(d2, "d2")
     n = a.shape[0]
-    if target_dim < 0:
+    if _integer(target_dim, "target_dim") < 0:
         raise DimensionError("target_dim must be nonnegative")
     q = orthonormal_range_basis(a, atol)
     if q.shape[1] > target_dim:
@@ -232,6 +243,7 @@ def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
     numpy.random.default_rng(seed) and orthonormalizes it by QR, fixing
     column phases so the triangular factor has a positive diagonal.
     """
+    rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
     if rows < cols:
         raise DimensionError(
             f"cannot build a {rows}x{cols} isometry, need rows >= cols"
@@ -243,9 +255,22 @@ def _rng(seed) -> np.random.Generator:
     """``numpy.random.default_rng(seed)`` for a nonnegative integer seed.
     Anything else is refused: numpy raises a bare ValueError for a
     negative seed and draws an unseeded stream for ``None``."""
-    if not (type(seed) is int or isinstance(seed, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise StructureError(f"seed must be a nonnegative integer, got {seed!r}")
     return np.random.default_rng(int(seed))
+
+
+def _is_integer(value) -> bool:
+    """The one test of an integer argument: an int or a numpy integer, and
+    never a bool, so a fraction or a flag is refused rather than truncated."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, refused with StructureError unless _is_integer."""
+    if not _is_integer(value):
+        raise StructureError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _rng_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -22,6 +22,9 @@ from .errors import DimensionError, SingularResolventError, StructureError
 from .linalg import (
     DEFAULT_ATOL,
     _check_atol,
+    _integer,
+    _is_integer,
+    _isometry_defect,
     _rng,
     _rng_isometry,
     as_matrix,
@@ -174,7 +177,7 @@ def _integers(values, name: str) -> tuple[int, ...]:
     """``values`` as a tuple of ints: booleans and fractional entries are
     refused, not truncated."""
     items = tuple(values) if np.iterable(values) else (None,)
-    if not all(type(v) is int or isinstance(v, np.integer) for v in items):
+    if not all(_is_integer(v) for v in items):
         raise StructureError(f"{name} must be a sequence of integers, got {values!r}")
     return tuple(int(v) for v in items)
 
@@ -232,6 +235,7 @@ def _round_robin_representation(m: int, state_dim: int) -> Representation:
 def random_representation(m: int, state_dim: int, seed: int) -> Representation:
     """Random projection family: a seeded unitary conjugating a
     round-robin coordinate partition of the state space."""
+    m, state_dim = _integer(m, "m"), _integer(state_dim, "state_dim")
     if m < 1 or state_dim < 1:
         raise StructureError("need at least one function and one state dimension")
     rng = _rng(seed)
@@ -333,8 +337,7 @@ class Colligation:
         return _block2(self.A, self.B, self.C, self.D)
 
     def isometry_defect(self) -> float:
-        u = self.matrix()
-        return max_abs(u.conj().T @ u - np.eye(u.shape[1]))
+        return _isometry_defect(self.matrix())
 
     def validate(self, atol: float = DEFAULT_ATOL) -> None:
         self.rep.validate(atol)
@@ -354,7 +357,7 @@ class Colligation:
     ) -> "Colligation":
         """Partition a (value_dim + state_dim) square matrix into blocks."""
         m = as_matrix(u, "block operator")
-        d = int(value_dim)
+        d = _integer(value_dim, "value_dim")
         n = rep.state_dim
         if m.shape != (d + n, d + n):
             raise DimensionError(
@@ -434,6 +437,11 @@ def _scaled_block(d, lam, rhs, at) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
+def _triangular_at(d: np.ndarray, n1: int) -> bool:
+    """True iff d[n1:, :n1] is exact zeros: d is block upper triangular at n1."""
+    return not d[n1:, :n1].any()
+
+
 def _resolvents(col: Colligation, indices):
     """Yield (at, G, H) for the point indices ``indices``, chunk by chunk:
     G[k] = (I - D L_k)^{-1} C and H[k] = L_k G[k] at point index at[k].
@@ -464,7 +472,7 @@ def _resolvents(col: Colligation, indices):
     labels = col.rep._labels
     # the D3 block is d[n1:, n1:]: all of D unless on a coordinate split
     n1 = col.rep.split[0] if labels is not None and col.rep.split else 0
-    if n1 and d[n1:, :n1].any():
+    if n1 and not _triangular_at(d, n1):
         n1 = 0
     if labels is None:
         stack = col.rep._stack
@@ -600,7 +608,7 @@ def random_colligation(
 
 def _absorbed_value_dim(value_dim: int, rep: Representation) -> int:
     """``value_dim`` as an int, refused when the state space is smaller."""
-    d = int(value_dim)
+    d = _integer(value_dim, "value_dim")
     if rep.state_dim < d:
         raise DimensionError(
             f"state dimension {rep.state_dim} cannot absorb value dimension {d}"

@@ -244,6 +244,37 @@ class TestCheck:
         assert report["residuals"]["d2_splits"] == 1.0
 
 
+class TestHugeEntries:
+    """A finite entry whose products overflow reads as an infinite residual,
+    with no numpy warning on the way."""
+
+    def test_a_huge_witness_fails_the_check_with_exit_one(self, workdir, capsys):
+        save_witness({"A": np.array([[1e300]])}, str(workdir / "huge.json"))
+        code, report = run(capsys, "check", workdir / "blaschke.json",
+                           "--variant", "vanishing-selfadjoint", "--witness", workdir / "huge.json")
+        assert code == 1
+        assert report["verdict"] is False
+        assert report["residuals"]["gram_match"] == float("inf")
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_a_huge_block_entry_is_refused_with_exit_two(self, workdir, capsys, command):
+        col = blaschke_colligation()
+        d = np.array(col.D)
+        d[0, 0] = 1e300
+        huge = workdir / "huge.json"
+        save_colligation(Colligation(rep=col.rep, table=col.table, A=col.A, B=col.B, C=col.C, D=d),
+                         str(huge))
+        blaschke = workdir / "blaschke.json"
+        argv = {
+            "check": [huge, "--variant", "vanishing-selfadjoint", "--witness", workdir / "half.json"],
+            "verify": [huge, blaschke, blaschke],
+        }[command]
+        code, report = run(capsys, command, *argv)
+        assert code == 2
+        assert report["error"] == "StructureError"
+        assert report["detail"] == "block operator fails isometry by inf"
+
+
 class TestFactor:
     def test_writes_two_loadable_factors(self, workdir, capsys):
         stem = workdir / "out"

@@ -442,6 +442,27 @@ class TestFourTuple:
 
 
 class TestNonFiniteWitness:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_huge_finite_witness_fails_with_an_infinite_residual(self, variant):
+        # its products overflow: no numpy warning, the residual reads inf
+        first, second, parent, witnesses = conforming_pair(variant, 1, 2, 2, 1, seed=5)
+        s = split_blocks(parent)
+        if witnesses is None:
+            left, y = find_LY_witness(s)
+            witnesses = {"L": left * 1e300, "Y": y}
+        else:
+            witnesses = {k: w * 1e300 for k, w in witnesses.items()}
+        cert = VARIANT_TABLE[variant].check(s, witnesses)
+        assert not cert.verdict
+        assert max(cert.residuals.values()) == float("inf")
+
+    def test_a_huge_selfadjoint_witness_fails_on_the_gram_condition(self):
+        s = split_blocks(blaschke_colligation())
+        cert = check_vanishing_selfadjoint(s, [[1e300]])
+        assert not cert.verdict
+        assert cert.residuals["gram_match"] == float("inf")
+        assert cert.residuals["witness_selfadjoint"] == 0.0
+
     def test_nan_witness_is_a_format_error(self):
         s = split_blocks(blaschke_colligation())
         with pytest.raises(FormatError, match="non-finite") as info:

@@ -25,6 +25,7 @@ from colligate import (
     orthonormal_range_basis,
     random_isometry,
 )
+from colligate.linalg import as_matrix
 
 
 def _randc(rng, rows, cols):
@@ -254,6 +255,59 @@ class TestRandomIsometry:
             random_isometry(2, 2, seed)
         assert str(info.value) == f"seed must be a nonnegative integer, got {seed!r}"
 
+    @pytest.mark.parametrize("rows, cols, name, value", [
+        (2.5, 2, "rows", 2.5), (3, 2.0, "cols", 2.0), (True, 1, "rows", True), ("3", 2, "rows", "3"),
+    ])
+    def test_a_dimension_that_is_not_an_integer_is_refused(self, rows, cols, name, value):
+        with pytest.raises(StructureError) as info:
+            random_isometry(rows, cols, 0)
+        assert type(info.value) is StructureError
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
     def test_a_numpy_integer_seed_is_the_same_seed(self):
         npt.assert_array_equal(random_isometry(4, 2, np.int64(7)), random_isometry(4, 2, 7))
         npt.assert_array_equal(random_isometry(4, 2, np.uint8(0)), random_isometry(4, 2, 0))
+
+
+GUARDS = {
+    "3-D matrix": (
+        lambda: as_matrix(np.zeros((2, 2, 2)), "witness"),
+        DimensionError, "witness must be 2-D, got shape (2, 2, 2)",
+    ),
+    "non-square psd candidate": (
+        lambda: is_psd(np.zeros((2, 3))),
+        DimensionError, "psd candidate must be square, got (2, 3)",
+    ),
+    "negative target dimension": (
+        lambda: isometric_factor(np.eye(2), -1),
+        DimensionError, "target_dim must be nonnegative",
+    ),
+    "fractional target dimension": (
+        lambda: isometric_factor(np.eye(2), 1.5),
+        StructureError, "target_dim must be an integer, got 1.5",
+    ),
+    "orthogonal_to of another height": (
+        lambda: isometric_factor(np.eye(2), 2, orthogonal_to=np.eye(3)),
+        DimensionError, "orthogonal_to has 3 rows, expected 2",
+    ),
+    "injectivity over mismatched shapes": (
+        lambda: injective_on_range(np.zeros((2, 3)), np.zeros((2, 2))),
+        DimensionError, "mstar has 3 columns but r has 2 rows",
+    ),
+}
+
+
+class TestGuards:
+    """Each refusal of bad input, with its class and its full message."""
+
+    @pytest.mark.parametrize("case", list(GUARDS))
+    def test_bad_input_is_refused_with_its_message(self, case):
+        call, error, message = GUARDS[case]
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_a_huge_finite_entry_is_no_isometry(self):
+        # the Gram product overflows without a numpy warning
+        assert not is_isometry(np.array([[1e300, 0.0], [0.0, 1.0]]))

@@ -30,8 +30,10 @@ from colligate import (
     random_vanishing_colligation,
     rep_apply,
     rep_is_reducible,
+    split_blocks,
     verify_factorization,
 )
+from colligate.factorization import VARIANT_TABLE
 from conftest import (
     blaschke_colligation,
     conforming_pair,
@@ -249,6 +251,17 @@ class TestColligation:
         with pytest.raises(StructureError):
             broken.validate(1e-9)
 
+    def test_a_huge_finite_entry_reads_as_an_infinite_defect(self):
+        # the Gram product overflows: no numpy warning, and the defect is inf
+        col = blaschke_colligation()
+        d = np.array(col.D)
+        d[0, 0] = 1e300
+        huge = Colligation(rep=col.rep, table=col.table, A=col.A, B=col.B, C=col.C, D=d)
+        assert huge.isometry_defect() == float("inf")
+        with pytest.raises(StructureError) as info:
+            huge.validate(1e-9)
+        assert str(info.value) == "block operator fails isometry by inf"
+
     def test_later_writes_to_the_callers_blocks_change_nothing(self):
         ref = blaschke_colligation()
         blocks = {name: getattr(ref, name).copy() for name in "ABCD"}
@@ -365,6 +378,28 @@ GUARDS = {
     "boolean block size": (
         lambda: coordinate_representation([True, 1]),
         StructureError, "block sizes must be a sequence of integers, got [True, 1]",
+    ),
+    "fractional value dimension": (
+        lambda: Colligation.from_matrix(np.eye(3), 1.5, coordinate_representation([2]),
+                                        disc_table([0.0, 0.5])),
+        StructureError, "value_dim must be an integer, got 1.5",
+    ),
+    "integral float value dimension to absorb": (
+        lambda: random_vanishing_colligation(1.0, coordinate_representation([1, 1]),
+                                             random_table(2, 3, seed=1), seed=0),
+        StructureError, "value_dim must be an integer, got 1.0",
+    ),
+    "fractional number of functions": (
+        lambda: random_representation(2.5, 3, 0),
+        StructureError, "m must be an integer, got 2.5",
+    ),
+    "fractional state dimension": (
+        lambda: random_representation(2, 3.5, 0),
+        StructureError, "state_dim must be an integer, got 3.5",
+    ),
+    "boolean state dimension": (
+        lambda: random_representation(1, True, 0),
+        StructureError, "state_dim must be an integer, got True",
     ),
     "negative seed": (
         lambda: random_representation(2, 3, -5),
@@ -816,9 +851,106 @@ class TestGramianIdentity:
         assert abs(gramian_identity_check(bumped) - pairwise_gramian_residual(bumped)) < 1e-13
 
 
+VARIANT_FACTORS = {
+    "vanishing-selfadjoint": (random_vanishing_colligation, random_selfadjoint_base_colligation),
+    "both-vanishing": (random_vanishing_colligation, random_vanishing_colligation),
+    "general": (random_colligation, random_colligation),
+}
+
+
+def extracted_case(variant: str, kind: str, d: int, seed: int):
+    """(parent, f1, f2): the product of two random isometric factors of the
+    variant's shape, and the factors its extractor rebuilds from it.
+
+    ``kind`` picks the factors' representations: "coordinate" (a parent on
+    a coordinate split), "dense" (a dense parent) or "mixed" (a coordinate
+    first factor under a dense parent).
+    """
+    rng = np.random.default_rng(seed)
+    m = 1 + seed % 3
+    table = random_table(m, 6, seed=seed)
+    n1, n2 = d + int(rng.integers(0, 3)), d + int(rng.integers(0, 3))
+    dense1, dense2 = random_representation(m, n1, seed + 1), random_representation(m, n2, seed + 2)
+    reps = {
+        "coordinate": (coordinate_rep(rng, m, n1), coordinate_rep(rng, m, n2)),
+        "dense": (dense1, dense2),
+        "mixed": (coordinate_rep(rng, m, n1), dense2),
+    }[kind]
+    make1, make2 = VARIANT_FACTORS[variant]
+    first, second = make1(d, reps[0], table, seed + 3), make2(d, reps[1], table, seed + 4)
+    parent = product(first, second)
+    assert (parent.rep._labels is not None) == (kind == "coordinate")
+    s, v = split_blocks(parent), VARIANT_TABLE[variant]
+    if variant == "both-vanishing":
+        witnesses = v.search(s, {})
+    else:
+        known = {"A": second.A, "A1": first.A, "A2": second.A, "X1": first.C, "Y2": second.B}
+        witnesses = {k: known[k] for k in v.witnesses}
+    return (parent, *v.extract(s, witnesses))
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Records [colligation, values] for each call of the module-level
+    evaluate; values stay None when the call raises."""
+    calls = []
+    original = realization.evaluate
+
+    def recorded(col, i):
+        calls.append([col, None])
+        calls[-1][1] = original(col, i)
+        return calls[-1][1]
+
+    monkeypatch.setattr(realization, "evaluate", recorded)
+    return calls
+
+
+def three_passes(parent: Colligation, f1: Colligation, f2: Colligation) -> float:
+    """verify_factorization's residual from three separate evaluations."""
+    return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
+
+
+def _ulp_up(m: np.ndarray, at: tuple[int, int]) -> np.ndarray:
+    out = np.array(m)
+    out[at] = np.nextafter(out[at].real, np.inf) + 1j * out[at].imag
+    return out
+
+
+def _with(col: Colligation, **parts) -> Colligation:
+    fields = dict(rep=col.rep, table=col.table, A=col.A, B=col.B, C=col.C, D=col.D)
+    return Colligation(**{**fields, **parts})
+
+
+def _stray(parent: Colligation, where: str) -> Colligation:
+    """``parent`` with 1e-300 just outside the block pattern of its split:
+    in the lower-left D block, or off the diagonal blocks of P_1."""
+    n1 = parent.rep.split[0]
+    if where == "D":
+        d = np.array(parent.D)
+        d[n1, 0] = 1e-300
+        return _with(parent, D=d)
+    projections = list(parent.rep.projections)
+    projections[0] = np.array(projections[0])
+    projections[0][0, n1] = 1e-300
+    return _with(parent, rep=Representation(tuple(projections), split=parent.rep.split))
+
+
+FALLBACKS = {
+    "first D off by one ulp": lambda p, f1, f2: (p, _with(f1, D=_ulp_up(f1.D, (0, 0))), f2),
+    "second projection changed": lambda p, f1, f2: (p, f1, _with(f2, rep=Representation(
+        (_ulp_up(f2.rep.projections[0], (0, 0)),) + f2.rep.projections[1:]))),
+    "lower-left D entry": lambda p, f1, f2: (_stray(p, "D"), f1, f2),
+    "off-diagonal projection entry": lambda p, f1, f2: (_stray(p, "P"), f1, f2),
+    "swapped factors": lambda p, f1, f2: (p, f2, f1),
+}
+
+
 class TestVerifyFactorization:
     @pytest.mark.parametrize("variant", ["vanishing-selfadjoint", "both-vanishing", "general"])
     def test_stacked_form_is_bit_identical_to_the_pointwise_form(self, variant):
+        # factors in their own order share the parent's blocks and take one
+        # resolvent pass, which may round differently; swapped, they take
+        # three passes, bit-identical to the pointwise form
         for seed in range(20):
             d, n1, n2, m = 1 + seed % 3, 1 + seed % 4, 1 + (seed // 4) % 4, 1 + seed % 3
             first, second, parent, _ = conforming_pair(variant, d, max(n1, d), max(n2, d), m, 900 + seed)
@@ -827,7 +959,74 @@ class TestVerifyFactorization:
                     max_abs(evaluate(parent, i) - evaluate(f1, i) @ evaluate(f2, i))
                     for i in range(parent.table.n)
                 )
-                assert verify_factorization(parent, f1, f2) == pointwise
+                if f1 is second:
+                    assert verify_factorization(parent, f1, f2) == pointwise
+                    continue
+                reference = max(
+                    max_abs(dense_evaluate(parent, i) - dense_evaluate(f1, i) @ dense_evaluate(f2, i))
+                    for i in range(parent.table.n)
+                )
+                assert abs(verify_factorization(parent, f1, f2) - pointwise) <= 1e-14
+                assert abs(verify_factorization(parent, f1, f2) - reference) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["coordinate", "dense", "mixed"])
+    @pytest.mark.parametrize("variant", ["vanishing-selfadjoint", "both-vanishing", "general"])
+    def test_one_pass_holds_each_value_on_its_diagonal(self, evaluations, variant, kind):
+        for d in range(1, 5):
+            parent, f1, f2 = extracted_case(variant, kind, d, seed=300 + 10 * d)
+            evaluations.clear()
+            residual = verify_factorization(parent, f1, f2)
+            [(joint, values)] = evaluations
+            assert joint.rep is parent.rep and joint.value_dim == 3 * d
+            blocks = [values[:, k * d : (k + 1) * d, k * d : (k + 1) * d] for k in range(3)]
+            assert residual == max_abs(blocks[0] - blocks[1] @ blocks[2])
+            assert residual <= 1e-12
+            for block, col in zip(blocks, (parent, f1, f2)):
+                assert max_abs(block - evaluate_all(col)) <= 1e-14
+                for i in range(col.table.n):
+                    assert max_abs(block[i] - dense_evaluate(col, i)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["coordinate", "dense"])
+    @pytest.mark.parametrize("trigger", list(FALLBACKS))
+    def test_each_fallback_trigger_evaluates_three_times(self, evaluations, trigger, kind):
+        parent, f1, f2 = FALLBACKS[trigger](*extracted_case("general", kind, 2, seed=77))
+        expected = three_passes(parent, f1, f2)
+        evaluations.clear()
+        assert verify_factorization(parent, f1, f2) == expected
+        assert [col for col, _ in evaluations] == [parent, f1, f2]
+
+    def test_a_singular_point_is_named_as_by_three_passes(self, evaluations):
+        # I - D L(x_2) vanishes in the single and the dense colligation alike
+        table = disc_table([0.0, 0.25, 0.5, -0.25, 0.125])
+        single = Colligation(
+            rep=coordinate_representation([1]),
+            table=table,
+            A=np.zeros((1, 1), dtype=complex),
+            B=np.ones((1, 1), dtype=complex),
+            C=np.ones((1, 1), dtype=complex),
+            D=np.array([[2.0]], dtype=complex),
+        )
+        half = np.full((2, 2), 0.5, dtype=complex)
+        values = np.vstack([table.values, [0.0, 0.1, 0.5, -0.3, 0.2]])
+        dense = Colligation(
+            rep=Representation((half, np.eye(2) - half)),
+            table=FunctionTable(table.points, values),
+            A=np.zeros((1, 1), dtype=complex),
+            B=np.ones((1, 2), dtype=complex) / 2,
+            C=np.ones((2, 1), dtype=complex),
+            D=2.0 * np.eye(2, dtype=complex),
+        )
+        shift = coordinate_colligation(table)
+        for f1, f2 in ((single, shift), (shift, single), (dense, dense)):
+            parent = product(f1, f2)
+            with pytest.raises(SingularResolventError) as three:
+                three_passes(parent, f1, f2)
+            evaluations.clear()
+            with pytest.raises(SingularResolventError) as one:
+                verify_factorization(parent, f1, f2)
+            assert str(one.value) == str(three.value)
+            assert "point index 2;" in str(one.value)
+            assert len(evaluations) == 1 and evaluations[0][0].value_dim == 3
 
 
 class TestStructuredGenerators:
