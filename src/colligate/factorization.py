@@ -492,7 +492,7 @@ def verify_factorization(
     if not _shares_blocks(parent, f1, f2):
         return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
     d, n, n1 = parent.value_dim, parent.state_dim, parent.rep.split[0]
-    a, b, c = (np.zeros(s, complex) for s in ((3 * d, 3 * d), (3 * d, n), (n, 3 * d)))
+    a, b, c = (np.zeros(shape, complex) for shape in ((3 * d, 3 * d), (3 * d, n), (n, 3 * d)))
     blocks = [slice(k * d, (k + 1) * d) for k in range(3)]
     for col, block, rows in zip((parent, f1, f2), blocks, (slice(n), slice(n1), slice(n1, n))):
         a[block, block], b[block, rows], c[rows, block] = col.A, col.B, col.C

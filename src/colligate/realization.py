@@ -271,11 +271,9 @@ def rep_is_reducible(rep: Representation, atol: float = DEFAULT_ATOL) -> bool:
     _check_atol(atol)
     if rep.split is None:
         raise StructureError("reducibility is relative to a split, none recorded")
-    n1, _ = rep.split
-    worst = 0.0
-    for p in rep.projections:
-        worst = max(worst, max_abs(p[:n1, n1:]), max_abs(p[n1:, :n1]))
-    return worst <= atol
+    n, n1 = rep.state_dim, rep.split[0]
+    stack = rep._stack.reshape(-1, n, n)
+    return max(max_abs(stack[:, :n1, n1:]), max_abs(stack[:, n1:, :n1])) <= atol
 
 
 @dataclass(frozen=True, eq=False)
