@@ -671,6 +671,32 @@ def chunked_models(n_points: int, n1: int, seed: int) -> dict[str, Colligation]:
     }
 
 
+def singular_at_point_two() -> tuple[Colligation, Colligation, Colligation]:
+    """(single, dense, shift) over five points, one chunk: I - D L(x_2)
+    vanishes, 1 - 2 * 0.5 on the coordinate single and I - 2 (0.5 P +
+    0.5 (I - P)) on the dense one; shift shares the single's table."""
+    table = disc_table([0.0, 0.25, 0.5, -0.25, 0.125])
+    single = Colligation(
+        rep=coordinate_representation([1]),
+        table=table,
+        A=np.zeros((1, 1), dtype=complex),
+        B=np.ones((1, 1), dtype=complex),
+        C=np.ones((1, 1), dtype=complex),
+        D=np.array([[2.0]], dtype=complex),
+    )
+    half = np.full((2, 2), 0.5, dtype=complex)
+    values = np.vstack([table.values, [0.0, 0.1, 0.5, -0.3, 0.2]])
+    dense = Colligation(
+        rep=Representation((half, np.eye(2) - half)),
+        table=FunctionTable(table.points, values),
+        A=np.zeros((1, 1), dtype=complex),
+        B=np.ones((1, 2), dtype=complex),
+        C=np.ones((2, 1), dtype=complex),
+        D=2.0 * np.eye(2, dtype=complex),
+    )
+    return single, dense, coordinate_colligation(table)
+
+
 class TestChunkedKernel:
     """Points go through the kernel in chunks of max(1, budget // side^2),
     side the largest block a chunk solves."""
@@ -702,29 +728,8 @@ class TestChunkedKernel:
                 assert gramian_identity_check(col) == whole
 
     def test_a_singular_point_inside_a_chunk_is_named(self):
-        # I - D L(x_2) vanishes: 1 - 2 * 0.5 on the coordinate family, and
-        # I - 2 (0.5 P + 0.5 (I - P)) on the dense one; five points, one chunk
-        table = disc_table([0.0, 0.25, 0.5, -0.25, 0.125])
-        single = Colligation(
-            rep=coordinate_representation([1]),
-            table=table,
-            A=np.zeros((1, 1), dtype=complex),
-            B=np.ones((1, 1), dtype=complex),
-            C=np.ones((1, 1), dtype=complex),
-            D=np.array([[2.0]], dtype=complex),
-        )
-        half = np.full((2, 2), 0.5, dtype=complex)
-        values = np.vstack([table.values, [0.0, 0.1, 0.5, -0.3, 0.2]])
-        dense = Colligation(
-            rep=Representation((half, np.eye(2) - half)),
-            table=FunctionTable(table.points, values),
-            A=np.zeros((1, 1), dtype=complex),
-            B=np.ones((1, 2), dtype=complex),
-            C=np.ones((2, 1), dtype=complex),
-            D=2.0 * np.eye(2, dtype=complex),
-        )
+        single, dense, shift = singular_at_point_two()
         assert dense.rep._labels is None
-        shift = coordinate_colligation(table)
         for col in (single, product(single, shift), product(shift, single), dense):
             calls = (
                 lambda: evaluate_all(col),
@@ -966,8 +971,9 @@ class TestVerifyFactorization:
                     max_abs(dense_evaluate(parent, i) - dense_evaluate(f1, i) @ dense_evaluate(f2, i))
                     for i in range(parent.table.n)
                 )
-                assert abs(verify_factorization(parent, f1, f2) - pointwise) <= 1e-14
-                assert abs(verify_factorization(parent, f1, f2) - reference) <= 1e-12
+                residual = verify_factorization(parent, f1, f2)
+                assert abs(residual - pointwise) <= 1e-14
+                assert abs(residual - reference) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["coordinate", "dense", "mixed"])
     @pytest.mark.parametrize("variant", ["vanishing-selfadjoint", "both-vanishing", "general"])
@@ -996,27 +1002,7 @@ class TestVerifyFactorization:
         assert [col for col, _ in evaluations] == [parent, f1, f2]
 
     def test_a_singular_point_is_named_as_by_three_passes(self, evaluations):
-        # I - D L(x_2) vanishes in the single and the dense colligation alike
-        table = disc_table([0.0, 0.25, 0.5, -0.25, 0.125])
-        single = Colligation(
-            rep=coordinate_representation([1]),
-            table=table,
-            A=np.zeros((1, 1), dtype=complex),
-            B=np.ones((1, 1), dtype=complex),
-            C=np.ones((1, 1), dtype=complex),
-            D=np.array([[2.0]], dtype=complex),
-        )
-        half = np.full((2, 2), 0.5, dtype=complex)
-        values = np.vstack([table.values, [0.0, 0.1, 0.5, -0.3, 0.2]])
-        dense = Colligation(
-            rep=Representation((half, np.eye(2) - half)),
-            table=FunctionTable(table.points, values),
-            A=np.zeros((1, 1), dtype=complex),
-            B=np.ones((1, 2), dtype=complex) / 2,
-            C=np.ones((2, 1), dtype=complex),
-            D=2.0 * np.eye(2, dtype=complex),
-        )
-        shift = coordinate_colligation(table)
+        single, dense, shift = singular_at_point_two()
         for f1, f2 in ((single, shift), (shift, single), (dense, dense)):
             parent = product(f1, f2)
             with pytest.raises(SingularResolventError) as three:
