@@ -412,13 +412,17 @@ def check_general(
     y2w = _witness(y2, "Y2", (d, n2))
     with _saturating():
         coupling = a1w.conj().T @ s.B1 + x1w.conj().T @ s.D1
+        # an overflowed coupling has no range to test: the condition fails
+        injective = np.isfinite(coupling).all() and injective_on_range(
+            a2w.conj().T, coupling, atol
+        )
         residuals = {
             "a_splits": max_abs(s.A - a1w @ a2w),
             "b2_splits": max_abs(s.B2 - a1w @ y2w),
             "c1_splits": max_abs(s.C1 - x1w @ a2w),
             "d2_splits": max_abs(s.D2 - x1w @ y2w),
             "column_isometry": max_abs(a1w.conj().T @ a1w + x1w.conj().T @ x1w - np.eye(d)),
-            "injectivity": 0.0 if injective_on_range(a2w.conj().T, coupling, atol) else 1.0,
+            "injectivity": 0.0 if injective else 1.0,
         }
     witnesses = {"A1": a1w, "A2": a2w, "X1": x1w, "Y2": y2w}
     return _certificate("general", witnesses, residuals, atol)
@@ -467,14 +471,18 @@ def extract_general(
 
 def _shares_blocks(parent: Colligation, f1: Colligation, f2: Colligation) -> bool:
     """True iff D is exactly block upper triangular and every projection exactly
-    block diagonal along the parent's split, and f1 and f2 carry those blocks."""
-    if parent.rep.split is None or not rep_is_reducible(parent.rep, 0.0):
+    block diagonal along the parent's split, and f1 and f2 carry those blocks.
+    Every test reads slices of the parent's arrays; nothing is copied."""
+    if parent.rep.split is None:
         return False
-    n1 = parent.rep.split[0]
+    n, n1 = parent.state_dim, parent.rep.split[0]
+    stack = parent.rep._stack.reshape(-1, n, n)
+    if stack[:, :n1, n1:].any() or stack[:, n1:, :n1].any():
+        return False
     return _triangular_at(parent.D, n1) and all(
         np.array_equal(f.D, parent.D[half, half])
-        and np.array_equal(f.rep._stack, parent.rep.restrict(i)._stack)
-        for i, (f, half) in enumerate(((f1, slice(n1)), (f2, slice(n1, None))))
+        and np.array_equal(f.rep._stack.reshape(-1, k, k), stack[:, half, half])
+        for f, half, k in ((f1, slice(n1), n1), (f2, slice(n1, None), n - n1))
     )
 
 

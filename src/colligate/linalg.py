@@ -61,7 +61,7 @@ def max_abs(m) -> float:
     a = np.asarray(m)
     if not a.size:
         return 0.0
-    worst = float(np.max(np.abs(a)))
+    worst = float(np.abs(a).max())
     return math.inf if math.isnan(worst) else worst
 
 

@@ -406,13 +406,12 @@ def _solve(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
 def _dense_block(dp, stack, psi, c, at) -> tuple[np.ndarray, np.ndarray]:
     """(G, H) of one chunk of a dense family with coefficient rows ``psi``:
     D L_k = sum_j psi_kj D P_j from the rows of ``dp``, and L_k from the
-    rows of ``stack``, one vector-matrix product per point."""
+    rows of ``stack``.  Each is one batched (c, 1, m) @ (m, N^2) product,
+    which numpy runs as the one-point vector-matrix kernel item by item, so
+    a point's values do not depend on its chunk."""
     count, n = len(psi), c.shape[0]
-    resolvent = np.empty((count, n * n), dtype=np.complex128)
-    lam = np.empty((count, n * n), dtype=np.complex128)
-    for k, coeffs in enumerate(psi):
-        np.matmul(-coeffs, dp, out=resolvent[k])
-        np.matmul(coeffs, stack, out=lam[k])
+    resolvent = np.matmul(-psi[:, None, :], dp).reshape(count, n * n)
+    lam = np.matmul(psi[:, None, :], stack)
     # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k is on its diagonal
     resolvent[:, :: n + 1] += 1.0
     g = _solve(resolvent.reshape(count, n, n), c, at)
@@ -600,7 +599,8 @@ def random_colligation(
     seed: int,
 ) -> Colligation:
     """Uniformly random isometric colligation over the given data."""
-    u = random_isometry(value_dim + rep.state_dim, value_dim + rep.state_dim, seed)
+    size = _integer(value_dim, "value_dim") + rep.state_dim
+    u = random_isometry(size, size, seed)
     return Colligation.from_matrix(u, value_dim, rep, table)
 
 

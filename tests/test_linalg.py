@@ -42,6 +42,21 @@ class TestMaxAbs:
     def test_nan_counts_as_infinite(self):
         assert max_abs(np.array([[1.0, np.nan]])) == np.inf
 
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            (np.array(-2.5), 2.5),
+            (np.array([[-0.0]]), 0.0),
+            (np.array([[1.0, -np.inf]]), np.inf),
+            (np.array([[1.0, complex(2.0, np.nan)]]), np.inf),
+            (np.array([[complex(np.inf, 1.0)]]), np.inf),
+        ],
+    )
+    def test_zero_d_signed_zero_and_non_finite_inputs(self, value, expected):
+        worst = max_abs(value)
+        assert type(worst) is float and worst == expected
+        assert not np.signbit(worst)
+
 
 class TestIsIsometry:
     def test_accepts_unitary(self):
@@ -131,6 +146,10 @@ class TestOrthonormalRangeBasis:
 
     def test_zero_matrix_gives_empty_basis(self):
         assert orthonormal_range_basis(np.zeros((4, 2))).shape == (4, 0)
+
+    def test_matrix_without_columns_gives_empty_basis(self):
+        basis = orthonormal_range_basis(np.zeros((3, 0)))
+        assert basis.shape == (3, 0) and basis.dtype == np.complex128
 
 
 class TestIsometricFactor:

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from colligate import realization
+from colligate import factorization, realization
 from colligate import TestFunctionTable as FunctionTable
 from colligate import (
     Colligation,
@@ -72,17 +72,36 @@ def conjugated(col: Colligation, w: np.ndarray) -> Colligation:
     return Colligation.from_matrix(v @ col.matrix() @ v.conj().T, d, rep, col.table)
 
 
+class KernelCalls(list):
+    """("solve", shape) with the full stack shape of each solve; ``products``
+    holds the operand shapes (a.shape, b.shape) of each np.matmul call.
+    clear() empties both."""
+
+    def __init__(self):
+        super().__init__()
+        self.products = []
+
+    def clear(self):
+        super().clear()
+        self.products.clear()
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Records ("solve", shape) with the full stack shape of each solve."""
-    calls = []
-    solve = np.linalg.solve
+    """Records every np.linalg.solve and np.matmul call into a KernelCalls."""
+    calls = KernelCalls()
+    solve, matmul = np.linalg.solve, np.matmul
 
     def counted_solve(a, b):
         calls.append(("solve", a.shape))
         return solve(a, b)
 
+    def counted_matmul(a, b, **kwargs):
+        calls.products.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, **kwargs)
+
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
     return calls
 
 
@@ -389,6 +408,11 @@ GUARDS = {
                                              random_table(2, 3, seed=1), seed=0),
         StructureError, "value_dim must be an integer, got 1.0",
     ),
+    "fractional value dimension of a random colligation": (
+        lambda: random_colligation(1.5, coordinate_representation([1, 1]),
+                                   random_table(2, 3, seed=1), seed=0),
+        StructureError, "value_dim must be an integer, got 1.5",
+    ),
     "fractional number of functions": (
         lambda: random_representation(2.5, 3, 0),
         StructureError, "m must be an integer, got 2.5",
@@ -524,7 +548,7 @@ class TestStructuredKernel:
                     gap = gramian_identity_check(col) - pairwise_gramian_residual(col)
                     assert abs(gap) <= 1e-13
 
-    def test_each_path_makes_its_own_solves(self, kernel_calls):
+    def test_each_path_makes_its_own_solves(self, monkeypatch, kernel_calls):
         rng = np.random.default_rng(14)
         table = random_table(2, 4, seed=15)
         first = random_colligation(2, coordinate_rep(rng, 2, 3), table, seed=16)
@@ -534,12 +558,26 @@ class TestStructuredKernel:
         # on the split, one full solve otherwise
         evaluate_all(first)
         assert kernel_calls == [("solve", (4, 3, 3))]
+        assert kernel_calls.products == []
         kernel_calls.clear()
         evaluate_all(joined)
         assert kernel_calls == [("solve", (4, 2, 2)), ("solve", (4, 3, 3))]
+        assert kernel_calls.products == []
         kernel_calls.clear()
-        evaluate_all(conjugated(joined, random_isometry(5, 5, seed=18)))
+        dense = conjugated(joined, random_isometry(5, 5, seed=18))
+        evaluate_all(dense)
         assert kernel_calls == [("solve", (4, 5, 5))]
+        # the D P_j once per call, then one (c, 1, m) @ (m, N^2) product per
+        # stack per chunk: -D L_k, then L_k, never one product per point
+        stacks = [((4, 1, 2), (2, 25))] * 2
+        assert kernel_calls.products == [((5, 5), (2, 5, 5))] + stacks
+        monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", 3 * 25)
+        kernel_calls.clear()
+        evaluate_all(dense)
+        assert kernel_calls == [("solve", (3, 5, 5)), ("solve", (1, 5, 5))]
+        assert kernel_calls.products == (
+            [((5, 5), (2, 5, 5))] + [((3, 1, 2), (2, 25))] * 2 + [((1, 1, 2), (2, 25))] * 2
+        )
 
     def test_a_tiny_lower_left_entry_takes_the_full_solve(self, kernel_calls):
         rng = np.random.default_rng(19)
@@ -606,6 +644,27 @@ class TestDenseKernel:
                     lam, g_ref = dense_resolvent(col, i)
                     assert max_abs(g - g_ref) <= 1e-13
                     assert max_abs(h - lam @ g_ref) <= 1e-13
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_a_dense_value_does_not_depend_on_its_chunk(self, monkeypatch, kernel_calls, n, m):
+        table = random_table(m, 8, seed=140 + 10 * n + m)
+        # at N = 1 the family is v P v* for a unit phase v, dense unless
+        # |v|^2 rounds to exactly 1; this seed keeps it dense
+        col = random_colligation(2, random_representation(m, n, seed=144 + n), table,
+                                 seed=142 + m)
+        assert col.rep._labels is None
+        alone = [list(realization._resolvents(col, np.array([i])))[0] for i in range(8)]
+        values = np.stack([evaluate(col, i) for i in range(8)])
+        for points in range(1, 9):
+            monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", points * n * n)
+            kernel_calls.clear()
+            npt.assert_array_equal(evaluate_all(col), values)
+            assert max(shape[0] for _, shape in kernel_calls) == points
+            for chunk, gs, hs in realization._resolvents(col, np.arange(8)):
+                for i, g, h in zip(chunk, gs, hs):
+                    npt.assert_array_equal(g, alone[i][1][0])
+                    npt.assert_array_equal(h, alone[i][2][0])
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 33])
@@ -1000,6 +1059,27 @@ class TestVerifyFactorization:
         evaluations.clear()
         assert verify_factorization(parent, f1, f2) == expected
         assert [col for col, _ in evaluations] == [parent, f1, f2]
+
+    @pytest.mark.parametrize("kind", ["coordinate", "dense", "mixed"])
+    def test_the_block_test_reads_slices_without_restricting(self, monkeypatch, kind):
+        # the one-pass test copies no corner and runs no tolerance check
+        parent, f1, f2 = extracted_case("general", kind, 2, seed=78)
+        calls = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(Representation, "restrict",
+                            counted("restrict", Representation.restrict))
+        for module in (realization, factorization):
+            monkeypatch.setattr(module, "rep_is_reducible",
+                                counted("rep_is_reducible", module.rep_is_reducible))
+        assert factorization._shares_blocks(parent, f1, f2)
+        assert verify_factorization(parent, f1, f2) <= 1e-12
+        assert calls == []
 
     def test_a_singular_point_is_named_as_by_three_passes(self, evaluations):
         single, dense, shift = singular_at_point_two()
