@@ -25,7 +25,12 @@ from colligate import (
 )
 from colligate import realization
 from colligate.cli import main
-from conftest import blaschke_colligation, coordinate_colligation, invertible_pair
+from conftest import (
+    blaschke_colligation,
+    conforming_pair,
+    coordinate_colligation,
+    invertible_pair,
+)
 
 
 @pytest.fixture()
@@ -255,6 +260,24 @@ class TestHugeEntries:
         assert code == 1
         assert report["verdict"] is False
         assert report["residuals"]["gram_match"] == float("inf")
+
+    @pytest.mark.parametrize("command", ["check", "factor"])
+    def test_a_general_witness_near_the_float_max_fails_with_exit_one(self, workdir, capsys,
+                                                                      command):
+        # its coupling A1* B1 + X1* D1 overflows; RuntimeWarnings are errors here
+        _, _, parent, w = conforming_pair("general", 1, 2, 2, 1, seed=5)
+        save_colligation(parent, str(workdir / "parent.json"))
+        save_witness({"A1": np.array([[1.7e308]]), "A2": w["A2"],
+                      "X1": np.array([[1.7e308], [1.7e308]]), "Y2": w["Y2"]},
+                     str(workdir / "huge.json"))
+        out = ["-o", workdir / "f"] if command == "factor" else []
+        code, report = run(capsys, command, workdir / "parent.json", "--variant", "general",
+                           "--witness", workdir / "huge.json", *out)
+        assert code == 1
+        assert report["verdict"] is False
+        assert report["residuals"]["injectivity"] == 1.0
+        assert report["residuals"]["column_isometry"] == float("inf")
+        assert not (workdir / "f.f1.json").exists()
 
     @pytest.mark.parametrize("command", ["check", "verify"])
     def test_a_huge_block_entry_is_refused_with_exit_two(self, workdir, capsys, command):

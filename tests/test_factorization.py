@@ -91,6 +91,16 @@ class TestSplitBlocks:
         with pytest.raises(StructureError):
             split_blocks(col)
 
+    def test_a_representation_that_does_not_reduce_is_an_error(self):
+        col = blaschke_colligation()
+        p = np.array(col.rep.projections[0])
+        p[0, 1] = 0.25
+        bent = Colligation(rep=Representation((p,), split=col.rep.split), table=col.table,
+                           A=col.A, B=col.B, C=col.C, D=col.D)
+        with pytest.raises(StructureError) as info:
+            split_blocks(bent)
+        assert str(info.value) == "representation does not reduce along the recorded split"
+
     def test_stray_lower_left_block_is_an_error(self):
         col = blaschke_colligation()
         d = col.D.copy()
@@ -462,6 +472,16 @@ class TestNonFiniteWitness:
         assert not cert.verdict
         assert cert.residuals["gram_match"] == float("inf")
         assert cert.residuals["witness_selfadjoint"] == 0.0
+
+    def test_an_overflowed_coupling_fails_injectivity_without_testing_it(self):
+        # A1* B1 + X1* D1 overflows: its range cannot be tested, so the
+        # injectivity condition reads as failed rather than refusing the input
+        _, _, parent, w = conforming_pair("general", 1, 2, 2, 1, seed=5)
+        cert = check_general(split_blocks(parent), [[1.7e308]], w["A2"],
+                             [[1.7e308], [1.7e308]], w["Y2"])
+        assert not cert.verdict
+        assert cert.residuals["injectivity"] == 1.0
+        assert cert.residuals["column_isometry"] == float("inf")
 
     def test_nan_witness_is_a_format_error(self):
         s = split_blocks(blaschke_colligation())

@@ -45,6 +45,10 @@ class TestCanonicalSerializer:
     def test_ints_stay_ints(self):
         assert dumps_canonical({"n": 3}) == '{\n  "n": 3\n}\n'
 
+    def test_empty_objects_stay_inline(self):
+        assert dumps_canonical({}) == "{}\n"
+        assert dumps_canonical({"inputs": {}}) == '{\n  "inputs": {}\n}\n'
+
     def test_flat_lists_are_inline(self):
         assert dumps_canonical([1, 2, 3]) == "[1, 2, 3]\n"
         assert dumps_canonical([[1, 2], [3, 4]]) == "[[1, 2], [3, 4]]\n"

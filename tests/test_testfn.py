@@ -422,6 +422,89 @@ class TestCpKernelCheck:
             cp_kernel_check(lambda i, j, g: np.eye(1), t, [sample])
 
 
+    def test_an_empty_sample_is_skipped(self):
+        # the empty sample is passed over; the next one still decides
+        t = disc_table(TWO_POINTS)
+
+        def k(i, j, g):
+            return -np.eye(1) if i == j else np.zeros((1, 1))
+
+        f = np.array([1.0])
+        failing = ([0, 1], [np.eye(1), np.eye(1)], [f, f])
+        assert cp_kernel_check(k, t, [([], [], [])]) is True
+        assert cp_kernel_check(k, t, [([], [], []), failing]) is False
+
+
+def _cp(sample, block=np.eye(1)):
+    """cp_kernel_check on the two-point disc with a constant kernel block."""
+    return lambda: cp_kernel_check(lambda i, j, g: block, disc_table(TWO_POINTS), [sample])
+
+
+ONE = np.ones(1)
+GUARDS = {
+    "table without a function": (
+        lambda: FunctionTable(disc_points(TWO_POINTS), np.zeros((0, 2))),
+        StructureError, "a family needs at least one test function",
+    ),
+    "coefficient vector of another length": (
+        _cp(([0], [np.eye(1)], [np.ones(3)])),
+        DimensionError, "coefficient vector has length 3, expected 1",
+    ),
+    "kernel blocks of three axes": (
+        lambda: HermitianKernel(disc_points(TWO_POINTS), np.zeros((2, 2, 1))),
+        DimensionError, "kernel blocks must be 4-D (n, n, d, d), got shape (2, 2, 1)",
+    ),
+    "kernel grid for other points": (
+        lambda: HermitianKernel(disc_points(TWO_POINTS), np.zeros((3, 3, 1, 1))),
+        DimensionError, "kernel grid is 3x3 for 2 points",
+    ),
+    "non-square kernel blocks": (
+        lambda: HermitianKernel(disc_points(TWO_POINTS), np.zeros((2, 2, 1, 2))),
+        DimensionError, "kernel blocks must be square, got 1x2",
+    ),
+    "sample pieces of different lengths": (
+        _cp(([0, 1], [np.eye(1)], [ONE, ONE])),
+        DimensionError, "sample pieces must share one length, got 2, 1, 2",
+    ),
+    "sample operators of different sizes": (
+        _cp(([0, 1], [np.eye(1), np.eye(2)], [ONE, ONE])),
+        DimensionError, "sample operators must be square and equal sized",
+    ),
+    "kernel block of another size": (
+        _cp(([0, 1], [np.eye(1), np.eye(1)], [ONE, ONE]), block=np.eye(2)),
+        DimensionError, "kernel block is (2, 2), expected (1, 1)",
+    ),
+    "witness values for fewer points": (
+        lambda: schur_agler_witness_check([np.zeros((1, 1))], szego_samples(TWO_POINTS), 1.0),
+        StructureError, "1 function values supplied for 2 kernel points",
+    ),
+    "norm bound over a kernel on other points": (
+        lambda: agler_norm_lower_bound([np.zeros((1, 1))], [szego_samples(TWO_POINTS)]),
+        StructureError, "kernel sampled on 2 points, function values on 1",
+    ),
+    "no function value": (
+        lambda: schur_agler_witness_check([], szego_samples(TWO_POINTS), 1.0),
+        StructureError, "at least one function value is required",
+    ),
+    "non-square function values": (
+        lambda: schur_agler_witness_check([np.zeros((1, 2))] * 2, szego_samples(TWO_POINTS), 1.0),
+        DimensionError, "function values must be square, got 1x2",
+    ),
+}
+
+
+class TestGuards:
+    """Each refusal of bad input, with its class and its full message."""
+
+    @pytest.mark.parametrize("case", list(GUARDS))
+    def test_bad_input_is_refused_with_its_message(self, case):
+        call, error, message = GUARDS[case]
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestWitnessCheck:
     def test_zero_function_reduces_to_kernel_positivity(self):
         s = szego_samples(FOUR_POINTS)
