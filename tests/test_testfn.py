@@ -421,7 +421,6 @@ class TestCpKernelCheck:
         with pytest.raises(StructureError, match=r"sample point index 2 outside 0\.\.1"):
             cp_kernel_check(lambda i, j, g: np.eye(1), t, [sample])
 
-
     def test_an_empty_sample_is_skipped(self):
         # the empty sample is passed over; the next one still decides
         t = disc_table(TWO_POINTS)
