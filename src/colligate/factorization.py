@@ -57,7 +57,7 @@ from .linalg import (
 )
 # evaluate stays bound in this namespace: bench/test_bench.py patches it here
 from .realization import evaluate  # noqa: F401
-from .realization import Colligation, _require_compatible, _triangular_at
+from .realization import Colligation, _require_compatible, _triangular_split
 from .realization import evaluate_all, rep_is_reducible
 
 __all__ = [
@@ -470,16 +470,14 @@ def extract_general(
 
 
 def _shares_blocks(parent: Colligation, f1: Colligation, f2: Colligation) -> bool:
-    """True iff D is exactly block upper triangular and every projection exactly
-    block diagonal along the parent's split, and f1 and f2 carry those blocks.
+    """True iff the parent's split is exactly block triangular
+    (``_triangular_split``) and f1 and f2 carry its diagonal blocks.
     Every test reads slices of the parent's arrays; nothing is copied."""
-    if parent.rep.split is None:
+    n, n1 = parent.state_dim, _triangular_split(parent)
+    if not n1:
         return False
-    n, n1 = parent.state_dim, parent.rep.split[0]
     stack = parent.rep._stack.reshape(-1, n, n)
-    if stack[:, :n1, n1:].any() or stack[:, n1:, :n1].any():
-        return False
-    return _triangular_at(parent.D, n1) and all(
+    return all(
         np.array_equal(f.D, parent.D[half, half])
         and np.array_equal(f.rep._stack.reshape(-1, k, k), stack[:, half, half])
         for f, half, k in ((f1, slice(n1), n1), (f2, slice(n1, None), n - n1))
@@ -504,6 +502,6 @@ def verify_factorization(
     blocks = [slice(k * d, (k + 1) * d) for k in range(3)]
     for col, block, rows in zip((parent, f1, f2), blocks, (slice(n), slice(n1), slice(n1, n))):
         a[block, block], b[block, rows], c[rows, block] = col.A, col.B, col.C
-    values = evaluate_all(Colligation(parent.rep, parent.table, a, b, c, parent.D))
+    values = evaluate_all(Colligation._of_blocks(parent.rep, parent.table, a, b, c, parent.D))
     f, g1, g2 = (values[:, block, block] for block in blocks)
     return max_abs(f - g1 @ g2)

@@ -22,11 +22,13 @@ from .errors import DimensionError, SingularResolventError, StructureError
 from .linalg import (
     DEFAULT_ATOL,
     _check_atol,
+    _check_finite,
     _integer,
     _is_integer,
     _isometry_defect,
     _rng,
     _rng_isometry,
+    _saturating,
     as_matrix,
     max_abs,
     random_isometry,
@@ -297,10 +299,7 @@ class Colligation:
     D: np.ndarray
 
     def __post_init__(self):
-        a = _frozen(self.A, "A")
-        b = _frozen(self.B, "B")
-        c = _frozen(self.C, "C")
-        d = _frozen(self.D, "D")
+        a, b, c, d = (_frozen(getattr(self, name), name) for name in "ABCD")
         dim, n = a.shape[0], d.shape[0]
         if a.shape != (dim, dim) or d.shape != (n, n):
             raise DimensionError("diagonal blocks must be square")
@@ -319,8 +318,7 @@ class Colligation:
                 f"representation has {self.rep.m} projections for "
                 f"{self.table.m} test functions"
             )
-        for name, val in (("A", a), ("B", b), ("C", c), ("D", d)):
-            object.__setattr__(self, name, val)
+        self._adopt(a, b, c, d)
 
     @property
     def value_dim(self) -> int:
@@ -344,6 +342,23 @@ class Colligation:
             raise StructureError(
                 f"block operator fails isometry by {defect:.3e}"
             )
+
+    @classmethod
+    def _of_blocks(cls, rep, table, a, b, c, d) -> "Colligation":
+        """Colligation over consistent complex blocks that no caller holds,
+        or blocks of another colligation: kept as they are, not copied or
+        checked.  The module's builders come here, as for ``_of_stack``."""
+        col = cls.__new__(cls)
+        object.__setattr__(col, "rep", rep)
+        object.__setattr__(col, "table", table)
+        col._adopt(a, b, c, d)
+        return col
+
+    def _adopt(self, *blocks: np.ndarray) -> None:
+        """Freeze the four blocks and make them A, B, C and D."""
+        for name, block in zip("ABCD", blocks):
+            block.setflags(write=False)
+            object.__setattr__(self, name, block)
 
     @classmethod
     def from_matrix(
@@ -403,18 +418,24 @@ def _solve(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _dense_block(dp, stack, psi, c, at) -> tuple[np.ndarray, np.ndarray]:
+def _dense_block(dp, stack, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
     """(G, H) of one chunk of a dense family with coefficient rows ``psi``:
     D L_k = sum_j psi_kj D P_j from the rows of ``dp``, and L_k from the
     rows of ``stack``.  Each is one batched (c, 1, m) @ (m, N^2) product,
     which numpy runs as the one-point vector-matrix kernel item by item, so
-    a point's values do not depend on its chunk."""
+    a point's values do not depend on its chunk.  With n1 > 0 the stack is
+    block upper triangular at n1: its lower-right slices are solved with
+    C[n1:], then its upper-left ones with C[:n1] - R12 G2, R12 upper right."""
     count, n = len(psi), c.shape[0]
     resolvent = np.matmul(-psi[:, None, :], dp).reshape(count, n * n)
     lam = np.matmul(psi[:, None, :], stack)
     # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k is on its diagonal
     resolvent[:, :: n + 1] += 1.0
-    g = _solve(resolvent.reshape(count, n, n), c, at)
+    resolvent = resolvent.reshape(count, n, n)
+    g = _solve(resolvent[:, n1:, n1:], c[n1:], at)
+    if n1:
+        g1 = _solve(resolvent[:, :n1, :n1], c[:n1] - resolvent[:, :n1, n1:] @ g, at)
+        g = np.concatenate([g1, g], axis=1)
     return g, lam.reshape(count, n, n) @ g
 
 
@@ -434,9 +455,17 @@ def _scaled_block(d, lam, rhs, at) -> tuple[np.ndarray, np.ndarray]:
     return g, h
 
 
-def _triangular_at(d: np.ndarray, n1: int) -> bool:
-    """True iff d[n1:, :n1] is exact zeros: d is block upper triangular at n1."""
-    return not d[n1:, :n1].any()
+def _triangular_split(col: Colligation) -> int:
+    """n1 of the recorded split (n1, n2) when D's lower-left block and the
+    off-diagonal blocks of every projection are exact zeros, else 0.  Then
+    I - D L(x) is block upper triangular at n1 at every point."""
+    if col.rep.split is None:
+        return 0
+    n, n1 = col.state_dim, col.rep.split[0]
+    stack = col.rep._stack.reshape(-1, n, n)
+    if col.D[n1:, :n1].any() or stack[:, :n1, n1:].any() or stack[:, n1:, :n1].any():
+        return 0
+    return n1
 
 
 def _resolvents(col: Colligation, indices):
@@ -447,17 +476,17 @@ def _resolvents(col: Colligation, indices):
     Gramian identity go through it, so a singular resolvent is reported
     the same way, with its point index, wherever it shows up.  A chunk
     holds max(1, _RESOLVENT_BUDGET // side^2) points, side the largest
-    block it solves: N, or max(n1, n2) on a coordinate split.  So every
+    stack it builds: N, or max(n1, n2) on a coordinate split.  So every
     stack of I - D L_k stays under the budget, and chunks are yielded one
     at a time.
 
-    Each chunk goes through one of two block builders.  A coordinate
-    family has the diagonal L_k = psi[labels] and takes ``_scaled_block``;
-    if it also splits there (a lower-left D block of exact zeros along the
-    recorded split, as ``product`` writes it), the block triangular system
-    is back-substituted in two calls: the D3 block, then the D1 block with
-    the coupling term D2 H_k2.  Any other family forms every D P_j once per
-    call (m N^3) for ``_dense_block``, O(m N^2) per point and one solve.
+    Whenever ``_triangular_split`` finds an exact split, as ``product``
+    writes it, the block triangular system is back-substituted: the n2 x n2
+    block first, then the n1 x n1 block with the coupling term on its
+    right-hand side.  A coordinate family has the diagonal L_k = psi[labels]
+    and takes ``_scaled_block`` once per block.  Any other family forms
+    every D P_j once per call (m N^3) for ``_dense_block``, O(m N^2) per
+    point, which solves slices of its full stack.
 
     Each point's matrix is built by its one-point operation whatever the
     chunk; only the solve and the products after it run over the stack,
@@ -467,19 +496,18 @@ def _resolvents(col: Colligation, indices):
     psi = eval_map(col.table, at).T.copy()
     d, c, n = col.D, col.C, col.state_dim
     labels = col.rep._labels
-    # the D3 block is d[n1:, n1:]: all of D unless on a coordinate split
-    n1 = col.rep.split[0] if labels is not None and col.rep.split else 0
-    if n1 and not _triangular_at(d, n1):
-        n1 = 0
+    n1 = _triangular_split(col)
     if labels is None:
         stack = col.rep._stack
         dp = np.matmul(d, stack.reshape(-1, n, n)).reshape(-1, n * n)
-    step = max(1, _RESOLVENT_BUDGET // max(n1, n - n1) ** 2)
+    # a dense chunk builds the full N x N stack, a coordinate one only its blocks
+    side = n if labels is None else max(n1, n - n1)
+    step = max(1, _RESOLVENT_BUDGET // side**2)
     for start in range(0, at.size, step):
         rows = slice(start, start + step)
         chunk = at[rows]
         if labels is None:
-            g, h = _dense_block(dp, stack, psi[rows], c, chunk)
+            g, h = _dense_block(dp, stack, psi[rows], c, n1, chunk)
         else:
             lam = psi[rows][:, labels]
             g, h = _scaled_block(d[n1:, n1:], lam[:, n1:], c[n1:], chunk)
@@ -533,18 +561,15 @@ def product(col1: Colligation, col2: Colligation) -> Colligation:
     evaluate(col1, i) @ evaluate(col2, i).
     """
     _require_compatible(col1, col2)
-    a = col1.A @ col2.A
-    b = np.hstack([col1.B, col1.A @ col2.B])
-    c = np.vstack([col1.C @ col2.A, col2.C])
-    d = _block2(col1.D, col1.C @ col2.B, 0.0, col2.D)
-    return Colligation(
-        rep=direct_sum(col1.rep, col2.rep),
-        table=col1.table,
-        A=a,
-        B=b,
-        C=c,
-        D=d,
-    )
+    with _saturating():
+        a = col1.A @ col2.A
+        b = np.hstack([col1.B, col1.A @ col2.B])
+        c = np.vstack([col1.C @ col2.A, col2.C])
+        d = _block2(col1.D, col1.C @ col2.B, 0.0, col2.D)
+    # factors that were never validated can overflow: refused as by the constructor
+    for name, block in zip("ABCD", (a, b, c, d)):
+        _check_finite(block, name)
+    return Colligation._of_blocks(direct_sum(col1.rep, col2.rep), col1.table, a, b, c, d)
 
 
 def gramian_identity_check(col: Colligation) -> float:

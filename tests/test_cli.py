@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +27,7 @@ from colligate import (
     szego_samples,
     verify_factorization,
 )
+import colligate
 from colligate import realization
 from colligate.cli import main
 from conftest import (
@@ -75,6 +80,16 @@ class TestEval:
         code, report = run(capsys, "eval", workdir / "nope.json")
         assert code == 2
         assert report["error"] == "FileNotFoundError"
+
+    def test_the_module_runs_as_a_program(self, workdir):
+        # in a subprocess: runpy warns when it re-runs an imported module
+        env = dict(os.environ, PYTHONPATH=str(Path(colligate.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "colligate.cli", "eval", str(workdir / "nope.json")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert json.loads(done.stdout)["error"] == "FileNotFoundError"
 
     def test_all_points_match_single_point_reports(self, workdir, capsys):
         _, every = run(capsys, "eval", workdir / "squared.json", "--all")

@@ -11,6 +11,7 @@ from colligate import TestFunctionTable as FunctionTable
 from colligate import (
     Colligation,
     DimensionError,
+    FormatError,
     Representation,
     SingularResolventError,
     StructureError,
@@ -512,17 +513,22 @@ class TestEvaluate:
             evaluate(singular_colligation(), 1)
 
     def test_every_batched_caller_names_the_singular_point(self):
-        # the colligation itself, then products whose D1 or D3 block it is
+        # the colligation itself, then products whose D1 or D3 block it is,
+        # on a coordinate split (singular at point 1) and a dense one (point 2)
         single = singular_colligation()
         shift = coordinate_colligation(single.table)
-        for col in (single, product(single, shift), product(shift, single)):
+        _, dense, _, dense_shift = singular_at_point_two()
+        cases = [(col, 1) for col in (single, product(single, shift), product(shift, single))]
+        cases += [(col, 2) for col in (product(dense, dense_shift), product(dense_shift, dense))]
+        for col, index in cases:
+            assert col is single or realization._triangular_split(col)
             calls = (
                 lambda: evaluate_all(col),
                 lambda: gramian_identity_check(col),
                 lambda: verify_factorization(col, col, col),
             )
             for call in calls:
-                with pytest.raises(SingularResolventError, match="point index 1"):
+                with pytest.raises(SingularResolventError, match=f"point index {index};"):
                     call()
 
 
@@ -571,13 +577,26 @@ class TestStructuredKernel:
         # stack per chunk: -D L_k, then L_k, never one product per point
         stacks = [((4, 1, 2), (2, 25))] * 2
         assert kernel_calls.products == [((5, 5), (2, 5, 5))] + stacks
+        # a dense product builds the same full stacks, then solves two slices
+        # of them: the n2 x n2 block, then the n1 x n1 block
+        split = product(random_colligation(2, random_representation(2, 3, seed=19), table, seed=20),
+                        random_colligation(2, random_representation(2, 2, seed=21), table, seed=22))
+        kernel_calls.clear()
+        evaluate_all(split)
+        assert kernel_calls == [("solve", (4, 2, 2)), ("solve", (4, 3, 3))]
+        assert kernel_calls.products == [((5, 5), (2, 5, 5))] + stacks
         monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", 3 * 25)
         kernel_calls.clear()
         evaluate_all(dense)
         assert kernel_calls == [("solve", (3, 5, 5)), ("solve", (1, 5, 5))]
-        assert kernel_calls.products == (
-            [((5, 5), (2, 5, 5))] + [((3, 1, 2), (2, 25))] * 2 + [((1, 1, 2), (2, 25))] * 2
-        )
+        chunks = [((3, 1, 2), (2, 25))] * 2 + [((1, 1, 2), (2, 25))] * 2
+        assert kernel_calls.products == [((5, 5), (2, 5, 5))] + chunks
+        # its chunks hold as many points as one full solve would
+        kernel_calls.clear()
+        evaluate_all(split)
+        assert kernel_calls == [("solve", (3, 2, 2)), ("solve", (3, 3, 3)),
+                                ("solve", (1, 2, 2)), ("solve", (1, 3, 3))]
+        assert kernel_calls.products == [((5, 5), (2, 5, 5))] + chunks
 
     def test_a_tiny_lower_left_entry_takes_the_full_solve(self, kernel_calls):
         rng = np.random.default_rng(19)
@@ -644,6 +663,23 @@ class TestDenseKernel:
                     lam, g_ref = dense_resolvent(col, i)
                     assert max_abs(g - g_ref) <= 1e-13
                     assert max_abs(h - lam @ g_ref) <= 1e-13
+
+    @pytest.mark.parametrize("where", ["D", "P"])
+    def test_a_tiny_stray_entry_takes_the_full_solve(self, kernel_calls, where):
+        # 1e-300 at D[n1, 0] or at P_1[0, n1]: I - D L(x) is no longer
+        # block triangular, so the dense product is solved whole
+        table = random_table(2, 4, seed=150)
+        joined = product(
+            random_colligation(2, random_representation(2, 3, seed=151), table, seed=152),
+            random_colligation(2, random_representation(2, 2, seed=153), table, seed=154),
+        )
+        assert realization._triangular_split(joined) == 3
+        nudged = _stray(joined, where)
+        assert realization._triangular_split(nudged) == 0
+        values = evaluate_all(nudged)
+        assert kernel_calls == [("solve", (4, 5, 5))]
+        reference = np.stack([dense_evaluate(nudged, i) for i in range(table.n)])
+        assert max_abs(values - reference) <= 1e-13
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 5, 11])
@@ -733,10 +769,12 @@ def chunked_models(n_points: int, n1: int, seed: int) -> dict[str, Colligation]:
     }
 
 
-def singular_at_point_two() -> tuple[Colligation, Colligation, Colligation]:
-    """(single, dense, shift) over five points, one chunk: I - D L(x_2)
-    vanishes, 1 - 2 * 0.5 on the coordinate single and I - 2 (0.5 P +
-    0.5 (I - P)) on the dense one; shift shares the single's table."""
+def singular_at_point_two() -> tuple[Colligation, ...]:
+    """(single, dense, shift, dense_shift) over five points, one chunk:
+    I - D L(x_2) vanishes, 1 - 2 * 0.5 on the coordinate single and
+    I - 2 (0.5 P + 0.5 (I - P)) on the dense one; shift shares the single's
+    table, and the random isometric dense_shift, regular everywhere, the
+    dense one's."""
     table = disc_table([0.0, 0.25, 0.5, -0.25, 0.125])
     single = Colligation(
         rep=coordinate_representation([1]),
@@ -756,18 +794,20 @@ def singular_at_point_two() -> tuple[Colligation, Colligation, Colligation]:
         C=np.ones((2, 1), dtype=complex),
         D=2.0 * np.eye(2, dtype=complex),
     )
-    return single, dense, coordinate_colligation(table)
+    dense_shift = random_colligation(1, random_representation(2, 3, seed=160), dense.table,
+                                     seed=161)
+    return single, dense, coordinate_colligation(table), dense_shift
 
 
 class TestChunkedKernel:
     """Points go through the kernel in chunks of max(1, budget // side^2),
     side the largest block a chunk solves."""
 
-    @pytest.mark.parametrize("n1", [1, 3])
-    @pytest.mark.parametrize("n_points", [2, 3, 4])
+    @pytest.mark.parametrize("n1", [1, 3, 4])
+    @pytest.mark.parametrize("n_points", range(2, 8))
     def test_a_value_does_not_depend_on_its_chunk(self, monkeypatch, kernel_calls,
                                                   n_points, n1):
-        # three points per chunk: n = chunk - 1, chunk and chunk + 1
+        # three points per chunk: from one chunk of fewer points to three chunks
         models = chunked_models(n_points, n1, seed=120 + 10 * n_points + n1)
         assert models["coordinate"].rep._labels is not None
         assert models["split"].rep.split is not None
@@ -776,7 +816,11 @@ class TestChunkedKernel:
             kernel_calls.clear()
             whole = gramian_identity_check(col)
             side = max(shape[-1] for _, shape in kernel_calls)
-            assert (side < col.state_dim) == (name == "split")
+            # both products solve their diagonal blocks, but a dense chunk
+            # builds the full N x N stack and is sized by it
+            assert (side < col.state_dim) == (name in ("split", "dense product"))
+            if col.rep._labels is None:
+                side = col.state_dim
             with monkeypatch.context() as patch:
                 patch.setattr(realization, "_RESOLVENT_BUDGET", 3 * side ** 2)
                 kernel_calls.clear()
@@ -790,9 +834,10 @@ class TestChunkedKernel:
                 assert gramian_identity_check(col) == whole
 
     def test_a_singular_point_inside_a_chunk_is_named(self):
-        single, dense, shift = singular_at_point_two()
+        single, dense, shift, dense_shift = singular_at_point_two()
         assert dense.rep._labels is None
-        for col in (single, product(single, shift), product(shift, single), dense):
+        for col in (single, product(single, shift), product(shift, single), dense,
+                    product(dense, dense_shift), product(dense_shift, dense)):
             calls = (
                 lambda: evaluate_all(col),
                 lambda: evaluate(col, np.array([4, 2, 1])),
@@ -812,9 +857,12 @@ class TestChunkedKernel:
             evaluate_all(col)
             gramian_identity_check(col)
             shapes = [shape for _, shape in kernel_calls]
-            assert max(np.prod(shape) for shape in shapes) <= max(budget, col.state_dim ** 2)
-            # every point once per call, through both blocks on the split
-            systems = 2 if name == "split" else 1
+            limit = max(budget, col.state_dim ** 2)
+            assert max(np.prod(shape) for shape in shapes) <= limit
+            # and no (c, 1, m) @ (m, N^2) product of a dense chunk
+            assert all(a[0] * b[-1] <= limit for a, b in kernel_calls.products if len(a) == 3)
+            # every point once per call, through both blocks on either split
+            systems = 2 if name in ("split", "dense product") else 1
             assert sum(shape[0] for shape in shapes) == 2 * 9 * systems
 
     def test_the_default_budget_holds_at_large_state_dimension(self, kernel_calls):
@@ -878,6 +926,28 @@ class TestProduct:
         col2 = coordinate_colligation(disc_table([0.0, 0.25]))
         with pytest.raises(StructureError):
             product(col1, col2)
+
+    @pytest.mark.parametrize("huge, block", [("A", "A"), ("BC", "D")])
+    def test_an_overflowing_product_is_refused_with_its_block(self, huge, block):
+        # unvalidated factors with 1e200 entries: A A or C B overflows to inf,
+        # without a numpy warning
+        blocks = {name: np.array([[1e200 if name in huge else 0.5]]) for name in "ABCD"}
+        col = Colligation(rep=coordinate_representation([1]), table=disc_table([0.0, 0.5]),
+                          **blocks)
+        with pytest.raises(FormatError) as info:
+            product(col, col)
+        assert str(info.value) == f"{block} contains non-finite entries"
+
+    def test_product_blocks_are_fresh_and_read_only(self):
+        table = random_table(2, 4, seed=215)
+        col1 = random_colligation(2, random_representation(2, 3, seed=216), table, seed=217)
+        col2 = random_colligation(2, random_representation(2, 2, seed=218), table, seed=219)
+        joined = product(col1, col2)
+        for name in "ABCD":
+            block = getattr(joined, name)
+            assert block.dtype == np.complex128 and not block.flags.writeable
+            for factor in (col1, col2):
+                assert not np.shares_memory(block, getattr(factor, name))
 
     def test_squared_coordinate(self):
         table = disc_table([0.0, 0.5, -1.0 / 3.0])
@@ -1045,7 +1115,7 @@ class TestVerifyFactorization:
             evaluations.clear()
             residual = verify_factorization(parent, f1, f2)
             [(joint, values)] = evaluations
-            assert joint.rep is parent.rep and joint.value_dim == 3 * d
+            assert joint.rep is parent.rep and joint.D is parent.D and joint.value_dim == 3 * d
             blocks = [values[:, k * d : (k + 1) * d, k * d : (k + 1) * d] for k in range(3)]
             assert residual == max_abs(blocks[0] - blocks[1] @ blocks[2])
             assert residual <= 1e-12
@@ -1085,8 +1155,9 @@ class TestVerifyFactorization:
         assert calls == []
 
     def test_a_singular_point_is_named_as_by_three_passes(self, evaluations):
-        single, dense, shift = singular_at_point_two()
-        for f1, f2 in ((single, shift), (shift, single), (dense, dense)):
+        single, dense, shift, dense_shift = singular_at_point_two()
+        for f1, f2 in ((single, shift), (shift, single), (dense, dense),
+                       (dense, dense_shift), (dense_shift, dense)):
             parent = product(f1, f2)
             with pytest.raises(SingularResolventError) as three:
                 three_passes(parent, f1, f2)
