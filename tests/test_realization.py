@@ -801,7 +801,7 @@ def singular_at_point_two() -> tuple[Colligation, ...]:
 
 class TestChunkedKernel:
     """Points go through the kernel in chunks of max(1, budget // side^2),
-    side the largest block a chunk solves."""
+    side the largest stack a chunk builds."""
 
     @pytest.mark.parametrize("n1", [1, 3, 4])
     @pytest.mark.parametrize("n_points", range(2, 8))
