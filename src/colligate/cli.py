@@ -47,8 +47,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument(
             "--atol",
             type=float,
@@ -57,13 +58,13 @@ def _parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = add("eval", "evaluate the transfer function at table points")
+    p = add("eval", "evaluate the transfer function at table points", _cmd_eval)
     p.add_argument("colligation")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--point", type=int, default=None, help="single point index")
     g.add_argument("--all", action="store_true", help="every table point (the default)")
 
-    p = add("check", "test factorizability conditions for one variant")
+    p = add("check", "test factorizability conditions for one variant", _cmd_check)
     p.add_argument("colligation")
     p.add_argument("--variant", choices=fz.VARIANTS, required=True)
     p.add_argument("--witness", default=None, help="witness document")
@@ -73,35 +74,35 @@ def _parser() -> argparse.ArgumentParser:
         help="search for missing witnesses instead of reading them",
     )
 
-    p = add("factor", "split a colligation into two isometric factors")
+    p = add("factor", "split a colligation into two isometric factors", _cmd_factor)
     p.add_argument("colligation")
     p.add_argument("--variant", choices=fz.VARIANTS, required=True)
     p.add_argument("--witness", default=None)
     p.add_argument("--auto", action="store_true")
     p.add_argument("-o", "--output", required=True, help="stem for <stem>.f1.json and <stem>.f2.json")
 
-    p = add("multiply", "compose two colligations over the same table")
+    p = add("multiply", "compose two colligations over the same table", _cmd_multiply)
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("-o", "--output", required=True)
 
-    p = add("verify", "check that two factors multiply back to a parent")
+    p = add("verify", "check that two factors multiply back to a parent", _cmd_verify)
     p.add_argument("parent")
     p.add_argument("first")
     p.add_argument("second")
 
-    p = add("random", "draw a random isometric colligation with a split state space")
+    p = add("random", "draw a random isometric colligation with a split state space", _cmd_random)
     p.add_argument("--table", required=True)
     p.add_argument("--value-dim", type=int, required=True)
     p.add_argument("--state-dims", required=True, help="two sizes, e.g. 3,2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
 
-    p = add("admissible", "test positivity of a kernel against a table")
+    p = add("admissible", "test positivity of a kernel against a table", _cmd_admissible)
     p.add_argument("kernel")
     p.add_argument("table")
 
-    p = add("norm-bound", "lower bound the smallest bound certified by kernels")
+    p = add("norm-bound", "lower bound the smallest bound certified by kernels", _cmd_norm_bound)
     p.add_argument("values")
     p.add_argument("--kernels", required=True, help="comma-separated kernel files")
 
@@ -287,17 +288,6 @@ def _cmd_norm_bound(args, report):
     return 0
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "check": _cmd_check,
-    "factor": _cmd_factor,
-    "multiply": _cmd_multiply,
-    "verify": _cmd_verify,
-    "random": _cmd_random,
-    "admissible": _cmd_admissible,
-    "norm-bound": _cmd_norm_bound,
-}
-
 _INPUT_ARGS = (
     "colligation",
     "first",
@@ -332,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report["inputs"] = _input_digests(args)
         _check_atol(args.atol)
-        code = _HANDLERS[args.command](args, report)
+        code = args.handler(args, report)
     except (ColligateError, OSError) as exc:
         report["error"] = type(exc).__name__
         report["detail"] = str(exc)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FormatError
 from .factorization import VARIANT_TABLE
-from .linalg import _check_finite
+from .linalg import _check_finite, _is_integer
 from .realization import Colligation, Representation
 from .testfn import HermitianKernel, PointSet, TestFunctionTable
 
@@ -238,8 +238,24 @@ def _require(obj: dict, key: str, where: str):
 
 
 def _positive_int(x) -> bool:
-    # bool is an int subclass, but JSON true is not a count
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+    return _is_integer(x) and x >= 1
+
+
+def _decode_stack(raw, where: str, count: int, refusal: str, shape=None) -> np.ndarray:
+    """The list ``raw`` of ``count`` matrices as one fresh (count, r, r)
+    stack, item i decoded at ``where[i]``.  Refused with the message
+    ``refusal`` unless it is such a list, and at the first item whose shape
+    is not ``shape``, by default the square of the first item's rows."""
+    if not isinstance(raw, list) or len(raw) != count:
+        raise FormatError(refusal)
+    mats = []
+    for i, item in enumerate(raw):
+        m = decode_matrix(item, f"{where}[{i}]")
+        shape = shape or (m.shape[0], m.shape[0])
+        if m.shape != shape:
+            raise FormatError(f"{where}[{i}]: shape {m.shape}, expected {shape}")
+        mats.append(m)
+    return np.array(mats)
 
 
 def _check_kind(obj, path: str, kind: str) -> dict:
@@ -301,16 +317,10 @@ def load_colligation(path: str) -> Colligation:
             raise FormatError(f"{path}: split must be null or two positive integers")
         split = (split[0], split[1])
     table = _table_from(_require(obj, "table", path), f"{path}.table")
-    raw_projections = _require(obj, "projections", path)
-    if not isinstance(raw_projections, list) or len(raw_projections) != table.m:
-        raise FormatError(
-            f"{path}: need one projection per test function ({table.m})"
-        )
-    projections = tuple(
-        decode_matrix(p, f"{path}.projections[{j}]")
-        for j, p in enumerate(raw_projections)
-    )
-    rep = Representation(projections, split=split)
+    raw = _require(obj, "projections", path)
+    refusal = f"{path}: need one projection per test function ({table.m})"
+    stack = _decode_stack(raw, f"{path}.projections", table.m, refusal)
+    rep = Representation._of_stack(stack, split)
     blocks = {
         name: decode_matrix(_require(obj, name, path), f"{path}.{name}")
         for name in ("A", "B", "C", "D")
@@ -348,19 +358,11 @@ def load_kernel(path: str) -> HermitianKernel:
     if not isinstance(raw, list) or len(raw) != points.n:
         raise FormatError(f"{path}: blocks must be an {points.n}-row grid")
     # the grid is sized from the decoded blocks, never from block_dim alone
-    grid = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != points.n:
-            raise FormatError(f"{path}.blocks[{i}]: expected {points.n} blocks")
-        grid.append([])
-        for j, cell in enumerate(row):
-            block = decode_matrix(cell, f"{path}.blocks[{i}][{j}]")
-            if block.shape != (block_dim, block_dim):
-                raise FormatError(
-                    f"{path}.blocks[{i}][{j}]: shape {block.shape}, "
-                    f"expected {(block_dim, block_dim)}"
-                )
-            grid[i].append(block)
+    grid = [
+        _decode_stack(row, f"{path}.blocks[{i}]", points.n,
+                      f"{path}.blocks[{i}]: expected {points.n} blocks", (block_dim, block_dim))
+        for i, row in enumerate(raw)
+    ]
     return HermitianKernel(points, np.array(grid))
 
 
@@ -405,16 +407,8 @@ def load_values(path: str) -> tuple[PointSet, np.ndarray]:
     obj = _check_kind(_read_json(path), path, "values")
     points = _labels(_require(obj, "labels", path), f"{path}.labels")
     raw = _require(obj, "values", path)
-    if not isinstance(raw, list) or len(raw) != points.n:
-        raise FormatError(f"{path}: need one value matrix per label")
-    mats = [decode_matrix(v, f"{path}.values[{i}]") for i, v in enumerate(raw)]
-    d = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (d, d):
-            raise FormatError(
-                f"{path}.values[{i}]: shape {m.shape}, expected {(d, d)}"
-            )
-    return points, np.stack(mats)
+    refusal = f"{path}: need one value matrix per label"
+    return points, _decode_stack(raw, f"{path}.values", points.n, refusal)
 
 
 def save_values(points: PointSet, stack, path: str) -> None:

@@ -14,6 +14,7 @@ split that the factorization checks consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -130,21 +131,15 @@ class Representation:
 
     def defects(self) -> dict[str, float]:
         """Worst-case residuals of the projection-family axioms."""
-        herm = max(max_abs(p - p.conj().T) for p in self.projections)
-        idem = max(max_abs(p @ p - p) for p in self.projections)
-        orth = 0.0
-        for a in range(self.m):
-            for b in range(a + 1, self.m):
-                orth = max(
-                    orth, max_abs(self.projections[a] @ self.projections[b])
-                )
-        total = max_abs(sum(self.projections) - np.eye(self.state_dim))
-        return {
-            "hermitian": herm,
-            "idempotent": idem,
-            "orthogonal": orth,
-            "unital": total,
-        }
+        n = self.state_dim
+        p = self._stack.reshape(-1, n, n)
+        herm = max_abs(p - p.conj().transpose(0, 2, 1))
+        idem = max_abs(p @ p - p)
+        # pair by pair: a batched p[a] @ p[b] copies every pair and was slower
+        pairs = combinations(range(self.m), 2)
+        orth = max([max_abs(p[a] @ p[b]) for a, b in pairs], default=0.0)
+        total = max_abs(p.sum(axis=0) - np.eye(n))
+        return {"hermitian": herm, "idempotent": idem, "orthogonal": orth, "unital": total}
 
     def validate(self, atol: float = DEFAULT_ATOL) -> None:
         _check_atol(atol)
@@ -166,13 +161,6 @@ class Representation:
         return Representation._of_stack(
             self._stack.reshape(-1, n, n)[:, sl, sl].copy()
         )
-
-
-def _frozen(m, name: str) -> np.ndarray:
-    """``as_matrix(m, name)`` as a read-only copy of its own."""
-    a = as_matrix(np.array(m, dtype=np.complex128), name)
-    a.setflags(write=False)
-    return a
 
 
 def _integers(values, name: str) -> tuple[int, ...]:
@@ -299,7 +287,7 @@ class Colligation:
     D: np.ndarray
 
     def __post_init__(self):
-        a, b, c, d = (_frozen(getattr(self, name), name) for name in "ABCD")
+        a, b, c, d = (as_matrix(np.array(getattr(self, k), dtype=complex), k) for k in "ABCD")
         dim, n = a.shape[0], d.shape[0]
         if a.shape != (dim, dim) or d.shape != (n, n):
             raise DimensionError("diagonal blocks must be square")
@@ -483,10 +471,12 @@ def _resolvents(col: Colligation, indices):
     Whenever ``_triangular_split`` finds an exact split, as ``product``
     writes it, the block triangular system is back-substituted: the n2 x n2
     block first, then the n1 x n1 block with the coupling term on its
-    right-hand side.  A coordinate family has the diagonal L_k = psi[labels]
-    and takes ``_scaled_block`` once per block.  Any other family forms
-    every D P_j once per call (m N^3) for ``_dense_block``, O(m N^2) per
-    point, which solves slices of its full stack.
+    right-hand side.  So a chunk names the first point singular in its
+    n2 x n2 block if it has one, and only else the first in its n1 x n1
+    block.  A coordinate family has the diagonal L_k = psi[labels] and
+    takes ``_scaled_block`` once per block.  Any other family forms every
+    D P_j once per call (m N^3) for ``_dense_block``, O(m N^2) per point,
+    which solves slices of its full stack.
 
     Each point's matrix is built by its one-point operation whatever the
     chunk; only the solve and the products after it run over the stack,

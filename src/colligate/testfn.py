@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, StructureError, ToleranceError
-from .linalg import DEFAULT_ATOL, _check_atol, _check_finite, as_matrix, is_psd, max_abs
+from .linalg import DEFAULT_ATOL, _check_atol, _check_finite, _integer, as_matrix, is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -294,14 +294,15 @@ def cp_kernel_check(
             if op.shape != (dim, dim):
                 raise DimensionError("sample operators must be square and equal sized")
         funs = [_coefficients(f, t.m) for f in functions]
-        for i in indices:
-            if not 0 <= int(i) < t.n:
+        at = [_integer(i, "sample point index") for i in indices]
+        for i in at:
+            if not 0 <= i < t.n:
                 raise StructureError(f"sample point index {i} outside 0..{t.n - 1}")
         grid = np.zeros((count, count, dim, dim), dtype=np.complex128)
         for a in range(count):
             for b in range(count):
                 block = as_matrix(
-                    k(int(indices[a]), int(indices[b]), np.conj(funs[b]) * funs[a]),
+                    k(at[a], at[b], np.conj(funs[b]) * funs[a]),
                     "kernel value",
                 )
                 if block.shape != (dim, dim):
@@ -516,6 +517,11 @@ def _as_value_stack(fvals) -> np.ndarray:
         mats = [as_matrix(f, "function value") for f in fvals]
         if not mats:
             raise StructureError("at least one function value is required")
+        ragged = [m.shape for m in mats if m.shape != mats[0].shape]
+        if ragged:
+            raise DimensionError(
+                f"function values must share one shape, got {mats[0].shape} and {ragged[0]}"
+            )
         stack = np.stack(mats)
     if stack.shape[1] != stack.shape[2]:
         raise DimensionError(

@@ -19,6 +19,8 @@ from colligate import (
     evaluate_all,
     load_colligation,
     product,
+    random_colligation,
+    random_representation,
     save_colligation,
     save_kernel,
     save_table,
@@ -35,6 +37,7 @@ from conftest import (
     conforming_pair,
     coordinate_colligation,
     invertible_pair,
+    random_table,
 )
 
 
@@ -131,6 +134,18 @@ class TestEval:
         (workdir / "bad.json").write_text(json.dumps(doc))
         code, report = run(capsys, "eval", workdir / "bad.json")
         assert (code, report["error"]) == (2, "FormatError")
+
+    def test_a_projection_of_another_shape_exits_two(self, workdir, capsys):
+        table = random_table(2, 4, seed=0)
+        col = random_colligation(1, random_representation(2, 3, seed=1), table, seed=2)
+        path = workdir / "two.json"
+        save_colligation(col, str(path))
+        doc = json.loads(path.read_text())
+        doc["projections"][1] = doc["projections"][1][:2]
+        path.write_text(json.dumps(doc))
+        code, report = run(capsys, "eval", path)
+        assert (code, report["error"]) == (2, "FormatError")
+        assert report["detail"].startswith(f"{path}.projections[1]: ")
 
     def test_deeply_nested_json_exits_two(self, workdir, capsys):
         path = workdir / "deep.json"

@@ -299,6 +299,26 @@ class TestColligationFile:
         with pytest.raises(FormatError, match="projection"):
             load_colligation(str(path))
 
+    def test_a_projection_of_another_shape_is_named(self, tmp_path):
+        table = random_table(2, 4, seed=0)
+        col = random_colligation(1, random_representation(2, 3, seed=1), table, seed=2)
+        path = tmp_path / "col.json"
+        save_colligation(col, str(path))
+        doc = json.loads(path.read_text())
+        doc["projections"][1] = encode_matrix(np.eye(2))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as info:
+            load_colligation(str(path))
+        assert str(info.value) == f"{path}.projections[1]: shape (2, 2), expected (3, 3)"
+
+    def test_loaded_projections_are_read_only(self, tmp_path):
+        path = str(tmp_path / "col.json")
+        save_colligation(blaschke_colligation(), path)
+        rep = load_colligation(path).rep
+        assert not rep._stack.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rep.projections[0][0, 0] = 2.0
+
     def test_not_json_is_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{nope")

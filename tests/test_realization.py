@@ -849,6 +849,21 @@ class TestChunkedKernel:
                     call()
             assert np.isfinite(evaluate(col, np.array([0, 1, 3, 4]))).all()
 
+    def test_a_split_names_a_point_of_its_lower_right_block_first(self):
+        # 1 - 4 * 0.25 and 1 - 2 * 0.5: f1 is singular at point 1, f2 at
+        # point 2, and the n2 x n2 block, the second factor's, is solved first
+        table = disc_table([0.0, 0.25, 0.5, -0.25])
+        f1, f2 = (
+            Colligation(rep=coordinate_representation([1]), table=table,
+                        A=np.zeros((1, 1)), B=np.ones((1, 1)), C=np.ones((1, 1)),
+                        D=np.array([[d]]))
+            for d in (4.0, 2.0)
+        )
+        with pytest.raises(SingularResolventError, match="point index 2;"):
+            evaluate_all(product(f1, f2))
+        with pytest.raises(SingularResolventError, match="point index 1;"):
+            evaluate_all(product(f2, f1))
+
     @pytest.mark.parametrize("budget", [9, 25, 60, 1 << 15])
     def test_no_solve_stack_exceeds_the_budget(self, monkeypatch, kernel_calls, budget):
         monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", budget)

@@ -473,6 +473,18 @@ GUARDS = {
         _cp(([0, 1], [np.eye(1), np.eye(1)], [ONE, ONE]), block=np.eye(2)),
         DimensionError, "kernel block is (2, 2), expected (1, 1)",
     ),
+    "fractional sample point index": (
+        _cp(([1.5], [np.eye(1)], [ONE])),
+        StructureError, "sample point index must be an integer, got 1.5",
+    ),
+    "boolean sample point index": (
+        _cp(([True], [np.eye(1)], [ONE])),
+        StructureError, "sample point index must be an integer, got True",
+    ),
+    "numpy float sample point index": (
+        _cp(([np.float64(1.9)], [np.eye(1)], [ONE])),
+        StructureError, f"sample point index must be an integer, got {np.float64(1.9)!r}",
+    ),
     "witness values for fewer points": (
         lambda: schur_agler_witness_check([np.zeros((1, 1))], szego_samples(TWO_POINTS), 1.0),
         StructureError, "1 function values supplied for 2 kernel points",
@@ -488,6 +500,14 @@ GUARDS = {
     "non-square function values": (
         lambda: schur_agler_witness_check([np.zeros((1, 2))] * 2, szego_samples(TWO_POINTS), 1.0),
         DimensionError, "function values must be square, got 1x2",
+    ),
+    "witness values of different shapes": (
+        lambda: schur_agler_witness_check([np.eye(1), np.eye(2)], szego_samples(TWO_POINTS), 1.0),
+        DimensionError, "function values must share one shape, got (1, 1) and (2, 2)",
+    ),
+    "norm bound over values of different shapes": (
+        lambda: agler_norm_lower_bound([np.eye(1), np.eye(2)], [szego_samples(TWO_POINTS)]),
+        DimensionError, "function values must share one shape, got (1, 1) and (2, 2)",
     ),
 }
 
@@ -617,6 +637,39 @@ class TestNormLowerBound:
         f = [np.zeros((1, 1)), np.array([[0.9]])]
         with pytest.raises(StructureError, match="before rounding exceeds atol"):
             agler_norm_lower_bound(f, [ones])
+
+    @pytest.fixture
+    def newton_stops_short(self, monkeypatch):
+        """Newton slopes a million times too steep: each step falls far short
+        of the threshold, so the widening loop has to place the bracket."""
+        lowest_pair = testfn._lowest_pair
+
+        def steep(head, s):
+            lowest, slope = lowest_pair(head, s)
+            return lowest, slope * 1e6
+
+        monkeypatch.setattr(testfn, "_lowest_pair", steep)
+
+    def test_a_bracket_short_of_the_bound_is_widened_to_it(self, request):
+        zs, atol = [0.0, 0.5, -0.3j, 0.25 + 0.25j], 1e-9
+        f = [np.array([[2.0 * z]]) for z in zs]
+        kernels = [szego_samples(zs), szego_samples(zs, power=2)]
+        _, exact, newton_checks = testfn._norm_bracket(f, kernels, atol)
+        request.getfixturevalue("newton_stops_short")
+        lo, hi, checks = testfn._norm_bracket(f, kernels, atol)
+        assert checks > 10 * newton_checks
+        assert all(schur_agler_witness_check(f, s, hi, atol) for s in kernels)
+        assert not all(schur_agler_witness_check(f, s, lo, atol) for s in kernels)
+        assert abs(hi**2 - exact**2) <= atol
+
+    def test_widening_stops_where_rounding_exceeds_atol(self, newton_stops_short):
+        ones = HermitianKernel(disc_points(TWO_POINTS), np.ones((2, 2, 1, 1)))
+        f = [np.zeros((1, 1)), np.array([[0.9]])]
+        with pytest.raises(StructureError, match="before rounding exceeds atol") as info:
+            agler_norm_lower_bound(f, [ones])
+        # refused by the limit on the widening loop, not on a Newton step
+        caller = next(e for e in info.traceback if e.name == "_norm_bracket")
+        assert str(caller.statement).strip() == "reach(hi)"
 
     def test_large_values_keep_eight_widenings(self):
         # 0 and 1e3 at z = 0.1 need c = 1e4, five doublings above the first
