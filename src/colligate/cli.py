@@ -126,23 +126,15 @@ def _residuals(res: dict) -> dict:
     return {k: float(v) for k, v in res.items()}
 
 
-def _quoted(names) -> str:
-    return " and ".join(f"'{k}'" for k in names)
-
-
 def _resolve_witnesses(split, variant: fz.Variant, witness_path, auto, atol):
     """Return (witness dict, source tag).  Raises on unusable input."""
     given = load_witness(witness_path) if witness_path else {}
     if all(k in given for k in variant.witnesses):
         return {k: given[k] for k in variant.witnesses}, "file"
-    if not all(k in given for k in variant.given):
-        raise StructureError(
-            f"{variant.name} variant needs a witness document with {_quoted(variant.given)}"
-        )
-    if not auto:
+    if not auto and all(k in given for k in variant.given):
         rest = variant.witnesses[len(variant.given):]
         raise StructureError(
-            f"{variant.name} variant needs {_quoted(rest)} in the witness, or --auto"
+            f"{variant.name} variant needs {fz._quoted(rest)} in the witness, or --auto"
         )
     return variant.search(split, given, atol), "auto"
 

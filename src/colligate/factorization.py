@@ -48,10 +48,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_ATOL,
     _check_atol,
+    _isometry_defect,
     _saturating,
     as_matrix,
     injective_on_range,
-    is_isometry,
     isometric_factor,
     max_abs,
 )
@@ -116,12 +116,21 @@ class Variant:
     ) -> dict[str, np.ndarray]:
         """Every witness, the ones past ``given`` found by ``complete``.
 
-        Raises WitnessError when the search shows that no witness of the
-        required form exists at this tolerance.
+        Raises StructureError when ``given`` lacks one of the variant's
+        given witnesses, and WitnessError when the search shows that no
+        witness of the required form exists at this tolerance.
         """
+        if not all(k in given for k in self.given):
+            raise StructureError(
+                f"{self.name} variant needs a witness document with {_quoted(self.given)}"
+            )
         known = tuple(given[k] for k in self.given)
-        found = globals()[self.complete](s, *known, atol=atol)
+        found = globals()[self.complete](s, *known, atol=atol) if self.complete else ()
         return dict(zip(self.witnesses, known + tuple(found)))
+
+
+def _quoted(names) -> str:
+    return " and ".join(f"'{k}'" for k in names)
 
 
 VARIANT_TABLE = {
@@ -146,9 +155,9 @@ class SplitColligation:
     """Block view of a colligation along its recorded state split.
 
     B and C split into (B1, B2) and (C1, C2); the D block splits into
-    [[D1, D2], [D21, D3]] with D21 required to vanish.  The parent
-    colligation is kept so extractors can reuse its table and the two
-    corner restrictions of its representation.
+    [[D1, D2], [D21, D3]] with D21 required to vanish.  Every block is a
+    read-only slice of the parent's, so a write into one raises ValueError;
+    the parent is kept for its table and the corners of its representation.
     """
 
     parent: Colligation
@@ -192,13 +201,13 @@ def split_blocks(col: Colligation, atol: float = DEFAULT_ATOL) -> SplitColligati
     return SplitColligation(
         parent=col,
         A=col.A,
-        B1=col.B[:, :n1].copy(),
-        B2=col.B[:, n1:].copy(),
-        C1=col.C[:n1, :].copy(),
-        C2=col.C[n1:, :].copy(),
-        D1=col.D[:n1, :n1].copy(),
-        D2=col.D[:n1, n1:].copy(),
-        D3=col.D[n1:, n1:].copy(),
+        B1=col.B[:, :n1],
+        B2=col.B[:, n1:],
+        C1=col.C[:n1, :],
+        C2=col.C[n1:, :],
+        D1=col.D[:n1, :n1],
+        D2=col.D[:n1, n1:],
+        D3=col.D[n1:, n1:],
     )
 
 
@@ -251,22 +260,20 @@ def _factors(
 ) -> tuple[Colligation, Colligation]:
     """The factors [[A1, B1], [X1, D1]] and [[A2, Y2], [C2, D3]].
 
-    Both must be isometric within ``slack``.  A certified check makes
-    a refusal unreachable in exact arithmetic; it fires only on
-    numerically inconsistent witnesses, which must be reported rather
-    than silently accepted.
+    B1, D1, C2 and D3 are views of the parent, A1, A2, X1 and Y2 copies.
+    Both must be isometric within ``slack``, a non-finite block reading as
+    an infinite defect.  A certified check makes a refusal unreachable in
+    exact arithmetic; it fires only on numerically inconsistent witnesses,
+    which must be reported rather than silently accepted.
     """
     rep, table = s.parent.rep, s.parent.table
+    a1, a2, x1, y2 = (np.array(w) for w in (a1, a2, x1, y2))
     factors = (
-        Colligation(
-            rep=rep.restrict(0), table=table, A=a1, B=s.B1, C=x1, D=s.D1
-        ),
-        Colligation(
-            rep=rep.restrict(1), table=table, A=a2, B=y2, C=s.C2, D=s.D3
-        ),
+        Colligation._of_blocks(rep.restrict(0), table, a1, s.B1, x1, s.D1),
+        Colligation._of_blocks(rep.restrict(1), table, a2, y2, s.C2, s.D3),
     )
     for name, col in zip(("first", "second"), factors):
-        if not is_isometry(col.matrix(), slack):
+        if not _isometry_defect(col.matrix()) <= slack:
             raise WitnessError(
                 f"extracted {name} factor is not isometric at {slack:.3e}; "
                 "the witness is numerically inconsistent",
@@ -373,7 +380,7 @@ def check_both_vanishing(
     with _saturating():
         residuals = {
             **_vanishing_pattern(s),
-            "l_isometry": max_abs(lw.conj().T @ lw - np.eye(d)),
+            "l_isometry": _isometry_defect(lw),
             "l_range_orthogonal": max_abs(lw.conj().T @ s.D1),
             "d2_factors": max_abs(s.D2 - lw @ yw),
         }

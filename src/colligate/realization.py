@@ -153,7 +153,7 @@ class Representation:
         """Corner restriction to one block of the split (0 or 1)."""
         if self.split is None:
             raise StructureError("restriction requires a split")
-        if half not in (0, 1):
+        if not (_is_integer(half) and half in (0, 1)):
             raise StructureError(f"restriction takes half 0 or 1, got {half!r}")
         n1, _ = self.split
         sl = slice(0, n1) if half == 0 else slice(n1, self.state_dim)
@@ -274,9 +274,9 @@ class Colligation:
     off-diagonal blocks of U = [[A, B], [C, D]].  Instances are plain
     data: isometry is measured by isometry_defect() and enforced by
     validate(), not by the constructor, so perturbed operators can be
-    studied with the same type.  The four blocks are kept as read-only
-    copies, so a later write to the caller's arrays cannot change the
-    colligation.
+    studied with the same type.  The four blocks are kept read-only: the
+    constructor copies them, so a later write to the caller's arrays cannot
+    change the colligation, and ``_of_blocks`` adopts blocks no caller holds.
     """
 
     rep: Representation
@@ -334,8 +334,8 @@ class Colligation:
     @classmethod
     def _of_blocks(cls, rep, table, a, b, c, d) -> "Colligation":
         """Colligation over consistent complex blocks that no caller holds,
-        or blocks of another colligation: kept as they are, not copied or
-        checked.  The module's builders come here, as for ``_of_stack``."""
+        or read-only views of another colligation's: kept as they are, not
+        copied or checked.  The module's builders and the extractors come here."""
         col = cls.__new__(cls)
         object.__setattr__(col, "rep", rep)
         object.__setattr__(col, "table", table)

@@ -9,6 +9,7 @@ from colligate import (
     Representation,
     TestFunctionTable,
     PointSet,
+    coordinate_representation,
     product,
     random_colligation,
     random_representation,
@@ -43,15 +44,24 @@ def conforming_pair(
     m: int,
     seed: int,
     n_points: int = 4,
+    coordinate: bool = False,
 ):
     """Two random isometric factors whose product satisfies ``variant``.
 
     Returns (first, second, parent, witnesses) where witnesses is None
     for the both-vanishing variant (its witness is found by search).
+    The factors' families are random dense ones, or with ``coordinate``
+    the state coordinates dealt round-robin over the m functions.
     """
     table = random_table(m, n_points, seed)
-    rep1 = random_representation(m, n1, seed + 1)
-    rep2 = random_representation(m, n2, seed + 2)
+    if coordinate:
+        rep1, rep2 = (
+            coordinate_representation([n // m + (j < n % m) for j in range(m)])
+            for n in (n1, n2)
+        )
+    else:
+        rep1 = random_representation(m, n1, seed + 1)
+        rep2 = random_representation(m, n2, seed + 2)
     if variant == "vanishing-selfadjoint":
         first = random_vanishing_colligation(value_dim, rep1, table, seed + 3)
         second = random_selfadjoint_base_colligation(value_dim, rep2, table, seed + 4)

@@ -23,6 +23,7 @@ from colligate import (
     check_vanishing_selfadjoint,
     disc_table,
     evaluate,
+    evaluate_all,
     extract_both_vanishing,
     extract_general,
     extract_vanishing_selfadjoint,
@@ -375,6 +376,24 @@ class TestVariantTable:
         first_back, _ = VARIANT_TABLE["general"].extract(s, found)
         npt.assert_array_equal(first_back.A, first.A)
 
+    def test_a_search_without_a_completion_returns_the_given_witnesses(self):
+        s = split_blocks(blaschke_colligation())
+        a = np.array([[0.5]], dtype=complex)
+        found = VARIANT_TABLE["vanishing-selfadjoint"].search(s, {"A": a})
+        assert list(found) == ["A"] and found["A"] is a
+        assert VARIANT_TABLE["vanishing-selfadjoint"].check(s, found).verdict
+
+    @pytest.mark.parametrize("variant, given, names", [
+        ("general", {}, "'A1' and 'A2'"),
+        ("general", {"A1": np.eye(2)}, "'A1' and 'A2'"),
+        ("vanishing-selfadjoint", {}, "'A'"),
+    ])
+    def test_a_search_missing_a_given_witness_is_refused(self, variant, given, names):
+        first, second, parent = invertible_pair(2, 2, 2, 2, seed=11)
+        with pytest.raises(StructureError) as info:
+            VARIANT_TABLE[variant].search(split_blocks(parent), given)
+        assert str(info.value) == f"{variant} variant needs a witness document with {names}"
+
 
 def acceptance_shape(variant: str, seed: int) -> tuple[int, int, int, int]:
     """(d, m, n1, n2) on the grid of acceptance criterion 3."""
@@ -489,6 +508,73 @@ class TestNonFiniteWitness:
             check_vanishing_selfadjoint(s, [[float("nan")]])
         assert isinstance(info.value, ColligateError)
         assert isinstance(info.value, ValueError)
+
+
+SPLIT_BLOCKS = ("B1", "B2", "C1", "C2", "D1", "D2", "D3")
+
+
+def held_case(variant: str, kind: str, seed: int = 31):
+    """(split, witnesses): the split of a product of two random factors of
+    the variant's shape, on a coordinate or a dense split, and every
+    witness as a fresh writable array that the caller holds."""
+    _, _, parent, witnesses = conforming_pair(
+        variant, 2, 3, 3, 2, seed, coordinate=kind == "coordinate"
+    )
+    assert (parent.rep._labels is not None) == (kind == "coordinate")
+    s = split_blocks(parent)
+    if witnesses is None:
+        witnesses = VARIANT_TABLE[variant].search(s, {})
+    return s, {k: np.array(w) for k, w in witnesses.items()}
+
+
+class TestAdoption:
+    """The split and the extracted factors copy no block of the parent, and
+    no holder can write into a block that another colligation keeps."""
+
+    @pytest.mark.parametrize("kind", ["coordinate", "dense"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_split_blocks_are_read_only_views_of_the_parent(self, variant, kind):
+        s, _ = held_case(variant, kind)
+        assert s.A is s.parent.A
+        for name in SPLIT_BLOCKS:
+            block = getattr(s, name)
+            assert np.shares_memory(block, getattr(s.parent, name[0])), name
+            assert not block.flags.writeable, name
+            with pytest.raises(ValueError):
+                block.setflags(write=True)
+            with pytest.raises(ValueError):
+                block[...] = 0.0
+
+    @pytest.mark.parametrize("kind", ["coordinate", "dense"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_factors_share_the_parent_blocks_and_not_the_witnesses(self, variant, kind):
+        s, witnesses = held_case(variant, kind)
+        first, second = VARIANT_TABLE[variant].extract(s, witnesses)
+        for factor, shared in ((first, {"B": s.B1, "D": s.D1}), (second, {"C": s.C2, "D": s.D3})):
+            for name in "ABCD":
+                block = getattr(factor, name)
+                assert not block.flags.writeable, name
+                assert np.shares_memory(block, getattr(s.parent, name)) == (name in shared), name
+                if name in shared:
+                    assert block is shared[name]
+                for w in witnesses.values():
+                    assert not np.shares_memory(block, w), name
+        before = [evaluate_all(first), evaluate_all(second)]
+        for w in witnesses.values():
+            w[...] = 7.0
+        npt.assert_array_equal(evaluate_all(first), before[0])
+        npt.assert_array_equal(evaluate_all(second), before[1])
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), complex(0.0, -float("inf"))])
+    def test_a_non_finite_factor_is_refused_by_the_isometry_test(self, entry):
+        # the blocks are adopted unchecked: the defect reads inf and refuses them
+        s = split_blocks(squared_coordinate())
+        one, zero = np.ones((1, 1), dtype=complex), np.zeros((1, 1), dtype=complex)
+        cert = check_both_vanishing(s, one, one)
+        x1 = np.array([[entry]], dtype=complex)
+        with pytest.raises(WitnessError, match="first factor is not isometric") as info:
+            factorization._factors(s, cert, zero, zero, x1, one, 1e-9)
+        assert info.value.certificate is cert
 
 
 class TestVerifyFactorization:

@@ -25,7 +25,7 @@ from colligate import (
     orthonormal_range_basis,
     random_isometry,
 )
-from colligate.linalg import as_matrix
+from colligate.linalg import _isometry_defect, as_matrix
 
 
 def _randc(rng, rows, cols):
@@ -78,6 +78,39 @@ class TestIsIsometry:
         m = np.eye(3) * np.sqrt(1.0 + 5e-7)
         assert is_isometry(m, atol=1e-6)
         assert not is_isometry(m, atol=1e-8)
+
+
+class TestIsometryDefect:
+    """``_isometry_defect`` takes I off the Gram product's diagonal in place;
+    the reference subtracts a fresh identity."""
+
+    @staticmethod
+    def reference(a: np.ndarray) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return max_abs(a.conj().T @ a - np.eye(a.shape[1]))
+
+    @pytest.mark.parametrize("rows, cols", [(5, 2), (4, 4), (3, 0), (0, 0), (1, 1)])
+    def test_bit_identical_to_subtracting_the_identity(self, rows, cols):
+        rng = np.random.default_rng(rows * 10 + cols)
+        for a in (_randc(rng, rows, cols), random_isometry(max(rows, cols), cols, seed=3)):
+            a = np.ascontiguousarray(a[:rows])
+            assert _isometry_defect(a) == self.reference(a)
+            assert _isometry_defect(a.T.copy().T) == self.reference(a)
+
+    @pytest.mark.parametrize("entry", [-0.0, complex(-0.0, -0.0), np.inf, -np.inf,
+                                       complex(0.0, np.inf), np.nan, complex(1.0, np.nan)],
+                             ids=repr)
+    def test_signed_zero_and_non_finite_entries(self, entry):
+        for a in (np.array([[entry]], dtype=complex), np.array([[1.0, 0.0], [0.0, entry], [0.0, 0.0]])):
+            defect = _isometry_defect(a.astype(complex))
+            assert defect == self.reference(a.astype(complex))
+            assert type(defect) is float and not np.signbit(defect)
+
+    def test_the_input_is_left_as_it_was(self):
+        a = random_isometry(4, 3, seed=8)
+        kept = a.copy()
+        _isometry_defect(a)
+        npt.assert_array_equal(a, kept)
 
 
 class TestIsPsd:

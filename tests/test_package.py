@@ -155,3 +155,29 @@ def test_every_raise_message_has_one_site():
             sites.setdefault(template, []).append(where)
     assert len(sites) > 50
     assert not {t: w for t, w in sites.items() if len(w) > 1}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names the module at ``path`` imports and never reads, except where
+    the import statement's first line is marked ``# noqa: F401``."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        and "# noqa: F401" not in lines[node.lineno - 1]
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read
+    ]
+
+
+def test_every_imported_name_is_used():
+    # an import left behind by a change is dead code; mark a deliberate one
+    # with noqa: F401 on its line
+    package = Path(colligate.__file__).parent
+    unused = [found for path in sorted(package.glob("*.py")) for found in _unused_imports(path)]
+    assert not unused

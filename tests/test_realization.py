@@ -190,6 +190,11 @@ class TestRepresentation:
         with pytest.raises(StructureError, match="half"):
             rep.restrict(half)
 
+    @pytest.mark.parametrize("half", [0, 1, np.int64(1), np.uint8(0)], ids=repr)
+    def test_restrict_takes_a_numpy_integer_half(self, half):
+        rep = direct_sum(coordinate_representation([1]), coordinate_representation([2]))
+        assert rep.restrict(half).state_dim == (1, 2)[int(half)]
+
     def test_later_writes_to_the_callers_arrays_change_nothing(self):
         projections = [np.diag([1.0, 0.0, 1.0]).astype(complex), np.diag([0.0, 1.0, 0.0])]
         table = random_table(2, 4, seed=12)
@@ -331,6 +336,19 @@ GUARDS = {
     "restrict without a split": (
         lambda: coordinate_representation([1, 2]).restrict(0),
         StructureError, "restriction requires a split",
+    ),
+    "boolean half": (
+        lambda: direct_sum(coordinate_representation([1]), coordinate_representation([2])).restrict(True),
+        StructureError, "restriction takes half 0 or 1, got True",
+    ),
+    "integral float half": (
+        lambda: direct_sum(coordinate_representation([1]), coordinate_representation([2])).restrict(1.0),
+        StructureError, "restriction takes half 0 or 1, got 1.0",
+    ),
+    "numpy float half": (
+        lambda: direct_sum(coordinate_representation([1]), coordinate_representation([2])).restrict(
+            np.float64(0.0)),
+        StructureError, "restriction takes half 0 or 1, got np.float64(0.0)",
     ),
     "negative block size": (
         lambda: coordinate_representation([2, -1]),

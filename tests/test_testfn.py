@@ -187,6 +187,18 @@ class TestTable:
         assert t.same_family(disc_table(TWO_POINTS))
         assert not t.same_family(disc_table([0.0, 0.25]))
 
+    def test_same_family_takes_the_same_table_without_comparing(self, monkeypatch):
+        t = disc_table(FOUR_POINTS)
+        compared = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b))
+        assert t.same_family(t) and compared == []
+        # an equal copy is still compared by value
+        changed = t.values.copy()
+        changed[0, 3] += 1e-16j
+        assert t.same_family(FunctionTable(t.points, t.values.copy())) and compared == [1]
+        assert not t.same_family(FunctionTable(t.points, changed)) and compared == [1, 1]
+
     def test_eval_map_is_the_column(self):
         t = disc_table(FOUR_POINTS)
         npt.assert_array_equal(eval_map(t, 0), np.zeros(1))
