@@ -122,10 +122,6 @@ def _loaded_colligation(path: str, atol: float) -> Colligation:
     return col
 
 
-def _residuals(res: dict) -> dict:
-    return {k: float(v) for k, v in res.items()}
-
-
 def _resolve_witnesses(split, variant: fz.Variant, witness_path, auto, atol):
     """Return (witness dict, source tag).  Raises on unusable input."""
     given = load_witness(witness_path) if witness_path else {}
@@ -143,7 +139,7 @@ def _false_verdict(report, exc: WitnessError) -> int:
     report["verdict"] = False
     report["witness_error"] = str(exc)
     if exc.certificate is not None:
-        report["residuals"] = _residuals(exc.certificate.residuals)
+        report["residuals"] = exc.certificate.residuals
     return 1
 
 
@@ -180,7 +176,7 @@ def _cmd_check(args, report):
     cert = variant.check(split, witnesses, args.atol)
     report["witness_source"] = source
     report["witnesses"] = witnesses
-    report["residuals"] = _residuals(cert.residuals)
+    report["residuals"] = cert.residuals
     report["verdict"] = cert.verdict
     return 0 if cert.verdict else 1
 

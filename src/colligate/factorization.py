@@ -480,14 +480,11 @@ def _shares_blocks(parent: Colligation, f1: Colligation, f2: Colligation) -> boo
     """True iff the parent's split is exactly block triangular
     (``_triangular_split``) and f1 and f2 carry its diagonal blocks.
     Every test reads slices of the parent's arrays; nothing is copied."""
-    n, n1 = parent.state_dim, _triangular_split(parent)
-    if not n1:
-        return False
-    stack = parent.rep._stack.reshape(-1, n, n)
-    return all(
+    n1 = _triangular_split(parent)
+    return bool(n1) and all(
         np.array_equal(f.D, parent.D[half, half])
-        and np.array_equal(f.rep._stack.reshape(-1, k, k), stack[:, half, half])
-        for f, half, k in ((f1, slice(n1), n1), (f2, slice(n1, None), n - n1))
+        and np.array_equal(f.rep._stack, parent.rep._stack[:, half, half])
+        for f, half in ((f1, slice(n1)), (f2, slice(n1, None)))
     )
 
 

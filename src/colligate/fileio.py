@@ -48,11 +48,7 @@ WITNESS_NAMES = tuple(name for v in VARIANT_TABLE.values() for name in v.witness
 
 def _fmt_scalar(x) -> str:
     """A value _is_scalar accepts, as JSON text."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if x is None:
-        return "null"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, np.integer):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         v = float(x)

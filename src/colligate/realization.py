@@ -76,7 +76,7 @@ class Representation:
 
     projections: tuple[np.ndarray, ...]
     split: tuple[int, int] | None = None
-    # row j is P_j flattened: the read-only (m, N^2) array the views share
+    # the read-only (m, N, N) array whose rows the projections are views of
     _stack: np.ndarray = field(init=False, repr=False, default=None)
     # coordinate label of each state basis vector, None unless coordinate
     _labels: np.ndarray | None = field(init=False, repr=False, default=None)
@@ -108,11 +108,10 @@ class Representation:
     def _adopt(self, stack: np.ndarray) -> None:
         """Freeze ``stack`` and make it the projections' one home."""
         stack.setflags(write=False)
-        views = tuple(stack)
         n = stack.shape[1]
-        object.__setattr__(self, "projections", views)
-        object.__setattr__(self, "_stack", stack.reshape(len(views), n * n))
-        object.__setattr__(self, "_labels", _coordinate_labels(views))
+        object.__setattr__(self, "projections", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_labels", _coordinate_labels(stack))
         if self.split is not None:
             split = _integers(self.split, "split")
             if len(split) != 2 or min(split) < 1 or sum(split) != n:
@@ -131,14 +130,13 @@ class Representation:
 
     def defects(self) -> dict[str, float]:
         """Worst-case residuals of the projection-family axioms."""
-        n = self.state_dim
-        p = self._stack.reshape(-1, n, n)
+        p = self._stack
         herm = max_abs(p - p.conj().transpose(0, 2, 1))
         idem = max_abs(p @ p - p)
         # pair by pair: a batched p[a] @ p[b] copies every pair and was slower
         pairs = combinations(range(self.m), 2)
         orth = max([max_abs(p[a] @ p[b]) for a, b in pairs], default=0.0)
-        total = max_abs(p.sum(axis=0) - np.eye(n))
+        total = max_abs(p.sum(axis=0) - np.eye(self.state_dim))
         return {"hermitian": herm, "idempotent": idem, "orthogonal": orth, "unital": total}
 
     def validate(self, atol: float = DEFAULT_ATOL) -> None:
@@ -157,10 +155,7 @@ class Representation:
             raise StructureError(f"restriction takes half 0 or 1, got {half!r}")
         n1, _ = self.split
         sl = slice(0, n1) if half == 0 else slice(n1, self.state_dim)
-        n = self.state_dim
-        return Representation._of_stack(
-            self._stack.reshape(-1, n, n)[:, sl, sl].copy()
-        )
+        return Representation._of_stack(self._stack[:, sl, sl].copy())
 
 
 def _integers(values, name: str) -> tuple[int, ...]:
@@ -172,7 +167,7 @@ def _integers(values, name: str) -> tuple[int, ...]:
     return tuple(int(v) for v in items)
 
 
-def _coordinate_labels(mats: tuple[np.ndarray, ...]) -> np.ndarray | None:
+def _coordinate_labels(stack: np.ndarray) -> np.ndarray | None:
     """Label vector of a coordinate family, else None.
 
     A family is coordinate when every projection is exactly diagonal
@@ -182,10 +177,10 @@ def _coordinate_labels(mats: tuple[np.ndarray, ...]) -> np.ndarray | None:
     off-diagonal nonzero, so a dense family usually costs one pass over
     one projection.
     """
-    for p in mats:
+    for p in stack:
         if np.count_nonzero(p) != np.count_nonzero(p.diagonal()):
             return None
-    diagonals = np.array([p.diagonal() for p in mats])
+    diagonals = stack.diagonal(axis1=1, axis2=2)
     ones = diagonals == 1
     if not (ones | (diagonals == 0)).all() or not (ones.sum(axis=0) == 1).all():
         return None
@@ -230,8 +225,7 @@ def random_representation(m: int, state_dim: int, seed: int) -> Representation:
         raise StructureError("need at least one function and one state dimension")
     rng = _rng(seed)
     v = _rng_isometry(rng, state_dim, state_dim)
-    base = _round_robin_representation(m, state_dim)
-    stack = base._stack.reshape(m, state_dim, state_dim)
+    stack = _round_robin_representation(m, state_dim)._stack
     return Representation._of_stack(v @ stack @ v.conj().T)
 
 
@@ -243,17 +237,17 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
         )
     n1, n2 = rep1.state_dim, rep2.state_dim
     stack = np.zeros((rep1.m, n1 + n2, n1 + n2), dtype=np.complex128)
-    stack[:, :n1, :n1] = rep1._stack.reshape(-1, n1, n1)
-    stack[:, n1:, n1:] = rep2._stack.reshape(-1, n2, n2)
+    stack[:, :n1, :n1] = rep1._stack
+    stack[:, n1:, n1:] = rep2._stack
     return Representation._of_stack(stack, split=(n1, n2))
 
 
 def rep_apply(rep: Representation, g) -> np.ndarray:
     """Apply the representation to a coefficient vector: sum g_j P_j,
-    one product of g with the projection stack."""
+    one product of g with the flat (m, N^2) view of the projection stack."""
     gv = _coefficients(g, rep.m)
     n = rep.state_dim
-    return (gv @ rep._stack).reshape(n, n)
+    return (gv @ rep._stack.reshape(rep.m, n * n)).reshape(n, n)
 
 
 def rep_is_reducible(rep: Representation, atol: float = DEFAULT_ATOL) -> bool:
@@ -261,8 +255,7 @@ def rep_is_reducible(rep: Representation, atol: float = DEFAULT_ATOL) -> bool:
     _check_atol(atol)
     if rep.split is None:
         raise StructureError("reducibility is relative to a split, none recorded")
-    n, n1 = rep.state_dim, rep.split[0]
-    stack = rep._stack.reshape(-1, n, n)
+    n1, stack = rep.split[0], rep._stack
     return max(max_abs(stack[:, :n1, n1:]), max_abs(stack[:, n1:, :n1])) <= atol
 
 
@@ -408,15 +401,15 @@ def _solve(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 def _dense_block(dp, stack, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
     """(G, H) of one chunk of a dense family with coefficient rows ``psi``:
-    D L_k = sum_j psi_kj D P_j from the rows of ``dp``, and L_k from the
-    rows of ``stack``.  Each is one batched (c, 1, m) @ (m, N^2) product,
-    which numpy runs as the one-point vector-matrix kernel item by item, so
+    D L_k = sum_j psi_kj D P_j from the (m, N, N) ``dp``, and L_k from the
+    projection ``stack``.  Each is one batched (c, 1, m) @ (m, N^2) product
+    over the stack's flat view, which numpy runs as the one-point vector-matrix kernel item by item, so
     a point's values do not depend on its chunk.  With n1 > 0 the stack is
     block upper triangular at n1: its lower-right slices are solved with
     C[n1:], then its upper-left ones with C[:n1] - R12 G2, R12 upper right."""
     count, n = len(psi), c.shape[0]
-    resolvent = np.matmul(-psi[:, None, :], dp).reshape(count, n * n)
-    lam = np.matmul(psi[:, None, :], stack)
+    resolvent = np.matmul(-psi[:, None, :], dp.reshape(-1, n * n)).reshape(count, n * n)
+    lam = np.matmul(psi[:, None, :], stack.reshape(-1, n * n))
     # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k is on its diagonal
     resolvent[:, :: n + 1] += 1.0
     resolvent = resolvent.reshape(count, n, n)
@@ -449,8 +442,7 @@ def _triangular_split(col: Colligation) -> int:
     I - D L(x) is block upper triangular at n1 at every point."""
     if col.rep.split is None:
         return 0
-    n, n1 = col.state_dim, col.rep.split[0]
-    stack = col.rep._stack.reshape(-1, n, n)
+    n1, stack = col.rep.split[0], col.rep._stack
     if col.D[n1:, :n1].any() or stack[:, :n1, n1:].any() or stack[:, n1:, :n1].any():
         return 0
     return n1
@@ -489,7 +481,7 @@ def _resolvents(col: Colligation, indices):
     n1 = _triangular_split(col)
     if labels is None:
         stack = col.rep._stack
-        dp = np.matmul(d, stack.reshape(-1, n, n)).reshape(-1, n * n)
+        dp = np.matmul(d, stack)
     # a dense chunk builds the full N x N stack, a coordinate one only its blocks
     side = n if labels is None else max(n1, n - n1)
     step = max(1, _RESOLVENT_BUDGET // side**2)

@@ -742,7 +742,7 @@ class TestDenseKernel:
         rep = random_representation(3, 5, seed=110)
         projections = [p.copy() for p in rep.projections]
         held = Representation(tuple(projections))
-        assert held._stack.shape == (3, 25)
+        assert held._stack.shape == (3, 5, 5)
         assert not held._stack.flags.writeable
         for j, p in enumerate(held.projections):
             assert np.shares_memory(p, held._stack)
