@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FormatError
 from .factorization import VARIANT_TABLE
-from .linalg import _check_finite, _is_integer
+from .linalg import _as_array, _check_finite, _is_integer
 from .realization import Colligation, Representation
 from .testfn import HermitianKernel, PointSet, TestFunctionTable
 
@@ -124,7 +124,7 @@ def dumps_canonical(obj) -> str:
 
 def encode_matrix(m) -> list:
     """Matrix to nested lists of [re, im] pairs."""
-    a = np.asarray(m, dtype=np.complex128)
+    a = _as_array(m, "matrix")
     return [
         [[float(z.real), float(z.imag)] for z in row] for row in a
     ]
@@ -393,7 +393,7 @@ def save_witness(witnesses: dict[str, np.ndarray], path: str) -> None:
     doc: dict = {"kind": "witness"}
     for name in WITNESS_NAMES:
         if name in witnesses:
-            doc[name] = np.asarray(witnesses[name], dtype=np.complex128)
+            doc[name] = _as_array(witnesses[name], f"witness {name}")
     _write(doc, path)
 
 
@@ -411,7 +411,7 @@ def save_values(points: PointSet, stack, path: str) -> None:
     doc = {
         "kind": "values",
         "labels": list(points.labels),
-        "values": list(np.asarray(stack, dtype=np.complex128)),
+        "values": list(_as_array(stack, "values")),
     }
     _write(doc, path)
 

@@ -9,6 +9,7 @@ no relative tolerance knob is offered.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -45,11 +46,20 @@ __all__ = [
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a 2-D complex128 array with finite entries."""
-    a = np.asarray(m, dtype=np.complex128)
+    a = _as_array(m, name)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     _check_finite(a, name)
     return a
+
+
+def _as_array(x, name: str) -> np.ndarray:
+    """``x`` as a complex128 array: the one conversion of array input from
+    outside the package, so numpy's refusal of it is a FormatError."""
+    try:
+        return np.asarray(x, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{name} must be an array of numbers") from exc
 
 
 def max_abs(m) -> float:
@@ -246,9 +256,9 @@ def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
     column phases so the triangular factor has a positive diagonal.
     """
     rows, cols = _integer(rows, "rows"), _integer(cols, "cols")
-    if rows < cols:
+    if not rows >= cols >= 0:
         raise DimensionError(
-            f"cannot build a {rows}x{cols} isometry, need rows >= cols"
+            f"cannot build a {rows}x{cols} isometry, need rows >= cols >= 0"
         )
     return _rng_isometry(_rng(seed), rows, cols)
 
@@ -284,7 +294,9 @@ def _rng_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def _check_atol(atol: float) -> None:
-    if not (math.isfinite(atol) and atol >= 0.0):
+    # a bool is a Real, and True would run every check at 1.0
+    real = isinstance(atol, Real) and not isinstance(atol, bool)
+    if not (real and math.isfinite(atol) and atol >= 0.0):
         raise ToleranceError(f"atol must be finite and nonnegative, got {atol}")
 
 

@@ -280,7 +280,7 @@ class Colligation:
     D: np.ndarray
 
     def __post_init__(self):
-        a, b, c, d = (as_matrix(np.array(getattr(self, k), dtype=complex), k) for k in "ABCD")
+        a, b, c, d = (np.array(as_matrix(getattr(self, k), k)) for k in "ABCD")
         dim, n = a.shape[0], d.shape[0]
         if a.shape != (dim, dim) or d.shape != (n, n):
             raise DimensionError("diagonal blocks must be square")
@@ -403,10 +403,10 @@ def _dense_block(dp, stack, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
     """(G, H) of one chunk of a dense family with coefficient rows ``psi``:
     D L_k = sum_j psi_kj D P_j from the (m, N, N) ``dp``, and L_k from the
     projection ``stack``.  Each is one batched (c, 1, m) @ (m, N^2) product
-    over the stack's flat view, which numpy runs as the one-point vector-matrix kernel item by item, so
-    a point's values do not depend on its chunk.  With n1 > 0 the stack is
-    block upper triangular at n1: its lower-right slices are solved with
-    C[n1:], then its upper-left ones with C[:n1] - R12 G2, R12 upper right."""
+    over a flat view, run by numpy as the one-point vector-matrix kernel item
+    by item, so a point's values do not depend on its chunk.  With n1 > 0 the
+    stack is block upper triangular at n1: its lower-right slices are solved
+    with C[n1:], then its upper-left ones with C[:n1] - R12 G2, R12 upper right."""
     count, n = len(psi), c.shape[0]
     resolvent = np.matmul(-psi[:, None, :], dp.reshape(-1, n * n)).reshape(count, n * n)
     lam = np.matmul(psi[:, None, :], stack.reshape(-1, n * n))

@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, StructureError, ToleranceError
-from .linalg import DEFAULT_ATOL, _check_atol, _check_finite, _integer, as_matrix, is_psd, max_abs
+from .linalg import DEFAULT_ATOL, _as_array, _check_atol, _check_finite, _integer, as_matrix
+from .linalg import is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -150,7 +151,7 @@ def validate_test_family(
 
 def _coefficients(g, m: int) -> np.ndarray:
     """``g`` as a flat complex vector of one coefficient per test function."""
-    gv = np.asarray(g, dtype=np.complex128).reshape(-1)
+    gv = _as_array(g, "coefficient vector").reshape(-1)
     if gv.shape[0] != m:
         raise DimensionError(f"coefficient vector has length {gv.shape[0]}, expected {m}")
     return gv
@@ -189,7 +190,7 @@ class HermitianKernel:
     blocks: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=np.complex128)
+        b = _as_array(self.blocks, "kernel")
         if b.ndim != 4:
             raise DimensionError(
                 f"kernel blocks must be 4-D (n, n, d, d), got shape {b.shape}"
@@ -276,15 +277,15 @@ def cp_kernel_check(
     for sample in samples:
         try:
             indices, operators, functions = sample
+            lengths = (len(indices), len(operators), len(functions))
         except (TypeError, ValueError) as exc:
             raise StructureError(
                 "each sample must be (indices, operators, functions)"
             ) from exc
-        count = len(indices)
-        if len(operators) != count or len(functions) != count:
+        count = lengths[0]
+        if lengths != (count,) * 3:
             raise DimensionError(
-                "sample pieces must share one length, got "
-                f"{count}, {len(operators)}, {len(functions)}"
+                f"sample pieces must share one length, got {', '.join(map(str, lengths))}"
             )
         if count == 0:
             continue
@@ -511,7 +512,7 @@ def _lowest_pair(head: np.ndarray, s: HermitianKernel) -> tuple[float, float]:
 def _as_value_stack(fvals) -> np.ndarray:
     """Stack per-point function values into shape (n, d, d)."""
     if isinstance(fvals, np.ndarray) and fvals.ndim == 3:
-        stack = np.asarray(fvals, dtype=np.complex128)
+        stack = _as_array(fvals, "function value")
         _check_finite(stack, "function value")
     else:
         mats = [as_matrix(f, "function value") for f in fvals]
@@ -540,7 +541,7 @@ def disc_table(zs: Sequence[complex]) -> TestFunctionTable:
 
     The first entry must be 0 so the base point sits at index 0.
     """
-    values = np.asarray([list(zs)], dtype=np.complex128)
+    values = _as_array([list(zs)], "disc points")
     return TestFunctionTable(disc_points(zs), values)
 
 
@@ -548,7 +549,7 @@ def szego_samples(zs: Sequence[complex], power: int = 1) -> HermitianKernel:
     """Scalar kernel 1 / (1 - z * conj(w)) ** power sampled at ``zs``."""
     if power < 1:
         raise StructureError(f"power must be at least 1, got {power}")
-    z = np.asarray(list(zs), dtype=np.complex128)
+    z = _as_array(list(zs), "disc points")
     denom = 1.0 - z[:, None] * z[None, :].conj()
     blocks = (1.0 / denom ** power)[:, :, None, None]
     return HermitianKernel(disc_points(zs), blocks)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from colligate import (
     Colligation,
@@ -17,6 +21,15 @@ from colligate import (
     random_vanishing_colligation,
     validate_test_family,
 )
+
+# one profile for the whole run: every property test draws the same examples
+# on every run, and no run writes an example database under .hypothesis/
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
+# Hypothesis also caches the literals of the package's modules under its home
+# directory, database or not, while collecting: a directory removed at exit
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 def random_table(m: int, n: int, seed: int, radius: float = 0.85) -> TestFunctionTable:

@@ -91,8 +91,7 @@ def mutations(draw, argv):
 def test_mutated_inputs_keep_the_exit_code_contract(invocation):
     argv = INVOCATIONS[invocation]
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
     @given(mutations(argv))
     def run(mutation):
         name, text = mutation
@@ -122,7 +121,7 @@ def test_mutated_inputs_keep_the_exit_code_contract(invocation):
 STATE_DIMS = ["0,2", "-1,1", "a,b", "3", "2,1", "1,1", "1,-2", "0,0", ",", "1,2,3", "", "2, 1"]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.integers(-8, 8), st.integers(-8, 8), st.sampled_from(STATE_DIMS))
 @example(seed=-1, value_dim=1, state_dims="2,1")
 @example(seed=0, value_dim=0, state_dims="0,2")

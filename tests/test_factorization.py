@@ -7,6 +7,8 @@ import zlib
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colligate import (
     VARIANTS,
@@ -21,6 +23,7 @@ from colligate import (
     check_both_vanishing,
     check_general,
     check_vanishing_selfadjoint,
+    coordinate_representation,
     disc_table,
     evaluate,
     evaluate_all,
@@ -32,7 +35,9 @@ from colligate import (
     max_abs,
     product,
     random_colligation,
+    random_isometry,
     random_representation,
+    random_vanishing_colligation,
     solve_general_witnesses,
     split_blocks,
     verify_factorization,
@@ -575,6 +580,63 @@ class TestAdoption:
         with pytest.raises(WitnessError, match="first factor is not isometric") as info:
             factorization._factors(s, cert, zero, zero, x1, one, 1e-9)
         assert info.value.certificate is cert
+
+
+def factor_rep(coordinate: bool, m: int, n: int, seed: int) -> Representation:
+    """The state coordinates dealt round-robin over m functions, or a random
+    dense family."""
+    if coordinate:
+        return coordinate_representation([n // m + (j < n % m) for j in range(m)])
+    return random_representation(m, n, seed)
+
+
+# (first factor coordinate, second factor coordinate) for each parent family
+FAMILIES = {"coordinate": (True, True), "dense": (False, False), "mixed": (True, False)}
+
+
+class TestUnitaryFreedom:
+    """The conditions fix the witnesses only up to a unitary V on the value
+    space: (A1 V, V* A2, X1 V, V* Y2) passes check_general when (A1, A2, X1,
+    Y2) does, (L V, V* Y) gets the verdict of (L, Y), and the factors
+    extracted from the moved witnesses are F1 V and V* F2."""
+
+    @settings(max_examples=40)
+    @given(
+        variant=st.sampled_from(["general", "both-vanishing"]),
+        family=st.sampled_from(sorted(FAMILIES)),
+        d=st.integers(1, 3),
+        m=st.integers(1, 3),
+        extra=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_unitary_moves_witnesses_and_factors(self, variant, family, d, m, extra, seed):
+        table = random_table(m, 4, seed)
+        build = random_colligation if variant == "general" else random_vanishing_colligation
+        f1, f2 = (
+            build(d, factor_rep(coordinate, m, d + n, seed + k), table, seed + 2 + k)
+            for k, (coordinate, n) in enumerate(zip(FAMILIES[family], extra))
+        )
+        parent = product(f1, f2)
+        assert (parent.rep._labels is not None) == (family == "coordinate")
+        s = split_blocks(parent)
+        v = random_isometry(d, d, seed + 4)
+        vh = v.conj().T
+        if variant == "general":
+            check, extract = check_general, extract_general
+            witnesses = (f1.A, f2.A, f1.C, f2.B)
+            moved = (f1.A @ v, vh @ f2.A, f1.C @ v, vh @ f2.B)
+        else:
+            check, extract = check_both_vanishing, extract_both_vanishing
+            left, y = find_LY_witness(s)
+            witnesses, moved = (left, y), (left @ v, vh @ y)
+        assert check(s, *witnesses).verdict
+        assert check(s, *moved).verdict
+        g1, g2 = extract(s, *witnesses)
+        h1, h2 = extract(s, *moved)
+        assert max_abs(evaluate_all(h1) - evaluate_all(g1) @ v) <= 1e-13
+        assert max_abs(evaluate_all(h2) - vh @ evaluate_all(g2)) <= 1e-13
+        gap = verify_factorization(parent, h1, h2) - verify_factorization(parent, g1, g2)
+        assert abs(gap) <= 1e-13
 
 
 class TestVerifyFactorization:

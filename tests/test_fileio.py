@@ -78,6 +78,18 @@ class TestMatrixCodec:
         with pytest.raises(FormatError, match="row 1"):
             decode_matrix([[[1, 0], [2, 0]], [[3, 0]]], "here")
 
+    def test_encoders_refuse_arrays_of_strings(self, tmp_path):
+        path = str(tmp_path / "out.json")
+        for call, message in (
+            (lambda: encode_matrix("abc"), "matrix must be an array of numbers"),
+            (lambda: save_witness({"A": [["a"]]}, path), "witness A must be an array of numbers"),
+            (lambda: save_values(disc_table([0.0]).points, [[["a"]]], path),
+             "values must be an array of numbers"),
+        ):
+            with pytest.raises(FormatError) as info:
+                call()
+            assert str(info.value) == message
+
     def test_rejects_non_pairs(self):
         with pytest.raises(FormatError, match="pair"):
             decode_matrix([[[1, 0, 0]]], "here")
@@ -95,7 +107,7 @@ class TestMatrixCodec:
             decode_matrix([[[float("inf"), 0.0]]], "here")
 
 
-CODEC = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+CODEC = settings(max_examples=200)
 
 EDGE_FLOATS = [
     0.0, -0.0, 1.0, -3.0, 2.0**53, 1e16, 0.1, 5e-324, -5e-324, 2.2250738585072014e-308,

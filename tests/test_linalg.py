@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 
 from colligate import (
     DimensionError,
+    FormatError,
     OrthogonalityError,
     PaddingError,
     RankError,
     StructureError,
+    ToleranceError,
+    check_general,
     injective_on_range,
     is_isometry,
     is_psd,
@@ -24,8 +27,10 @@ from colligate import (
     numerical_rank,
     orthonormal_range_basis,
     random_isometry,
+    split_blocks,
 )
 from colligate.linalg import _isometry_defect, as_matrix
+from conftest import conforming_pair
 
 
 def _randc(rng, rows, cols):
@@ -135,7 +140,7 @@ class TestIsPsd:
         assert not is_psd(-big)
 
     @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_gram_positivity_property(self, seed):
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(1, 6))
@@ -346,7 +351,50 @@ GUARDS = {
         lambda: injective_on_range(np.zeros((2, 3)), np.zeros((2, 2))),
         DimensionError, "mstar has 3 columns but r has 2 rows",
     ),
+    "isometry candidate of strings": (
+        lambda: is_isometry("abc"),
+        FormatError, "matrix must be an array of numbers",
+    ),
+    "ragged witness": (
+        lambda: as_matrix([[1.0, 2.0], [3.0]], "witness"),
+        FormatError, "witness must be an array of numbers",
+    ),
+    "isometry of negative width": (
+        lambda: random_isometry(2, -1, 0),
+        DimensionError, "cannot build a 2x-1 isometry, need rows >= cols >= 0",
+    ),
+    "boolean tolerance of a psd test": (
+        lambda: is_psd(-0.5 * np.eye(2), atol=True),
+        ToleranceError, "atol must be finite and nonnegative, got True",
+    ),
+    "numpy boolean tolerance": (
+        lambda: is_isometry(np.eye(2), atol=np.True_),
+        ToleranceError, "atol must be finite and nonnegative, got True",
+    ),
+    "boolean tolerance of a general check": (
+        lambda: _general_check_at(True),
+        ToleranceError, "atol must be finite and nonnegative, got True",
+    ),
+    "tolerance None": (
+        lambda: is_psd(np.eye(2), atol=None),
+        ToleranceError, "atol must be finite and nonnegative, got None",
+    ),
+    "tolerance as a string": (
+        lambda: orthonormal_range_basis(np.eye(2), atol="1e-9"),
+        ToleranceError, "atol must be finite and nonnegative, got 1e-9",
+    ),
+    "complex tolerance": (
+        lambda: is_psd(np.eye(2), atol=1j),
+        ToleranceError, "atol must be finite and nonnegative, got 1j",
+    ),
 }
+
+
+def _general_check_at(atol):
+    """check_general on a product split of value dimension 1 with the witness
+    (A, 1, C1, B2), whose verdict at the default atol is False."""
+    s = split_blocks(conforming_pair("general", 1, 2, 2, 1, seed=5)[2])
+    return check_general(s, s.A, np.eye(1), s.C1, s.B2, atol=atol)
 
 
 class TestGuards:
@@ -359,6 +407,9 @@ class TestGuards:
             call()
         assert type(info.value) is error
         assert str(info.value) == message
+
+    def test_the_boolean_tolerance_case_fails_at_the_default_atol(self):
+        assert not _general_check_at(1e-9).verdict
 
     def test_a_huge_finite_entry_is_no_isometry(self):
         # the Gram product overflows without a numpy warning

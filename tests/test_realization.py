@@ -463,6 +463,15 @@ GUARDS = {
                                                     random_table(2, 3, seed=1), seed=0.5),
         StructureError, "seed must be a nonnegative integer, got 0.5",
     ),
+    "coefficient vector of strings": (
+        lambda: rep_apply(coordinate_representation([1, 1]), "ab"),
+        FormatError, "coefficient vector must be an array of numbers",
+    ),
+    "block of strings": (
+        lambda: Colligation(rep=coordinate_representation([1]), table=disc_table([0.0, 0.5]),
+                            **{**_blocks(1, 1), "A": "abc"}),
+        FormatError, "A must be an array of numbers",
+    ),
 }
 
 
@@ -649,6 +658,40 @@ class TestStructuredKernel:
             assert max_abs(evaluate_all(moved) - evaluate_all(model)) <= 1e-12
             assert abs(gramian_identity_check(moved) - gramian_identity_check(model)) <= 1e-12
         assert gramian_identity_check(bumped) > 1e-7
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_block_diagonal_change_of_basis_keeps_the_split(self, seed, kernel_calls):
+        d, n1, n2 = 1 + seed % 2, 2 + seed % 2, 3
+        first, second, col, _ = conforming_pair("general", d, n1, n2, 2, seed=80 + seed,
+                                                coordinate=True)
+        w1, w2 = random_isometry(n1, n1, seed=90 + seed), random_isometry(n2, n2, seed=95 + seed)
+        w = np.zeros((n1 + n2, n1 + n2), dtype=complex)
+        w[:n1, :n1], w[n1:, n1:] = w1, w2
+        # diag(W1, W2) keeps the lower-left D block and the off-diagonal projection
+        # blocks exact zeros, so the split still back-substitutes, now densely
+        plain = conjugated(col, w)
+        moved = Colligation.from_matrix(plain.matrix(), d, Representation(
+            plain.rep.projections, split=(n1, n2)), col.table)
+        moved.validate()
+        assert moved.rep._labels is None
+        assert realization._triangular_split(moved) == n1
+        kernel_calls.clear()
+        values = evaluate_all(moved)
+        assert kernel_calls == [("solve", (4, n2, n2)), ("solve", (4, n1, n1))]
+        assert max_abs(values - evaluate_all(col)) <= 1e-13
+        witnesses = (first.A, second.A, first.C, second.B)
+        moved_witnesses = (first.A, second.A, w1 @ first.C, second.B @ w2.conj().T)
+        cert = factorization.check_general(split_blocks(col), *witnesses)
+        moved_cert = factorization.check_general(split_blocks(moved), *moved_witnesses)
+        assert cert.verdict and moved_cert.verdict
+        for name, residual in cert.residuals.items():
+            assert abs(moved_cert.residuals[name] - residual) <= 1e-13, name
+        g1, g2 = factorization.extract_general(split_blocks(moved), *moved_witnesses)
+        for factor, model, wk in ((g1, first, w1), (g2, second, w2)):
+            expected = conjugated(model, wk)
+            assert max_abs(factor.matrix() - expected.matrix()) <= 1e-13
+            assert max_abs(factor.rep._stack - expected.rep._stack) <= 1e-13
+        assert verify_factorization(moved, g1, g2) <= 1e-13
 
 
 CHUNK = realization._GRAMIAN_CHUNK

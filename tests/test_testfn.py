@@ -521,6 +521,35 @@ GUARDS = {
         lambda: agler_norm_lower_bound([np.eye(1), np.eye(2)], [szego_samples(TWO_POINTS)]),
         DimensionError, "function values must share one shape, got (1, 1) and (2, 2)",
     ),
+    "kernel blocks of strings": (
+        lambda: HermitianKernel(disc_points(TWO_POINTS), "abc"),
+        FormatError, "kernel must be an array of numbers",
+    ),
+    "disc table of a string": (
+        lambda: disc_table(["a"]),
+        FormatError, "disc points must be an array of numbers",
+    ),
+    "Szego samples of a string": (
+        lambda: szego_samples(["0", "x"]),
+        FormatError, "disc points must be an array of numbers",
+    ),
+    "witness value stack of strings": (
+        lambda: schur_agler_witness_check(np.array([[["a"]], [["b"]]]),
+                                          szego_samples(TWO_POINTS), 1.0),
+        FormatError, "function value must be an array of numbers",
+    ),
+    "sample indices without a length": (
+        _cp((5, [np.eye(1)], [ONE])),
+        StructureError, "each sample must be (indices, operators, functions)",
+    ),
+    "sample operators without a length": (
+        _cp(([0], 5, [ONE])),
+        StructureError, "each sample must be (indices, operators, functions)",
+    ),
+    "coefficient vector of strings": (
+        _cp(([0], [np.eye(1)], ["a"])),
+        FormatError, "coefficient vector must be an array of numbers",
+    ),
 }
 
 
@@ -592,7 +621,7 @@ class TestWitnessCheck:
         npt.assert_allclose(got, kron_witness_reference(f, s, 1.7), rtol=0, atol=1e-13)
 
     @given(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_monotone_in_the_bound(self, c1, c2):
         lo, hi = sorted([c1, c2])
         s = szego_samples(FOUR_POINTS)
