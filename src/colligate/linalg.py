@@ -294,8 +294,8 @@ def _rng_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def _check_atol(atol: float) -> None:
-    # a bool is a Real, and True would run every check at 1.0
-    real = isinstance(atol, Real) and not isinstance(atol, bool)
+    # True is a Real that would run every check at 1.0; a float skips the ABC test
+    real = isinstance(atol, float) or (isinstance(atol, Real) and not isinstance(atol, bool))
     if not (real and math.isfinite(atol) and atol >= 0.0):
         raise ToleranceError(f"atol must be finite and nonnegative, got {atol}")
 

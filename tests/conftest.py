@@ -57,24 +57,23 @@ def conforming_pair(
     m: int,
     seed: int,
     n_points: int = 4,
-    coordinate: bool = False,
+    coordinate: bool | tuple[bool, bool] = False,
 ):
     """Two random isometric factors whose product satisfies ``variant``.
 
     Returns (first, second, parent, witnesses) where witnesses is None
     for the both-vanishing variant (its witness is found by search).
     The factors' families are random dense ones, or with ``coordinate``
-    the state coordinates dealt round-robin over the m functions.
+    the state coordinates dealt round-robin over the m functions;
+    ``coordinate`` may also be a pair, one flag per factor.
     """
     table = random_table(m, n_points, seed)
-    if coordinate:
-        rep1, rep2 = (
-            coordinate_representation([n // m + (j < n % m) for j in range(m)])
-            for n in (n1, n2)
-        )
-    else:
-        rep1 = random_representation(m, n1, seed + 1)
-        rep2 = random_representation(m, n2, seed + 2)
+    flags = (coordinate, coordinate) if isinstance(coordinate, bool) else coordinate
+    rep1, rep2 = (
+        coordinate_representation([n // m + (j < n % m) for j in range(m)])
+        if flag else random_representation(m, n, seed + k)
+        for k, (flag, n) in enumerate(zip(flags, (n1, n2)), start=1)
+    )
     if variant == "vanishing-selfadjoint":
         first = random_vanishing_colligation(value_dim, rep1, table, seed + 3)
         second = random_selfadjoint_base_colligation(value_dim, rep2, table, seed + 4)

@@ -23,7 +23,6 @@ from colligate import (
     check_both_vanishing,
     check_general,
     check_vanishing_selfadjoint,
-    coordinate_representation,
     disc_table,
     evaluate,
     evaluate_all,
@@ -37,7 +36,6 @@ from colligate import (
     random_colligation,
     random_isometry,
     random_representation,
-    random_vanishing_colligation,
     solve_general_witnesses,
     split_blocks,
     verify_factorization,
@@ -582,14 +580,6 @@ class TestAdoption:
         assert info.value.certificate is cert
 
 
-def factor_rep(coordinate: bool, m: int, n: int, seed: int) -> Representation:
-    """The state coordinates dealt round-robin over m functions, or a random
-    dense family."""
-    if coordinate:
-        return coordinate_representation([n // m + (j < n % m) for j in range(m)])
-    return random_representation(m, n, seed)
-
-
 # (first factor coordinate, second factor coordinate) for each parent family
 FAMILIES = {"coordinate": (True, True), "dense": (False, False), "mixed": (True, False)}
 
@@ -610,13 +600,9 @@ class TestUnitaryFreedom:
         seed=st.integers(0, 2**16),
     )
     def test_a_unitary_moves_witnesses_and_factors(self, variant, family, d, m, extra, seed):
-        table = random_table(m, 4, seed)
-        build = random_colligation if variant == "general" else random_vanishing_colligation
-        f1, f2 = (
-            build(d, factor_rep(coordinate, m, d + n, seed + k), table, seed + 2 + k)
-            for k, (coordinate, n) in enumerate(zip(FAMILIES[family], extra))
+        f1, f2, parent, _ = conforming_pair(
+            variant, d, d + extra[0], d + extra[1], m, seed, coordinate=FAMILIES[family]
         )
-        parent = product(f1, f2)
         assert (parent.rep._labels is not None) == (family == "coordinate")
         s = split_blocks(parent)
         v = random_isometry(d, d, seed + 4)
