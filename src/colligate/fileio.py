@@ -325,7 +325,7 @@ def load_colligation(path: str) -> Colligation:
         raise FormatError(
             f"{path}: value_dim is {value_dim} but A has shape {blocks['A'].shape}"
         )
-    return Colligation(rep=rep, table=table, **blocks)
+    return Colligation._of_blocks(rep, table, *blocks.values())
 
 
 def save_colligation(col: Colligation, path: str) -> None:

@@ -267,9 +267,9 @@ class Colligation:
     off-diagonal blocks of U = [[A, B], [C, D]].  Instances are plain
     data: isometry is measured by isometry_defect() and enforced by
     validate(), not by the constructor, so perturbed operators can be
-    studied with the same type.  The four blocks are kept read-only: the
-    constructor copies them, so a later write to the caller's arrays cannot
-    change the colligation, and ``_of_blocks`` adopts blocks no caller holds.
+    studied with the same type.  The constructor copies the four blocks, so a
+    later write to the caller's arrays cannot change the colligation, and
+    ``_of_blocks`` adopts blocks no caller holds; ``_adopt`` checks and freezes both.
     """
 
     rep: Representation
@@ -280,26 +280,7 @@ class Colligation:
     D: np.ndarray
 
     def __post_init__(self):
-        a, b, c, d = (np.array(as_matrix(getattr(self, k), k)) for k in "ABCD")
-        dim, n = a.shape[0], d.shape[0]
-        if a.shape != (dim, dim) or d.shape != (n, n):
-            raise DimensionError("diagonal blocks must be square")
-        if b.shape != (dim, n) or c.shape != (n, dim):
-            raise DimensionError(
-                f"off-diagonal blocks {b.shape}, {c.shape} do not match "
-                f"value dimension {dim} and state dimension {n}"
-            )
-        if self.rep.state_dim != n:
-            raise DimensionError(
-                f"representation acts on dimension {self.rep.state_dim}, "
-                f"state blocks have dimension {n}"
-            )
-        if self.rep.m != self.table.m:
-            raise StructureError(
-                f"representation has {self.rep.m} projections for "
-                f"{self.table.m} test functions"
-            )
-        self._adopt(a, b, c, d)
+        self._adopt(*(np.array(as_matrix(getattr(self, k), k)) for k in "ABCD"))
 
     @property
     def value_dim(self) -> int:
@@ -326,18 +307,37 @@ class Colligation:
 
     @classmethod
     def _of_blocks(cls, rep, table, a, b, c, d) -> "Colligation":
-        """Colligation over consistent complex blocks that no caller holds,
-        or read-only views of another colligation's: kept as they are, not
-        copied or checked.  The module's builders and the extractors come here."""
+        """Colligation over complex blocks that no caller holds, or read-only
+        views of another colligation's: checked and frozen, not copied.  The
+        module's builders, the extractors and the loader come here."""
         col = cls.__new__(cls)
         object.__setattr__(col, "rep", rep)
         object.__setattr__(col, "table", table)
         col._adopt(a, b, c, d)
         return col
 
-    def _adopt(self, *blocks: np.ndarray) -> None:
-        """Freeze the four blocks and make them A, B, C and D."""
-        for name, block in zip("ABCD", blocks):
+    def _adopt(self, a, b, c, d) -> None:
+        """The one check of the blocks against each other, the representation
+        and the table; then freeze them and make them A, B, C and D."""
+        dim, n = a.shape[0], d.shape[0]
+        if a.shape != (dim, dim) or d.shape != (n, n):
+            raise DimensionError("diagonal blocks must be square")
+        if b.shape != (dim, n) or c.shape != (n, dim):
+            raise DimensionError(
+                f"off-diagonal blocks {b.shape}, {c.shape} do not match "
+                f"value dimension {dim} and state dimension {n}"
+            )
+        if self.rep.state_dim != n:
+            raise DimensionError(
+                f"representation acts on dimension {self.rep.state_dim}, "
+                f"state blocks have dimension {n}"
+            )
+        if self.rep.m != self.table.m:
+            raise StructureError(
+                f"representation has {self.rep.m} projections for "
+                f"{self.table.m} test functions"
+            )
+        for name, block in zip("ABCD", (a, b, c, d)):
             block.setflags(write=False)
             object.__setattr__(self, name, block)
 
@@ -349,22 +349,17 @@ class Colligation:
         rep: Representation,
         table: TestFunctionTable,
     ) -> "Colligation":
-        """Partition a (value_dim + state_dim) square matrix into blocks."""
-        m = as_matrix(u, "block operator")
+        """Partition a (value_dim + state_dim) square matrix into blocks:
+        ``u`` is copied once, and the blocks are read-only views of the copy."""
+        m = np.array(as_matrix(u, "block operator"))
         d = _integer(value_dim, "value_dim")
         n = rep.state_dim
         if m.shape != (d + n, d + n):
             raise DimensionError(
                 f"block operator is {m.shape}, expected {(d + n, d + n)}"
             )
-        return cls(
-            rep=rep,
-            table=table,
-            A=m[:d, :d],
-            B=m[:d, d:],
-            C=m[d:, :d],
-            D=m[d:, d:],
-        )
+        m.setflags(write=False)
+        return cls._of_blocks(rep, table, m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:])
 
 
 def _block2(a: np.ndarray, b: np.ndarray, c, d: np.ndarray) -> np.ndarray:

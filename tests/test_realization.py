@@ -301,6 +301,25 @@ class TestColligation:
             with pytest.raises(ValueError):
                 getattr(col, name)[0, 0] = 0.5
 
+    def test_from_matrix_blocks_are_read_only_views_of_one_copy(self):
+        ref = blaschke_colligation()
+        u = ref.matrix()
+        col = Colligation.from_matrix(u, ref.value_dim, ref.rep, ref.table)
+        for name in "ABCD":
+            block = getattr(col, name)
+            assert not np.shares_memory(block, u)
+            with pytest.raises(ValueError):
+                block.setflags(write=True)
+
+    def test_later_writes_to_the_callers_matrix_change_nothing(self):
+        ref = blaschke_colligation()
+        u = ref.matrix()
+        col = Colligation.from_matrix(u, ref.value_dim, ref.rep, ref.table)
+        before = evaluate_all(col)
+        u[...] = 0.25
+        npt.assert_array_equal(col.matrix(), ref.matrix())
+        npt.assert_array_equal(evaluate_all(col), before)
+
     def test_block_matrices_are_the_blocks_written_in_place(self):
         table = random_table(2, 4, seed=23)
         first = random_colligation(2, random_representation(2, 3, seed=24), table, seed=25)
@@ -382,6 +401,22 @@ GUARDS = {
     "representation for another family": (
         lambda: Colligation(rep=coordinate_representation([1, 1]), table=disc_table([0.0, 0.5]),
                             **_blocks(1, 2)),
+        StructureError, "representation has 2 projections for 1 test functions",
+    ),
+    "adopted B block of another width": (
+        lambda: Colligation._of_blocks(coordinate_representation([2]), disc_table([0.0, 0.5]),
+                                       *{**_blocks(1, 2), "B": np.zeros((1, 3))}.values()),
+        DimensionError, "off-diagonal blocks (1, 3), (2, 1) do not match "
+        "value dimension 1 and state dimension 2",
+    ),
+    "adopted blocks on another state space": (
+        lambda: Colligation._of_blocks(coordinate_representation([1, 2]), disc_table([0.0, 0.5]),
+                                       *_blocks(1, 2).values()),
+        DimensionError, "representation acts on dimension 3, state blocks have dimension 2",
+    ),
+    "adopted blocks for another family": (
+        lambda: Colligation._of_blocks(coordinate_representation([1, 1]), disc_table([0.0, 0.5]),
+                                       *_blocks(1, 2).values()),
         StructureError, "representation has 2 projections for 1 test functions",
     ),
     "misshapen block operator": (
