@@ -293,10 +293,20 @@ def _rng_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return q * phase.conj()
 
 
+def _finite_real(x) -> bool:
+    """The one test of a real-number argument: a real number with a finite
+    double value.  True is a Real that would read as 1.0, so bools are
+    refused; a float skips the ABC test, and a too large int is not finite."""
+    if not (isinstance(x, float) or (isinstance(x, Real) and not isinstance(x, bool))):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_atol(atol: float) -> None:
-    # True is a Real that would run every check at 1.0; a float skips the ABC test
-    real = isinstance(atol, float) or (isinstance(atol, Real) and not isinstance(atol, bool))
-    if not (real and math.isfinite(atol) and atol >= 0.0):
+    if not (_finite_real(atol) and atol >= 0.0):
         raise ToleranceError(f"atol must be finite and nonnegative, got {atol}")
 
 

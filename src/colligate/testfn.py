@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, StructureError, ToleranceError
-from .linalg import DEFAULT_ATOL, _as_array, _check_atol, _check_finite, _integer, as_matrix
-from .linalg import is_psd, max_abs
+from .linalg import DEFAULT_ATOL, _as_array, _check_atol, _check_finite, _finite_real, _integer
+from .linalg import as_matrix, is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -46,6 +46,8 @@ class PointSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if not np.iterable(self.labels):
+            raise StructureError(f"point labels must be a sequence, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         if not self.labels:
             raise StructureError("point set must contain at least one point")
@@ -336,7 +338,7 @@ def schur_agler_witness_check(
     2 and up).  For scalar values and scalar kernels it coincides with
     the classical Pick-matrix arrangement.
     """
-    if not (np.isfinite(bound) and bound >= 0):
+    if not (_finite_real(bound) and bound >= 0):
         raise StructureError(f"bound must be finite and nonnegative, got {bound}")
     f = _as_value_stack(fvals)
     if f.shape[0] != s.n:
@@ -531,9 +533,17 @@ def _as_value_stack(fvals) -> np.ndarray:
     return stack
 
 
+def _disc_array(zs) -> np.ndarray:
+    """``zs`` as a 1-D complex array: the one conversion of disc points."""
+    z = _as_array(list(zs) if np.iterable(zs) else zs, "disc points")
+    if z.ndim != 1:
+        raise DimensionError(f"disc points must be 1-D, got shape {z.shape}")
+    return z
+
+
 def disc_points(zs: Sequence[complex]) -> PointSet:
     """Point set labeled by the complex coordinates themselves."""
-    return PointSet(tuple(str(complex(z)) for z in zs))
+    return PointSet(tuple(map(str, _disc_array(zs).tolist())))
 
 
 def disc_table(zs: Sequence[complex]) -> TestFunctionTable:
@@ -541,15 +551,15 @@ def disc_table(zs: Sequence[complex]) -> TestFunctionTable:
 
     The first entry must be 0 so the base point sits at index 0.
     """
-    values = _as_array([list(zs)], "disc points")
-    return TestFunctionTable(disc_points(zs), values)
+    z = _disc_array(zs)
+    return TestFunctionTable(disc_points(z), z[None, :])
 
 
 def szego_samples(zs: Sequence[complex], power: int = 1) -> HermitianKernel:
     """Scalar kernel 1 / (1 - z * conj(w)) ** power sampled at ``zs``."""
-    if power < 1:
+    if _integer(power, "power") < 1:
         raise StructureError(f"power must be at least 1, got {power}")
-    z = _as_array(list(zs), "disc points")
+    z = _disc_array(zs)
     denom = 1.0 - z[:, None] * z[None, :].conj()
     blocks = (1.0 / denom ** power)[:, :, None, None]
-    return HermitianKernel(disc_points(zs), blocks)
+    return HermitianKernel(disc_points(z), blocks)

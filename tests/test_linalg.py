@@ -387,6 +387,10 @@ GUARDS = {
         lambda: is_psd(np.eye(2), atol=1j),
         ToleranceError, "atol must be finite and nonnegative, got 1j",
     ),
+    "integer tolerance beyond the doubles": (
+        lambda: is_psd(np.eye(2), atol=10**400),
+        ToleranceError, f"atol must be finite and nonnegative, got {10**400}",
+    ),
 }
 
 

@@ -550,6 +550,60 @@ GUARDS = {
         _cp(([0], [np.eye(1)], ["a"])),
         FormatError, "coefficient vector must be an array of numbers",
     ),
+    "witness bound as a string": (
+        lambda: schur_agler_witness_check([np.zeros((1, 1))] * 2, szego_samples(TWO_POINTS), "x"),
+        StructureError, "bound must be finite and nonnegative, got x",
+    ),
+    "witness bound None": (
+        lambda: schur_agler_witness_check([np.zeros((1, 1))] * 2, szego_samples(TWO_POINTS), None),
+        StructureError, "bound must be finite and nonnegative, got None",
+    ),
+    "boolean witness bound": (
+        lambda: schur_agler_witness_check([np.zeros((1, 1))] * 2, szego_samples(TWO_POINTS), True),
+        StructureError, "bound must be finite and nonnegative, got True",
+    ),
+    "NaN witness bound": (
+        lambda: schur_agler_witness_check([np.zeros((1, 1))] * 2, szego_samples(TWO_POINTS),
+                                          float("nan")),
+        StructureError, "bound must be finite and nonnegative, got nan",
+    ),
+    "integer witness bound beyond the doubles": (
+        lambda: schur_agler_witness_check([np.zeros((1, 1))] * 2, szego_samples(TWO_POINTS),
+                                          10**400),
+        StructureError, f"bound must be finite and nonnegative, got {10**400}",
+    ),
+    "disc points of a string": (
+        lambda: disc_points(["a"]),
+        FormatError, "disc points must be an array of numbers",
+    ),
+    "disc points of a scalar": (
+        lambda: disc_points(5),
+        DimensionError, "disc points must be 1-D, got shape ()",
+    ),
+    "disc table of rows": (
+        lambda: disc_table([[0.0, 0.5]]),
+        DimensionError, "disc points must be 1-D, got shape (1, 2)",
+    ),
+    "point labels of a scalar": (
+        lambda: PointSet(5),
+        StructureError, "point labels must be a sequence, got 5",
+    ),
+    "Szego power as a string": (
+        lambda: szego_samples(TWO_POINTS, power="x"),
+        StructureError, "power must be an integer, got 'x'",
+    ),
+    "fractional Szego power": (
+        lambda: szego_samples(TWO_POINTS, power=1.5),
+        StructureError, "power must be an integer, got 1.5",
+    ),
+    "boolean Szego power": (
+        lambda: szego_samples(TWO_POINTS, power=True),
+        StructureError, "power must be an integer, got True",
+    ),
+    "Szego power below one": (
+        lambda: szego_samples(TWO_POINTS, power=0),
+        StructureError, "power must be at least 1, got 0",
+    ),
 }
 
 
@@ -563,6 +617,20 @@ class TestGuards:
             call()
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+class TestDiscPoints:
+    def test_labels_are_the_coordinates_as_python_complex_strings(self):
+        zs = [0, -0.0, 0.5, np.float32(0.25), np.complex64(0.3 + 0.1j), -0.25j]
+        expected = tuple(str(complex(z)) for z in zs)
+        assert expected[:3] == ("0j", "(-0+0j)", "(0.5+0j)")
+        assert disc_points(zs).labels == expected
+        assert disc_points(np.array(zs, dtype=complex)).labels == expected
+
+    def test_any_iterable_of_points_is_read_once(self):
+        for build in (disc_points, lambda zs: disc_table(zs).points,
+                      lambda zs: szego_samples(zs).points):
+            assert build(z for z in TWO_POINTS).labels == ("0j", "(0.5+0j)")
 
 
 class TestWitnessCheck:
