@@ -294,14 +294,13 @@ def _rng_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 
 def _finite_real(x) -> bool:
-    """The one test of a real-number argument: a real number with a finite
-    double value.  True is a Real that would read as 1.0, so bools are
-    refused; a float skips the ABC test, and a too large int is not finite."""
+    """The one test of a real-number argument: a real number of finite double
+    value, never a bool (True would read as 1.0).  A float skips the ABC test."""
     if not (isinstance(x, float) or (isinstance(x, Real) and not isinstance(x, bool))):
         return False
     try:
         return math.isfinite(x)
-    except OverflowError:
+    except OverflowError:  # an int beyond the doubles
         return False
 
 
