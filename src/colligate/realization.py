@@ -394,17 +394,18 @@ def _solve(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-def _dense_block(dp, stack, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
-    """(G, H) of one chunk of a dense family with coefficient rows ``psi``:
-    D L_k = sum_j psi_kj D P_j from the (m, N, N) ``dp``, and L_k from the
-    projection ``stack``.  Each is one batched (c, 1, m) @ (m, N^2) product
-    over a flat view, run by numpy as the one-point vector-matrix kernel item
-    by item, so a point's values do not depend on its chunk.  With n1 > 0 the
-    stack is block upper triangular at n1: its lower-right slices are solved
-    with C[n1:], then its upper-left ones with C[:n1] - R12 G2, R12 upper right."""
+def _dense_block(dp, wp, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
+    """(G, W L G) of one chunk of a dense family with coefficient rows ``psi``:
+    D L_k = sum_j psi_kj D P_j from the (m, N, N) ``dp``, one batched
+    (c, 1, m) @ (m, N^2) product over a flat view, and W L_k G_k =
+    sum_j psi_kj (W P_j) G_k from the (m, r, N) ``wp``, one (m r, N) @
+    (c, N, d) product and one (c, 1, m) @ (c, m, r d) product.  numpy runs
+    each item by item, so a point's values do not depend on its chunk, and
+    no L_k is formed.  With n1 > 0 the stack is block upper triangular at n1:
+    its lower-right slices are solved with C[n1:], then its upper-left ones
+    with C[:n1] - R12 G2, R12 upper right."""
     count, n = len(psi), c.shape[0]
     resolvent = np.matmul(-psi[:, None, :], dp.reshape(-1, n * n)).reshape(count, n * n)
-    lam = np.matmul(psi[:, None, :], stack.reshape(-1, n * n))
     # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k is on its diagonal
     resolvent[:, :: n + 1] += 1.0
     resolvent = resolvent.reshape(count, n, n)
@@ -412,7 +413,9 @@ def _dense_block(dp, stack, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
     if n1:
         g1 = _solve(resolvent[:, :n1, :n1], c[:n1] - resolvent[:, :n1, n1:] @ g, at)
         g = np.concatenate([g1, g], axis=1)
-    return g, lam.reshape(count, n, n) @ g
+    m, r, d = wp.shape[0], wp.shape[1], c.shape[1]
+    terms = np.matmul(wp.reshape(m * r, n), g).reshape(count, m, r * d)
+    return g, np.matmul(psi[:, None, :], terms).reshape(count, r, d)
 
 
 def _scaled_block(d, lam, rhs, at) -> tuple[np.ndarray, np.ndarray]:
@@ -443,9 +446,10 @@ def _triangular_split(col: Colligation) -> int:
     return n1
 
 
-def _resolvents(col: Colligation, indices):
-    """Yield (at, G, H) for the point indices ``indices``, chunk by chunk:
-    G[k] = (I - D L_k)^{-1} C and H[k] = L_k G[k] at point index at[k].
+def _resolvents(col: Colligation, indices, left=None):
+    """Yield (at, G, W H) for the point indices ``indices``, chunk by chunk:
+    G[k] = (I - D L_k)^{-1} C and H[k] = L_k G[k] at point index at[k], W
+    the matrix ``left`` with N columns, or the identity when it is None.
 
     The one resolvent kernel of the module: every evaluation and the
     Gramian identity go through it, so a singular resolvent is reported
@@ -461,13 +465,14 @@ def _resolvents(col: Colligation, indices):
     right-hand side.  So a chunk names the first point singular in its
     n2 x n2 block if it has one, and only else the first in its n1 x n1
     block.  A coordinate family has the diagonal L_k = psi[labels] and
-    takes ``_scaled_block`` once per block.  Any other family forms every
-    D P_j once per call (m N^3) for ``_dense_block``, O(m N^2) per point,
-    which solves slices of its full stack.
+    takes ``_scaled_block`` once per block, then W @ H.  Any other family
+    forms every D P_j and W P_j once per call (m N^3 and m r N^2; with no
+    W the projection stack is its own table) for ``_dense_block``, O(m N^2)
+    per point, which solves slices of its full stack and never forms L_k.
 
     Each point's matrix is built by its one-point operation whatever the
     chunk; only the solve and the products after it run over the stack,
-    item by item, so a point's G and H do not depend on its chunk.
+    item by item, so a point's G and W H do not depend on its chunk.
     """
     at = np.atleast_1d(indices)
     psi = eval_map(col.table, at).T.copy()
@@ -477,6 +482,7 @@ def _resolvents(col: Colligation, indices):
     if labels is None:
         stack = col.rep._stack
         dp = np.matmul(d, stack)
+        wp = stack if left is None else np.matmul(left, stack)
     # a dense chunk builds the full N x N stack, a coordinate one only its blocks
     side = n if labels is None else max(n1, n - n1)
     step = max(1, _RESOLVENT_BUDGET // side**2)
@@ -484,7 +490,7 @@ def _resolvents(col: Colligation, indices):
         rows = slice(start, start + step)
         chunk = at[rows]
         if labels is None:
-            g, h = _dense_block(dp, stack, psi[rows], c, n1, chunk)
+            g, h = _dense_block(dp, wp, psi[rows], c, n1, chunk)
         else:
             lam = psi[rows][:, labels]
             g, h = _scaled_block(d[n1:, n1:], lam[:, n1:], c[n1:], chunk)
@@ -492,6 +498,8 @@ def _resolvents(col: Colligation, indices):
                 rhs = c[:n1] + d[:n1, n1:] @ h
                 g1, h1 = _scaled_block(d[:n1, :n1], lam[:, :n1], rhs, chunk)
                 g, h = np.concatenate([g1, g], axis=1), np.concatenate([h1, h], axis=1)
+            if left is not None:
+                h = left @ h
         yield chunk, g, h
 
 
@@ -501,15 +509,15 @@ def evaluate(col: Colligation, i) -> np.ndarray:
     ``i`` may also be a 1-D integer array of point indices; the values
     are then stacked as shape (k, d, d), and each is bit-identical to
     the one-point value.  Solves (I - D L) x = C directly at every call
-    and returns A + B L x.  At the base point L vanishes and the result
-    is exactly the A block.
+    and returns A + B L x, with B L x from the kernel's ``left=B``.  At
+    the base point L vanishes and the result is exactly the A block.
     """
     at = np.atleast_1d(i)
     values = np.empty((at.size, col.value_dim, col.value_dim), dtype=np.complex128)
     stop = 0
-    for chunk, _, h in _resolvents(col, at):
+    for chunk, _, bh in _resolvents(col, at, col.B):
         start, stop = stop, stop + chunk.size
-        values[start:stop] = col.A + col.B @ h
+        values[start:stop] = col.A + bh
     return values[0] if np.ndim(i) == 0 else values
 
 

@@ -635,10 +635,16 @@ class TestStructuredKernel:
         dense = conjugated(joined, random_isometry(5, 5, seed=18))
         evaluate_all(dense)
         assert kernel_calls == [("solve", (4, 5, 5))]
-        # the D P_j once per call, then one (c, 1, m) @ (m, N^2) product per
-        # stack per chunk: -D L_k, then L_k, never one product per point
-        stacks = [((4, 1, 2), (2, 25))] * 2
-        assert kernel_calls.products == [((5, 5), (2, 5, 5))] + stacks
+        # the D P_j and B P_j tables once per call, then per chunk one
+        # (c, 1, m) @ (m, N^2) product for -D L_k, one (m d, N) @ (c, N, d)
+        # product for every B P_j G_k and one (c, 1, m) @ (c, m, d^2) product
+        # summing them: never one product per point, and no L_k
+        tables = [((5, 5), (2, 5, 5)), ((2, 5), (2, 5, 5))]
+
+        def chunk(c):
+            return [((c, 1, 2), (2, 25)), ((4, 5), (c, 5, 2)), ((c, 1, 2), (c, 2, 4))]
+
+        assert kernel_calls.products == tables + chunk(4)
         # a dense product builds the same full stacks, then solves two slices
         # of them: the n2 x n2 block, then the n1 x n1 block
         split = product(random_colligation(2, random_representation(2, 3, seed=19), table, seed=20),
@@ -646,19 +652,23 @@ class TestStructuredKernel:
         kernel_calls.clear()
         evaluate_all(split)
         assert kernel_calls == [("solve", (4, 2, 2)), ("solve", (4, 3, 3))]
-        assert kernel_calls.products == [((5, 5), (2, 5, 5))] + stacks
+        assert kernel_calls.products == tables + chunk(4)
+        # the Gramian identity takes H itself: the projection stack is its table
+        kernel_calls.clear()
+        gramian_identity_check(dense)
+        assert kernel_calls.products == [((5, 5), (2, 5, 5)), ((4, 1, 2), (2, 25)),
+                                         ((10, 5), (4, 5, 2)), ((4, 1, 2), (4, 2, 10))]
         monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", 3 * 25)
         kernel_calls.clear()
         evaluate_all(dense)
         assert kernel_calls == [("solve", (3, 5, 5)), ("solve", (1, 5, 5))]
-        chunks = [((3, 1, 2), (2, 25))] * 2 + [((1, 1, 2), (2, 25))] * 2
-        assert kernel_calls.products == [((5, 5), (2, 5, 5))] + chunks
+        assert kernel_calls.products == tables + chunk(3) + chunk(1)
         # its chunks hold as many points as one full solve would
         kernel_calls.clear()
         evaluate_all(split)
         assert kernel_calls == [("solve", (3, 2, 2)), ("solve", (3, 3, 3)),
                                 ("solve", (1, 2, 2)), ("solve", (1, 3, 3))]
-        assert kernel_calls.products == [((5, 5), (2, 5, 5))] + chunks
+        assert kernel_calls.products == tables + chunk(3) + chunk(1)
 
     def test_a_tiny_lower_left_entry_takes_the_full_solve(self, kernel_calls):
         rng = np.random.default_rng(19)
@@ -789,7 +799,8 @@ class TestDenseKernel:
         alone = []
         for i in range(8):
             _, g, h = next(realization._resolvents(col, np.array([i])))
-            alone.append((g[0], h[0]))
+            _, _, bh = next(realization._resolvents(col, np.array([i]), col.B))
+            alone.append((g[0], h[0], bh[0]))
         values = np.stack([evaluate(col, i) for i in range(8)])
         for points in range(1, 9):
             monkeypatch.setattr(realization, "_RESOLVENT_BUDGET", points * n * n)
@@ -800,6 +811,29 @@ class TestDenseKernel:
                 for i, g, h in zip(chunk, gs, hs):
                     npt.assert_array_equal(g, alone[i][0])
                     npt.assert_array_equal(h, alone[i][1])
+            for chunk, gs, bhs in realization._resolvents(col, np.arange(8), col.B):
+                for i, g, bh in zip(chunk, gs, bhs):
+                    npt.assert_array_equal(g, alone[i][0])
+                    npt.assert_array_equal(bh, alone[i][2])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("n1", [1, 3])
+    def test_a_left_factor_multiplies_the_identity_path(self, rows, n1):
+        # coordinate families apply W @ H after the block, so they match it
+        # bit for bit; dense ones sum psi_j (W P_j) G and match by rounding
+        for name, col in chunked_models(6, n1, seed=170 + 10 * n1 + rows).items():
+            w = np.random.default_rng(rows).standard_normal((rows, col.state_dim)) + 0.5j
+            plain = list(realization._resolvents(col, np.arange(6)))
+            left = list(realization._resolvents(col, np.arange(6), w))
+            assert len(left) == len(plain)
+            for (at, g, h), (at_w, g_w, wh) in zip(plain, left):
+                npt.assert_array_equal(at_w, at)
+                npt.assert_array_equal(g_w, g)
+                assert wh.shape == (at.size, rows, col.value_dim)
+                if col.rep._labels is None:
+                    assert max_abs(wh - w @ h) <= 1e-13, name
+                else:
+                    npt.assert_array_equal(wh, w @ h)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 33])
