@@ -271,10 +271,13 @@ def cp_kernel_check(
     matrix per index, and one length-m coefficient vector per index.
     For every sample the assembly with (a, b) block
 
-        operators[b]* @ k(i_a, i_b, conj(f_b) * f_a) @ operators[a]
+        operators[a]* @ k(i_a, i_b, conj(f_a) * f_b) @ operators[b]
 
-    must be positive semidefinite.  This refutes complete positivity on
-    the sampled data; it cannot certify the full quantified property.
+    must be positive semidefinite: the adjoint and the conjugate sit on the
+    row index, as in the Agler decomposition
+    I - F(x_i)* F(x_j) = Gamma(i, j)[1 - conj(psi(x_i)) psi(x_j)].  This
+    refutes complete positivity on the sampled data; it cannot certify the
+    full quantified property.
     """
     for sample in samples:
         try:
@@ -305,14 +308,14 @@ def cp_kernel_check(
         for a in range(count):
             for b in range(count):
                 block = as_matrix(
-                    k(at[a], at[b], np.conj(funs[b]) * funs[a]),
+                    k(at[a], at[b], np.conj(funs[a]) * funs[b]),
                     "kernel value",
                 )
                 if block.shape != (dim, dim):
                     raise DimensionError(
                         f"kernel block is {block.shape}, expected {(dim, dim)}"
                     )
-                grid[a, b] = ops[b].conj().T @ block @ ops[a]
+                grid[a, b] = ops[a].conj().T @ block @ ops[b]
         if not is_psd(_assemble(grid), atol):
             return False
     return True

@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import colligate.testfn as testfn
+from colligate import realization
 from colligate import (
     DimensionError,
     FormatError,
     HermitianKernel,
     PointSet,
+    Representation,
     StructureError,
     TableDiagnostics,
     ToleranceError,
     agler_norm_lower_bound,
+    coordinate_representation,
     cp_kernel_check,
     disc_points,
     disc_table,
@@ -25,13 +28,16 @@ from colligate import (
     evaluate_all,
     is_admissible,
     is_psd,
+    product,
     random_colligation,
     random_representation,
+    rep_apply,
     schur_agler_witness_check,
     szego_samples,
     validate_test_family,
 )
 from colligate import TestFunctionTable as FunctionTable
+from conftest import random_table
 
 TWO_POINTS = [0.0, 0.5]
 FOUR_POINTS = [0.0, 0.5, -1.0 / 3.0, 0.25j]
@@ -371,7 +377,88 @@ class TestIsAdmissible:
             assert is_admissible(szego_samples(zs), disc_table(zs))
 
 
+def agler_model(family: str, d: int, m: int, seed: int):
+    """A random isometric colligation over six points whose family is dense,
+    coordinate (m to m + 2 coordinates dealt round-robin) or a product of
+    the two, so a split."""
+    table = random_table(m, 6, seed=seed)
+    n = m + seed % 3
+    coordinate = random_colligation(
+        d, coordinate_representation([n // m + (j < n % m) for j in range(m)]), table,
+        seed=seed + 1)
+    dense = random_colligation(d, random_representation(m, n, seed=seed + 2), table,
+                               seed=seed + 3)
+    return {"dense": dense, "coordinate": coordinate, "split": product(dense, coordinate)}[family]
+
+
+def agler_kernel(col, rep):
+    """Gamma(i, j)[g] = G_i* rho(g) G_j, with rho(g) = rep_apply(rep, g) and
+    G_i = (I - D L(x_i))^{-1} C from the resolvent kernel."""
+    gs = np.concatenate([g for _, g, _ in realization._resolvents(col, np.arange(col.table.n))])
+    return lambda i, j, g: gs[i].conj().T @ rep_apply(rep, g) @ gs[j]
+
+
 class TestCpKernelCheck:
+    def test_a_unital_homomorphism_is_completely_positive(self):
+        # g -> g I_2 at 2 x 2 sample operators: block (a, b) is
+        # conj(f_a) f_b O_a* O_b, a Gram matrix
+        sample = ([0, 0], [np.eye(2), [[0, 1], [0, 0]]], [[1], [1]])
+        assert cp_kernel_check(lambda i, j, g: g[0] * np.eye(2), disc_table(TWO_POINTS),
+                               [sample])
+
+    def test_the_conjugate_sits_on_the_row_argument(self):
+        # as in Gamma(i, j)[1 - conj(psi(x_i)) psi(x_j)]: a kernel that is a sum
+        # of scalar positive kernels passes under either convention, so the
+        # arguments themselves are pinned
+        seen = {}
+
+        def k(i, j, g):
+            seen[i, j] = np.asarray(g)
+            return np.zeros((1, 1))
+
+        f = [np.array([1.0, 2.0j]), np.array([1j, 3.0])]
+        assert cp_kernel_check(k, random_table(2, 2, seed=3), [([0, 1], [np.eye(1)] * 2, f)])
+        for a, b in np.ndindex(2, 2):
+            npt.assert_array_equal(seen[a, b], f[a].conj() * f[b])
+
+    @settings(max_examples=40)
+    @given(
+        family=st.sampled_from(["dense", "coordinate", "split"]),
+        d=st.integers(1, 3),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_the_agler_kernel_of_a_realization_is_completely_positive(self, family, d, m,
+                                                                     seed):
+        # I - F(x_i)* F(x_j) = Gamma(i, j)[1 - conj(psi(x_i)) psi(x_j)], and Gamma
+        # is completely positive since rho is a *-representation; negating one
+        # P_k makes the sample at e_k minus a Gram matrix
+        col = agler_model(family, d, m, seed)
+        n, psi, values = col.table.n, col.table.values, evaluate_all(col)
+        gamma = agler_kernel(col, col.rep)
+        residual = max(
+            float(np.abs(np.eye(d) - values[i].conj().T @ values[j]
+                         - gamma(i, j, 1.0 - psi[:, i].conj() * psi[:, j])).max())
+            for i in range(n) for j in range(n)
+        )
+        assert residual <= 1e-12
+        rng = np.random.default_rng(seed)
+        samples = [
+            (rng.integers(0, n, size=count),
+             [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for _ in range(count)],
+             [rng.standard_normal(m) + 1j * rng.standard_normal(m) for _ in range(count)])
+            for count in (1, 2, 3, 4)
+        ]
+        assert cp_kernel_check(gamma, col.table, samples)
+        k = seed % m
+        stack = col.rep._stack.copy()
+        stack[k] *= -1.0
+        negated = agler_kernel(col, Representation(tuple(stack)))
+        unit = np.eye(m)[k]
+        sample = (range(n), [np.eye(d)] * n, [unit] * n)
+        assert not cp_kernel_check(negated, col.table, [sample])
+
     def test_unit_sample_reduces_to_plain_positivity(self):
         t = disc_table(TWO_POINTS)
         fixed = szego_samples(TWO_POINTS)
