@@ -67,13 +67,16 @@ class TestFunctionTable:
     are enforced here; the semantic invariants (strict contractivity,
     vanishing at the base point, point separation) are reported by
     validate_test_family so that broken tables can still be inspected.
+    ``values`` is copied once and the copy is read-only, so a later write
+    to the caller's array cannot change the table.
     """
 
     points: PointSet
     values: np.ndarray
 
     def __post_init__(self):
-        v = as_matrix(self.values, "test function table")
+        v = np.array(as_matrix(self.values, "test function table"))
+        v.setflags(write=False)
         if v.shape[0] < 1:
             raise StructureError("a family needs at least one test function")
         if v.shape[1] != self.points.n:

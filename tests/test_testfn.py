@@ -205,6 +205,19 @@ class TestTable:
         assert t.same_family(FunctionTable(t.points, t.values.copy())) and compared == [1]
         assert not t.same_family(FunctionTable(t.points, changed)) and compared == [1, 1]
 
+    def test_later_writes_to_the_values_change_nothing(self):
+        # the repro: writing v[0, 1] = 0.9 moved evaluate_all by 0.56
+        v = np.array([[0.0, 0.5]], dtype=complex)
+        t = FunctionTable(disc_points(TWO_POINTS), v)
+        assert not np.shares_memory(t.values, v) and not t.values.flags.writeable
+        col = random_colligation(1, random_representation(1, 2, seed=1), t, seed=1)
+        before = evaluate_all(col)
+        v[0, 1] = 0.9
+        npt.assert_array_equal(t.values, [[0.0, 0.5]])
+        npt.assert_array_equal(evaluate_all(col), before)
+        with pytest.raises(ValueError):
+            t.values[0, 1] = 0.9
+
     def test_eval_map_is_the_column(self):
         t = disc_table(FOUR_POINTS)
         npt.assert_array_equal(eval_map(t, 0), np.zeros(1))
