@@ -55,10 +55,11 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def _as_array(x, name: str) -> np.ndarray:
     """``x`` as a complex128 array: the one conversion of array input from
-    outside the package, so numpy's refusal of it is a FormatError."""
+    outside the package, so numpy's refusal of it, an int beyond the doubles
+    included, is a FormatError."""
     try:
         return np.asarray(x, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{name} must be an array of numbers") from exc
 
 

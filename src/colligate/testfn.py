@@ -250,6 +250,11 @@ def is_admissible(
     (1 - psi(x_i) * conj(psi(x_j))) * S(x_i, x_j) must be positive
     semidefinite.  Row index carries the first kernel argument.
     """
+    if not (isinstance(s, HermitianKernel) and isinstance(t, TestFunctionTable)):
+        raise StructureError(
+            "admissibility takes a HermitianKernel and a TestFunctionTable, "
+            f"got {type(s).__name__} and {type(t).__name__}"
+        )
     if s.points != t.points:
         raise StructureError("kernel and table are sampled on different points")
     for j in range(t.m):

@@ -359,6 +359,10 @@ GUARDS = {
         lambda: as_matrix([[1.0, 2.0], [3.0]], "witness"),
         FormatError, "witness must be an array of numbers",
     ),
+    "matrix entry beyond the doubles": (
+        lambda: as_matrix([[10**400]]),
+        FormatError, "matrix must be an array of numbers",
+    ),
     "isometry of negative width": (
         lambda: random_isometry(2, -1, 0),
         DimensionError, "cannot build a 2x-1 isometry, need rows >= cols >= 0",

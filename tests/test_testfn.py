@@ -676,6 +676,22 @@ GUARDS = {
         lambda: disc_points(["a"]),
         FormatError, "disc points must be an array of numbers",
     ),
+    "disc points beyond the doubles": (
+        lambda: disc_points([10**400]),
+        FormatError, "disc points must be an array of numbers",
+    ),
+    "admissibility of a string kernel": (
+        lambda: is_admissible("x", disc_table(TWO_POINTS)),
+        StructureError,
+        "admissibility takes a HermitianKernel and a TestFunctionTable, got str and "
+        "TestFunctionTable",
+    ),
+    "admissibility over a table of the wrong type": (
+        lambda: is_admissible(szego_samples(TWO_POINTS), disc_points(TWO_POINTS)),
+        StructureError,
+        "admissibility takes a HermitianKernel and a TestFunctionTable, got HermitianKernel "
+        "and PointSet",
+    ),
     "disc points of a scalar": (
         lambda: disc_points(5),
         DimensionError, "disc points must be 1-D, got shape ()",
