@@ -413,9 +413,9 @@ def _dense_block(dp, wp, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
     if n1:
         g1 = _solve(resolvent[:, :n1, :n1], c[:n1] - resolvent[:, :n1, n1:] @ g, at)
         g = np.concatenate([g1, g], axis=1)
-    m, r, d = wp.shape[0], wp.shape[1], c.shape[1]
-    terms = np.matmul(wp.reshape(m * r, n), g).reshape(count, m, r * d)
-    return g, np.matmul(psi[:, None, :], terms).reshape(count, r, d)
+    # (c, m r, d) as (c, m, r d): row j of item k is W P_j G_k, flattened
+    terms = np.matmul(wp.reshape(-1, n), g).reshape(count, len(wp), -1)
+    return g, np.matmul(psi[:, None, :], terms).reshape(count, wp.shape[1], -1)
 
 
 def _scaled_block(d, lam, rhs, at) -> tuple[np.ndarray, np.ndarray]:
