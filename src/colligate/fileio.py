@@ -359,7 +359,7 @@ def load_kernel(path: str) -> HermitianKernel:
                       f"{path}.blocks[{i}]: expected {points.n} blocks", (block_dim, block_dim))
         for i, row in enumerate(raw)
     ]
-    return HermitianKernel(points, np.array(grid))
+    return HermitianKernel._of_blocks(points, np.array(grid))
 
 
 def save_kernel(k: HermitianKernel, path: str) -> None:

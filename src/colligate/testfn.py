@@ -188,14 +188,29 @@ class HermitianKernel:
     """Kernel samples on a point set: an n x n grid of d x d blocks.
 
     blocks[i, j] holds the kernel at (point i, point j); the assembled
-    n*d square matrix is expected to be Hermitian.
+    n*d square matrix is expected to be Hermitian.  ``blocks`` is copied
+    once and the copy is read-only, so a later write to the caller's
+    array cannot change the kernel.
     """
 
     points: PointSet
     blocks: np.ndarray
 
     def __post_init__(self):
-        b = _as_array(self.blocks, "kernel")
+        self._adopt(np.array(_as_array(self.blocks, "kernel")))
+
+    @classmethod
+    def _of_blocks(cls, points: PointSet, blocks: np.ndarray) -> "HermitianKernel":
+        """Kernel over a fresh complex block grid that no caller holds:
+        checked and frozen, not copied.  ``szego_samples`` and the loader
+        come here; public construction copies first."""
+        k = cls.__new__(cls)
+        object.__setattr__(k, "points", points)
+        k._adopt(blocks)
+        return k
+
+    def _adopt(self, b: np.ndarray) -> None:
+        """The one check of the block grid; then freeze it and make it ``blocks``."""
         if b.ndim != 4:
             raise DimensionError(
                 f"kernel blocks must be 4-D (n, n, d, d), got shape {b.shape}"
@@ -210,6 +225,7 @@ class HermitianKernel:
                 f"kernel blocks must be square, got {b.shape[2]}x{b.shape[3]}"
             )
         _check_finite(b, "kernel")
+        b.setflags(write=False)
         object.__setattr__(self, "blocks", b)
 
     @property
@@ -362,8 +378,18 @@ def schur_agler_witness_check(
         raise StructureError(
             f"bound {bound} is too large to square in double precision"
         ) from None
-    gram = np.einsum("iba,jbc->ijac", f.conj(), f)
-    return is_psd(_witness_matrix(square * np.eye(f.shape[1]) - gram, s), atol)
+    return is_psd(_witness_matrix(square * np.eye(f.shape[1]) - _gram(f), s), atol)
+
+
+def _gram(f: np.ndarray) -> np.ndarray:
+    """The (n, n, d, d) grid of f(x_i)* f(x_j) for an (n, d, d) value stack.
+
+    One matrix product on the (d, n*d) flattening [f(x_0) ... f(x_n-1)],
+    whose Gram matrix holds block (i, j) at rows i*d and columns j*d.
+    """
+    n, d = f.shape[0], f.shape[1]
+    flat = f.transpose(1, 0, 2).reshape(d, n * d)
+    return (flat.conj().T @ flat).reshape(n, d, n, d).transpose(0, 2, 1, 3)
 
 
 def _witness_matrix(head: np.ndarray, s: HermitianKernel) -> np.ndarray:
@@ -404,16 +430,19 @@ def _norm_bracket(
     """The certified bracket (lo, hi) of agler_norm_lower_bound and the
     number of witness checks spent on it.
 
-    With t = c**2 the witness matrix is the pencil t P - Q, P the
-    witness matrix on the identity head and Q the one on the Gram head.
-    Newton steps from t = 0 on
-    phi(t) = min over kernels of lambda_min(t P - Q) + atol place the
-    bracket: phi is concave and nondecreasing, since P is positive, so
-    each step, with slope v* P v for the binding eigenvector v, lands at
-    or below the threshold.  A bracket around the Newton point, about
-    max(atol, 4 eps t) wide, is then widened by doubling until the check
-    passes at its top and fails at its bottom, and bisected as far as atol.
-    Each Newton step costs one eigh per kernel.
+    With t = c**2 the witness matrix of kernel k is the pencil
+    t P_k - Q_k, P_k the witness matrix on the identity head and Q_k the
+    one on the Gram head.  Newton steps from t = 0 place the bracket.
+    Each phi_k(t) = lambda_min(t P_k - Q_k) + atol is concave and
+    nondecreasing, since P_k is positive, so a kernel with phi_k(t) >= 0
+    passes at every larger t and is dropped for good.  A step goes to the
+    furthest target -phi_k / phi_k' of the kernels still failing, the slope
+    being v* P_k v for the lowest eigenvector v; each target lies at or
+    below its own kernel's root, so no step overshoots the threshold.  A
+    bracket around the Newton point, about max(atol, 4 eps t) wide, is
+    then widened by doubling until the check passes at its top and fails
+    at its bottom, and bisected as far as atol.  Each Newton step costs
+    one eigh per kernel still failing.
     """
     _check_atol(atol)
     if atol == 0.0:
@@ -468,17 +497,16 @@ def _norm_bracket(
         if not t * eps * norm < atol:
             raise StructureError("no bound passes the witness check before rounding exceeds atol")
 
-    gram = np.einsum("iba,jbc->ijac", f.conj(), f)
+    gram = _gram(f)
     eye = np.eye(f.shape[1])
     t = 0.0
-    # from below on a concave phi, Newton needs no safeguard; the cap only
+    failing = list(kernels)
+    # from below on concave phi_k, Newton needs no safeguard; the cap only
     # bounds a plateau whose slope vanishes at the threshold
     for _ in range(64):
-        lowest, slope = min(_lowest_pair(t * eye - gram, s) for s in kernels)
-        phi = lowest + atol
-        if phi >= 0.0 or slope <= 0.0:
+        step, failing = _furthest_step(t * eye - gram, failing, atol)
+        if step == 0.0:
             break
-        step = -phi / slope
         t += step
         reach(t)
         if step <= max(atol, 4.0 * eps * t):
@@ -511,14 +539,40 @@ def _norm_bracket(
     return float(np.sqrt(lo)), float(np.sqrt(hi)), checks
 
 
+def _furthest_step(
+    head: np.ndarray, kernels: Sequence[HermitianKernel], atol: float
+) -> tuple[float, list[HermitianKernel]]:
+    """Newton's furthest step on the kernels that fail at ``head``, and
+    those kernels.
+
+    phi_k = lambda_min + atol.  A kernel with phi_k >= 0 passes here and
+    at every larger t, so it is left out.  Each target -phi_k / slope_k
+    lies at or below its own kernel's root, phi_k being concave, so the
+    largest of them does not overshoot.  The step is 0.0 when no kernel
+    fails or a failing kernel's slope is not positive.
+    """
+    step, failing = 0.0, []
+    for s in kernels:
+        lowest, slope = _lowest_pair(head, s)
+        phi = lowest + atol
+        if phi >= 0.0:
+            continue
+        if slope <= 0.0:
+            return 0.0, failing
+        step = max(step, -phi / slope)
+        failing.append(s)
+    return step, failing
+
+
 def _lowest_pair(head: np.ndarray, s: HermitianKernel) -> tuple[float, float]:
     """Smallest eigenvalue of the witness matrix on ``head`` and v* P v for
     its eigenvector v, P being the witness matrix on the identity head."""
     vals, vecs = np.linalg.eigh(_witness_matrix(head, s))
-    v = vecs[:, 0].reshape(s.n, head.shape[2], s.block_dim)
-    # P's (i, j) block is I kron conj(S(x_i, x_j)), so v* P v pairs only
-    # equal value indices a
-    slope = np.einsum("iac,ijce,jae->", v.conj(), s.blocks.conj(), v)
+    n, d, df = s.n, head.shape[2], s.block_dim
+    # P's (i, j) block is I kron conj(S(x_i, x_j)), so v* P v sums
+    # w_a* conj(S) w_a over the value index a, w_a being v's entries at a
+    w = vecs[:, 0].reshape(n, d, df).transpose(0, 2, 1).reshape(n * df, d)
+    slope = np.vdot(w, s.assemble().conj() @ w)
     return float(vals[0]), float(slope.real)
 
 
@@ -573,4 +627,4 @@ def szego_samples(zs: Sequence[complex], power: int = 1) -> HermitianKernel:
     z = _disc_array(zs)
     denom = 1.0 - z[:, None] * z[None, :].conj()
     blocks = (1.0 / denom ** power)[:, :, None, None]
-    return HermitianKernel(disc_points(z), blocks)
+    return HermitianKernel._of_blocks(disc_points(z), blocks)

@@ -28,10 +28,12 @@ from colligate import (
     evaluate_all,
     is_admissible,
     is_psd,
+    load_kernel,
     product,
     random_colligation,
     random_representation,
     rep_apply,
+    save_kernel,
     schur_agler_witness_check,
     szego_samples,
     validate_test_family,
@@ -157,6 +159,65 @@ def operator_kernels(zs) -> list[HermitianKernel]:
         HermitianKernel(szego.points, szego.blocks * pos),
         HermitianKernel(szego.points, szego_samples(zs, power=2).blocks * pos_sq),
     ]
+
+
+# (n, d, kernel family) of the norm-bound grid; certify-large's shape is (32, 2, szego)
+BRACKET_GRID = [
+    (2, 1, "szego"), (2, 3, "operator"), (5, 2, "szego"), (8, 1, "operator"),
+    (13, 3, "szego"), (20, 2, "operator"), (32, 1, "szego"), (32, 2, "szego"),
+    (32, 3, "szego"), (32, 2, "operator"),
+]
+
+
+def bracket_case(n: int, d: int, family: str, seed: int):
+    """(zs, values, kernels) of one grid case: random contractive values
+    against the Szego kernels of power 1 and 2, or their operator forms."""
+    zs, f = random_disc_values(n, d, seed=1000 * n + 10 * d + seed)
+    if family == "szego":
+        return zs, f, [szego_samples(zs), szego_samples(zs, power=2)]
+    return zs, f, operator_kernels(zs)
+
+
+def min_newton_reference(f, kernels, atol: float) -> tuple[float, int]:
+    """The Newton point and the number of eigh calls of the loop that each
+    step took all kernels' lowest pairs and followed the binding one, the
+    kernel with the smallest eigenvalue, as first written."""
+    f = np.asarray(f, dtype=np.complex128)
+    gram = np.einsum("iba,jbc->ijac", f.conj(), f)
+    eye, eps = np.eye(f.shape[1]), np.finfo(float).eps
+    t, calls = 0.0, 0
+
+    def lowest_pair(head, s):
+        vals, vecs = np.linalg.eigh(testfn._witness_matrix(head, s))
+        v = vecs[:, 0].reshape(s.n, head.shape[2], s.block_dim)
+        slope = np.einsum("iac,ijce,jae->", v.conj(), s.blocks.conj(), v)
+        return float(vals[0]), float(slope.real)
+
+    for _ in range(64):
+        lowest, slope = min(lowest_pair(t * eye - gram, s) for s in kernels)
+        calls += len(kernels)
+        phi = lowest + atol
+        if phi >= 0.0 or slope <= 0.0:
+            break
+        step = -phi / slope
+        t += step
+        if step <= max(atol, 4.0 * eps * t):
+            break
+    return t, calls
+
+
+@pytest.fixture
+def lowest_pairs(monkeypatch):
+    """Count the calls of testfn._lowest_pair, one eigh each."""
+    calls = []
+    lowest_pair = testfn._lowest_pair
+
+    def counted(head, s):
+        calls.append(None)
+        return lowest_pair(head, s)
+
+    monkeypatch.setattr(testfn, "_lowest_pair", counted)
+    return calls
 
 
 @pytest.fixture
@@ -347,6 +408,29 @@ class TestHermitianKernel:
         blocks[1, 0] = bad
         with pytest.raises(FormatError, match="non-finite"):
             HermitianKernel(PointSet(("a", "b")), blocks)
+
+    def test_later_writes_to_the_blocks_change_nothing(self):
+        # the repro: writing b[0, 1] = b[1, 0] = 5.0 turned is_admissible False
+        b = szego_samples(TWO_POINTS).blocks.copy()
+        k = HermitianKernel(disc_points(TWO_POINTS), b)
+        assert not np.shares_memory(k.blocks, b) and not k.blocks.flags.writeable
+        assert is_admissible(k, disc_table(TWO_POINTS))
+        b[0, 1] = b[1, 0] = 5.0
+        npt.assert_array_equal(k.blocks, szego_samples(TWO_POINTS).blocks)
+        assert is_admissible(k, disc_table(TWO_POINTS))
+        with pytest.raises(ValueError):
+            k.blocks[0, 1] = 5.0
+
+    def test_built_and_loaded_kernels_are_adopted_read_only(self, tmp_path):
+        s = szego_samples(TWO_POINTS, power=2)
+        assert s.blocks.dtype == np.complex128 and not s.blocks.flags.writeable
+        path = str(tmp_path / "k.json")
+        save_kernel(s, path)
+        back = load_kernel(path)
+        assert not back.blocks.flags.writeable
+        npt.assert_array_equal(back.blocks, s.blocks)
+        with pytest.raises(ValueError, match="read-only"):
+            back.blocks[0, 0] = 2.0
 
     @pytest.mark.parametrize("power", [0, -1])
     def test_szego_power_below_one_is_an_error(self, power):
@@ -936,20 +1020,11 @@ class TestNormLowerBound:
         bound = agler_norm_lower_bound(list(evaluate_all(col)), kernels)
         assert bound <= 1.0 + 1e-8
 
-    @pytest.mark.parametrize(
-        "n, d, family",
-        [(2, 1, "szego"), (2, 3, "operator"), (5, 2, "szego"), (8, 1, "operator"),
-         (13, 3, "szego"), (20, 2, "operator"), (32, 1, "szego"), (32, 2, "szego"),
-         (32, 3, "szego"), (32, 2, "operator")],
-    )
+    @pytest.mark.parametrize("n, d, family", BRACKET_GRID)
     def test_the_bracket_is_certified_and_matches_bisection(self, n, d, family):
         atol = 1e-9
         for seed in range(3):
-            zs, f = random_disc_values(n, d, seed=1000 * n + 10 * d + seed)
-            if family == "szego":
-                kernels = [szego_samples(zs), szego_samples(zs, power=2)]
-            else:
-                kernels = operator_kernels(zs)
+            zs, f, kernels = bracket_case(n, d, family, seed)
             for ks in (kernels[:1], kernels):
                 lo, hi, _ = testfn._norm_bracket(f, ks, atol)
                 assert hi == agler_norm_lower_bound(f, ks, atol)
@@ -976,3 +1051,38 @@ class TestNormLowerBound:
         assert lo < hi == np.nextafter(lo, np.inf)
         assert schur_agler_witness_check(f, s, hi, 1e-300)
         assert not schur_agler_witness_check(f, s, lo, 1e-300)
+
+    @pytest.mark.parametrize("n, d, family", BRACKET_GRID)
+    def test_newton_takes_no_more_eighs_than_the_binding_kernel_loop(self, n, d, family,
+                                                                     lowest_pairs):
+        atol = 1e-9
+        for seed in range(3):
+            _, f, kernels = bracket_case(n, d, family, seed)
+            bounds = []
+            for order in (kernels, kernels[::-1]):
+                for ks in (order[:1], order):
+                    _, reference = min_newton_reference(f, ks, atol)
+                    lowest_pairs.clear()
+                    _, hi, _ = testfn._norm_bracket(f, ks, atol)
+                    assert len(lowest_pairs) <= reference, (seed, len(ks))
+                bounds.append(hi)
+            # the kernels' order moves the Newton steps, not the certified bound
+            assert abs(bounds[0] - bounds[1]) <= atol
+
+    def test_the_certify_large_shape_takes_few_eighs(self, lowest_pairs):
+        zs, f = random_disc_values(32, 2, seed=4)
+        kernels = [szego_samples(zs), szego_samples(zs, power=2)]
+        for ks in (kernels, kernels[::-1]):
+            lowest_pairs.clear()
+            testfn._norm_bracket(f, ks, 1e-9)
+            # the binding-kernel loop took 12 in either order
+            assert len(lowest_pairs) <= 9
+            assert len(lowest_pairs) < min_newton_reference(f, ks, 1e-9)[1]
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (5, 2), (32, 2), (13, 3)])
+    def test_the_gram_grid_matches_the_einsum_reference(self, n, d):
+        _, f = random_disc_values(max(n, 2), d, seed=7 * n + d)
+        f = f[:n]
+        gram = testfn._gram(f)
+        assert gram.shape == (n, n, d, d)
+        npt.assert_allclose(gram, np.einsum("iba,jbc->ijac", f.conj(), f), rtol=0, atol=1e-15)
