@@ -382,11 +382,8 @@ def schur_agler_witness_check(
 
 
 def _gram(f: np.ndarray) -> np.ndarray:
-    """The (n, n, d, d) grid of f(x_i)* f(x_j) for an (n, d, d) value stack.
-
-    One matrix product on the (d, n*d) flattening [f(x_0) ... f(x_n-1)],
-    whose Gram matrix holds block (i, j) at rows i*d and columns j*d.
-    """
+    """The (n, n, d, d) grid of f(x_i)* f(x_j): one Gram product of the
+    (d, n*d) flattening [f(x_0) ... f(x_n-1)] of an (n, d, d) value stack."""
     n, d = f.shape[0], f.shape[1]
     flat = f.transpose(1, 0, 2).reshape(d, n * d)
     return (flat.conj().T @ flat).reshape(n, d, n, d).transpose(0, 2, 1, 3)
@@ -450,6 +447,8 @@ def _norm_bracket(
             "the norm bound bisects to a bracket narrower than atol, "
             "so atol must be positive"
         )
+    # read once: a generator would be spent by the checks below
+    kernels = list(kernels)
     if not kernels:
         raise StructureError("at least one kernel is required")
     f = _as_value_stack(fvals)
@@ -500,7 +499,7 @@ def _norm_bracket(
     gram = _gram(f)
     eye = np.eye(f.shape[1])
     t = 0.0
-    failing = list(kernels)
+    failing = kernels
     # from below on concave phi_k, Newton needs no safeguard; the cap only
     # bounds a plateau whose slope vanishes at the threshold
     for _ in range(64):
@@ -539,18 +538,10 @@ def _norm_bracket(
     return float(np.sqrt(lo)), float(np.sqrt(hi)), checks
 
 
-def _furthest_step(
-    head: np.ndarray, kernels: Sequence[HermitianKernel], atol: float
-) -> tuple[float, list[HermitianKernel]]:
-    """Newton's furthest step on the kernels that fail at ``head``, and
-    those kernels.
-
-    phi_k = lambda_min + atol.  A kernel with phi_k >= 0 passes here and
-    at every larger t, so it is left out.  Each target -phi_k / slope_k
-    lies at or below its own kernel's root, phi_k being concave, so the
-    largest of them does not overshoot.  The step is 0.0 when no kernel
-    fails or a failing kernel's slope is not positive.
-    """
+def _furthest_step(head, kernels, atol) -> tuple[float, list[HermitianKernel]]:
+    """The largest Newton step -phi_k / slope_k over the kernels failing at
+    ``head``, and those kernels; 0.0 when none fails or a failing slope is
+    not positive.  A kernel passing here passes at every larger t."""
     step, failing = 0.0, []
     for s in kernels:
         lowest, slope = _lowest_pair(head, s)

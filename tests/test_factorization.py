@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colligate import (
@@ -623,6 +623,42 @@ class TestUnitaryFreedom:
         assert max_abs(evaluate_all(h2) - vh @ evaluate_all(g2)) <= 1e-13
         gap = verify_factorization(parent, h1, h2) - verify_factorization(parent, g1, g2)
         assert abs(gap) <= 1e-13
+
+
+class TestCrossVariantConsistency:
+    """The special variants are instances of the general four-tuple:
+    both-vanishing through (0, 0, L, Y) and vanishing-selfadjoint through
+    (0, a, C1 a^-1, a^-1 C1* D2).  Wherever a special check passes, the
+    general check passes on the mapped tuple."""
+
+    @settings(max_examples=60)
+    @given(
+        variant=st.sampled_from(["both-vanishing", "vanishing-selfadjoint"]),
+        family=st.sampled_from(sorted(FAMILIES)),
+        d=st.integers(1, 3),
+        m=st.integers(1, 3),
+        extra=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_special_pass_is_a_general_pass(self, variant, family, d, m, extra, seed):
+        _, _, parent, witnesses = conforming_pair(
+            variant, d, d + extra[0], d + extra[1], m, seed, coordinate=FAMILIES[family]
+        )
+        s = split_blocks(parent)
+        zero = np.zeros((d, d), dtype=complex)
+        if variant == "both-vanishing":
+            left, y = find_LY_witness(s)
+            special = check_both_vanishing(s, left, y)
+            mapped = (zero, zero, left, y)
+        else:
+            a = witnesses["A"]
+            special = check_vanishing_selfadjoint(s, a)
+            a_inv = np.linalg.inv(a)
+            mapped = (zero, a, s.C1 @ a_inv, a_inv @ s.C1.conj().T @ s.D2)
+        assume(special.verdict)
+        general = check_general(s, *mapped)
+        assert general.verdict, general.residuals
+        assert max(general.residuals.values()) <= 1e-12, general.residuals
 
 
 class TestVerifyFactorization:

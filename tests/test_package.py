@@ -5,6 +5,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
+import numpy.testing as npt
+
 import colligate
 from colligate import errors
 
@@ -181,3 +184,39 @@ def test_every_imported_name_is_used():
     package = Path(colligate.__file__).parent
     unused = [found for path in sorted(package.glob("*.py")) for found in _unused_imports(path)]
     assert not unused
+
+
+def _held_arrays(obj) -> list[np.ndarray]:
+    """Every array an object holds as a field or inside a tuple field."""
+    held = []
+    for value in vars(obj).values():
+        items = value if isinstance(value, tuple) else (value,)
+        held.extend(item for item in items if isinstance(item, np.ndarray))
+    return held
+
+
+def test_public_constructors_keep_no_caller_array():
+    # each public class copies the caller's arrays once and freezes the
+    # copies; complex128 input is where a conversion would not copy
+    values = np.array([[0.0, 0.5]], dtype=complex)
+    blocks = np.array(colligate.szego_samples([0.0, 0.5]).blocks)
+    projection = np.eye(2, dtype=complex)
+    a, b = np.zeros((1, 1), dtype=complex), np.array([[1.0, 0.0]], dtype=complex)
+    c, d = np.array([[0.5], [0.8]], dtype=complex), np.array([[0.0, 0.8], [0.0, -0.5]], dtype=complex)
+    rep = colligate.Representation((projection,))
+    table = colligate.TestFunctionTable(colligate.disc_points([0.0, 0.5]), values)
+    built = [
+        rep,
+        table,
+        colligate.HermitianKernel(table.points, blocks),
+        colligate.Colligation(rep, table, a, b, c, d),
+    ]
+    before = [[x.copy() for x in _held_arrays(obj)] for obj in built]
+    for caller in (values, blocks, projection, a, b, c, d):
+        caller += 1.0
+    for obj, saved in zip(built, before):
+        held = _held_arrays(obj)
+        assert held and len(held) == len(saved), type(obj).__name__
+        for x, y in zip(held, saved):
+            npt.assert_array_equal(x, y, err_msg=type(obj).__name__)
+            assert not x.flags.writeable, type(obj).__name__

@@ -39,7 +39,7 @@ from colligate import (
     validate_test_family,
 )
 from colligate import TestFunctionTable as FunctionTable
-from conftest import random_table
+from conftest import bidisc_table, random_table
 
 TWO_POINTS = [0.0, 0.5]
 FOUR_POINTS = [0.0, 0.5, -1.0 / 3.0, 0.25j]
@@ -898,6 +898,60 @@ class TestWitnessCheck:
             assert schur_agler_witness_check(f, s, hi)
 
 
+def membership_case(domain: str, n: int, seed: int):
+    """A table on n points of the disc or the bidisc, base point first, and
+    an admissible kernel on it: the Szego kernel to power 1 or 2, or the
+    product Szego kernel 1 / ((1 - z1 conj(w1)) (1 - z2 conj(w2)))."""
+    rng = np.random.default_rng(seed)
+    m = 2 if domain == "bidisc" else 1
+    points = 0.9 * np.sqrt(rng.random((m, n))) * np.exp(2j * np.pi * rng.random((m, n)))
+    points[:, 0] = 0.0
+    if domain == "bidisc":
+        table = bidisc_table([tuple(p) for p in points.T.tolist()])
+    else:
+        table = disc_table(points[0])
+    power = 2 if domain == "disc-2" else 1
+    v = table.values
+    szego = np.prod(1.0 / (1.0 - v[:, :, None] * v[:, None, :].conj()), axis=0) ** power
+    return table, HermitianKernel(table.points, szego[:, :, None, None])
+
+
+class TestSchurAglerMembership:
+    """The transfer function of an isometric colligation is in the
+    Schur-Agler class of its test functions: against every admissible
+    kernel its values pass the witness check at bound 1."""
+
+    @settings(max_examples=60)
+    @given(
+        domain=st.sampled_from(["disc-1", "disc-2", "bidisc"]),
+        family=st.sampled_from(["coordinate", "dense"]),
+        d=st.integers(1, 3),
+        extra=st.integers(0, 3),
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**16),
+    )
+    def test_realized_values_pass_at_bound_one(self, domain, family, d, extra, n, seed):
+        table, s = membership_case(domain, n, seed)
+        assert validate_test_family(table).passed and is_admissible(s, table)
+        state = table.m + extra
+        if family == "coordinate":
+            rep = realization._round_robin_representation(table.m, state)
+        else:
+            rep = random_representation(table.m, state, seed=seed + 1)
+        f = evaluate_all(random_colligation(d, rep, table, seed=seed + 2))
+        assert schur_agler_witness_check(f, s, 1.0)
+        assert agler_norm_lower_bound(f, [s]) <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("domain", ["disc-1", "disc-2", "bidisc"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_constant_just_above_one_is_not_in_the_class(self, domain, d):
+        table, s = membership_case(domain, 5, seed=d)
+        c = 1.0 + 1e-6
+        f = np.repeat(c * np.eye(d, dtype=complex)[None], table.n, axis=0)
+        assert not schur_agler_witness_check(f, s, 1.0)
+        assert agler_norm_lower_bound(f, [s]) == pytest.approx(c, abs=1e-8)
+
+
 class TestNormLowerBound:
     def test_zero_function_gives_zero(self):
         s = szego_samples(TWO_POINTS)
@@ -999,6 +1053,12 @@ class TestNormLowerBound:
         f[1, 0, 0] = bad
         with pytest.raises(FormatError, match="function value"):
             agler_norm_lower_bound(f, [szego_samples(TWO_POINTS)])
+
+    def test_kernels_given_as_a_generator_are_read_once(self):
+        # a spent generator made the bound 0.0: every check passed on no kernel
+        s = szego_samples(TWO_POINTS)
+        f = [np.array([[2.0 * z]]) for z in TWO_POINTS]
+        assert agler_norm_lower_bound(f, (k for k in [s])) == agler_norm_lower_bound(f, [s])
 
     def test_empty_kernel_list_is_an_error(self):
         with pytest.raises(StructureError):
