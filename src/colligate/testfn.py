@@ -538,7 +538,9 @@ def _norm_bracket(
     return float(np.sqrt(lo)), float(np.sqrt(hi)), checks
 
 
-def _furthest_step(head, kernels, atol) -> tuple[float, list[HermitianKernel]]:
+def _furthest_step(
+    head: np.ndarray, kernels: list[HermitianKernel], atol: float
+) -> tuple[float, list[HermitianKernel]]:
     """The largest Newton step -phi_k / slope_k over the kernels failing at
     ``head``, and those kernels; 0.0 when none fails or a failing slope is
     not positive.  A kernel passing here passes at every larger t."""
