@@ -24,6 +24,7 @@ from .linalg import (
     DEFAULT_ATOL,
     _check_atol,
     _check_finite,
+    _finite_real,
     _integer,
     _is_integer,
     _isometry_defect,
@@ -55,9 +56,8 @@ __all__ = [
 
 # points per row chunk of the Gramian residual
 _GRAMIAN_CHUNK = 8
-# entries of one (c, side, side) stack of resolvent matrices: a chunk of
-# the resolvent kernel holds max(1, _RESOLVENT_BUDGET // side^2) points,
-# side the largest block it solves
+# entries of one (c, N, N) stack of resolvent matrices: a chunk of the
+# resolvent kernel holds max(1, _RESOLVENT_BUDGET // N^2) points
 _RESOLVENT_BUDGET = 1 << 15
 
 
@@ -78,8 +78,6 @@ class Representation:
     split: tuple[int, int] | None = None
     # the read-only (m, N, N) array whose rows the projections are views of
     _stack: np.ndarray = field(init=False, repr=False, default=None)
-    # coordinate label of each state basis vector, None unless coordinate
-    _labels: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         mats = [as_matrix(p, "projection") for p in self.projections]
@@ -111,7 +109,6 @@ class Representation:
         n = stack.shape[1]
         object.__setattr__(self, "projections", tuple(stack))
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "_labels", _coordinate_labels(stack))
         if self.split is not None:
             split = _integers(self.split, "split")
             if len(split) != 2 or min(split) < 1 or sum(split) != n:
@@ -165,28 +162,6 @@ def _integers(values, name: str) -> tuple[int, ...]:
     if not all(_is_integer(v) for v in items):
         raise StructureError(f"{name} must be a sequence of integers, got {values!r}")
     return tuple(int(v) for v in items)
-
-
-def _coordinate_labels(stack: np.ndarray) -> np.ndarray | None:
-    """Label vector of a coordinate family, else None.
-
-    A family is coordinate when every projection is exactly diagonal
-    with 0/1 entries and the diagonals sum to exactly one per
-    coordinate; then P_j = diag(labels == j), and L(x) is the diagonal
-    psi[labels].  The scan stops at the first projection with an
-    off-diagonal nonzero, so a dense family usually costs one pass over
-    one projection.
-    """
-    for p in stack:
-        if np.count_nonzero(p) != np.count_nonzero(p.diagonal()):
-            return None
-    diagonals = stack.diagonal(axis1=1, axis2=2)
-    ones = diagonals == 1
-    if not (ones | (diagonals == 0)).all() or not (ones.sum(axis=0) == 1).all():
-        return None
-    labels = ones.argmax(axis=0)
-    labels.setflags(write=False)
-    return labels
 
 
 def coordinate_representation(sizes: Sequence[int]) -> Representation:
@@ -395,7 +370,7 @@ def _solve(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _dense_block(dp, wp, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
-    """(G, W L G) of one chunk of a dense family with coefficient rows ``psi``:
+    """(G, W L G) of one chunk of points with coefficient rows ``psi``:
     D L_k = sum_j psi_kj D P_j from the (m, N, N) ``dp``, one batched
     (c, 1, m) @ (m, N^2) product over a flat view, and W L_k G_k =
     sum_j psi_kj (W P_j) G_k from the (m, r, N) ``wp``, one (m r, N) @
@@ -418,22 +393,6 @@ def _dense_block(dp, wp, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
     return g, np.matmul(psi[:, None, :], terms).reshape(count, wp.shape[1], -1)
 
 
-def _scaled_block(d, lam, rhs, at) -> tuple[np.ndarray, np.ndarray]:
-    """(G, H) of one chunk for a block ``d`` of D whose L_k is diag(lam[k]):
-    I - d L_k scales the columns of d and H_k = L_k G_k the rows of G_k,
-    one point at a time."""
-    count, n = lam.shape
-    resolvent = np.empty((count, n, n), dtype=np.complex128)
-    for k in range(count):
-        np.multiply(d, lam[k], out=resolvent[k])
-    np.subtract(np.eye(n), resolvent, out=resolvent)
-    g = _solve(resolvent, rhs, at)
-    h = np.empty_like(g)
-    for k in range(count):
-        np.multiply(lam[k, :, None], g[k], out=h[k])
-    return g, h
-
-
 def _triangular_split(col: Colligation) -> int:
     """n1 of the recorded split (n1, n2) when D's lower-left block and the
     off-diagonal blocks of every projection are exact zeros, else 0.  Then
@@ -453,22 +412,19 @@ def _resolvents(col: Colligation, indices, left=None):
 
     The one resolvent kernel of the module: every evaluation and the
     Gramian identity go through it, so a singular resolvent is reported
-    the same way, with its point index, wherever it shows up.  A chunk
-    holds max(1, _RESOLVENT_BUDGET // side^2) points, side the largest
-    stack it builds: N, or max(n1, n2) on a coordinate split.  So every
-    stack of I - D L_k stays under the budget, and chunks are yielded one
-    at a time.
+    the same way, with its point index, wherever it shows up.  Every
+    family forms each D P_j and W P_j once per call (m N^3 and m r N^2;
+    with no W the projection stack is its own table) for ``_dense_block``,
+    O(m N^2) per point, which never forms L_k.  A chunk holds
+    max(1, _RESOLVENT_BUDGET // N^2) points, so every stack of I - D L_k
+    stays under the budget, and chunks are yielded one at a time.
 
     Whenever ``_triangular_split`` finds an exact split, as ``product``
-    writes it, the block triangular system is back-substituted: the n2 x n2
-    block first, then the n1 x n1 block with the coupling term on its
-    right-hand side.  So a chunk names the first point singular in its
-    n2 x n2 block if it has one, and only else the first in its n1 x n1
-    block.  A coordinate family has the diagonal L_k = psi[labels] and
-    takes ``_scaled_block`` once per block, then W @ H.  Any other family
-    forms every D P_j and W P_j once per call (m N^3 and m r N^2; with no
-    W the projection stack is its own table) for ``_dense_block``, O(m N^2)
-    per point, which solves slices of its full stack and never forms L_k.
+    writes it, the block triangular system is back-substituted on slices
+    of the full stack: the n2 x n2 block first, then the n1 x n1 block with
+    the coupling term on its right-hand side.  So a chunk names the first
+    point singular in its n2 x n2 block if it has one, and only else the
+    first in its n1 x n1 block.
 
     Each point's matrix is built by its one-point operation whatever the
     chunk; only the solve and the products after it run over the stack,
@@ -476,31 +432,14 @@ def _resolvents(col: Colligation, indices, left=None):
     """
     at = np.atleast_1d(indices)
     psi = eval_map(col.table, at).T.copy()
-    d, c, n = col.D, col.C, col.state_dim
-    labels = col.rep._labels
+    stack, n = col.rep._stack, col.state_dim
+    dp = np.matmul(col.D, stack)
+    wp = stack if left is None else np.matmul(left, stack)
     n1 = _triangular_split(col)
-    if labels is None:
-        stack = col.rep._stack
-        dp = np.matmul(d, stack)
-        wp = stack if left is None else np.matmul(left, stack)
-    # a dense chunk builds the full N x N stack, a coordinate one only its blocks
-    side = n if labels is None else max(n1, n - n1)
-    step = max(1, _RESOLVENT_BUDGET // side**2)
+    step = max(1, _RESOLVENT_BUDGET // n**2)
     for start in range(0, at.size, step):
-        rows = slice(start, start + step)
-        chunk = at[rows]
-        if labels is None:
-            g, h = _dense_block(dp, wp, psi[rows], c, n1, chunk)
-        else:
-            lam = psi[rows][:, labels]
-            g, h = _scaled_block(d[n1:, n1:], lam[:, n1:], c[n1:], chunk)
-            if n1:
-                rhs = c[:n1] + d[:n1, n1:] @ h
-                g1, h1 = _scaled_block(d[:n1, :n1], lam[:, :n1], rhs, chunk)
-                g, h = np.concatenate([g1, g], axis=1), np.concatenate([h1, h], axis=1)
-            if left is not None:
-                h = left @ h
-        yield chunk, g, h
+        chunk = at[start : start + step]
+        yield (chunk, *_dense_block(dp, wp, psi[start : start + step], col.C, n1, chunk))
 
 
 def evaluate(col: Colligation, i) -> np.ndarray:
@@ -671,9 +610,10 @@ def random_selfadjoint_base_colligation(
     away from 0 and 1), and the C block is chosen so the first block
     column is isometric.  Needs state_dim >= value_dim.
     """
-    lo, hi = spectrum
-    if not 0.0 < lo <= hi < 1.0:
+    pair = tuple(spectrum) if np.iterable(spectrum) else ()
+    if not (len(pair) == 2 and all(map(_finite_real, pair)) and 0.0 < pair[0] <= pair[1] < 1.0):
         raise StructureError(f"spectrum must sit inside (0, 1), got {spectrum}")
+    lo, hi = pair
     d = _absorbed_value_dim(value_dim, rep)
     rng = _rng(seed)
     v = _rng_isometry(rng, d, d)

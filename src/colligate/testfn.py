@@ -367,6 +367,7 @@ def schur_agler_witness_check(
     """
     if not (_finite_real(bound) and bound >= 0):
         raise StructureError(f"bound must be finite and nonnegative, got {bound}")
+    _kernel_list((s,))
     f = _as_value_stack(fvals)
     if f.shape[0] != s.n:
         raise StructureError(
@@ -379,6 +380,20 @@ def schur_agler_witness_check(
             f"bound {bound} is too large to square in double precision"
         ) from None
     return is_psd(_witness_matrix(square * np.eye(f.shape[1]) - _gram(f), s), atol)
+
+
+def _kernel_list(kernels) -> list[HermitianKernel]:
+    """``kernels`` read once into a list, a generator included: the one
+    type check of the witness check's and the norm bound's kernels."""
+    if not np.iterable(kernels):
+        raise StructureError(
+            f"kernels must be an iterable of HermitianKernels, got {type(kernels).__name__}"
+        )
+    kernels = list(kernels)
+    for s in kernels:
+        if not isinstance(s, HermitianKernel):
+            raise StructureError(f"kernel must be a HermitianKernel, got {type(s).__name__}")
+    return kernels
 
 
 def _gram(f: np.ndarray) -> np.ndarray:
@@ -448,7 +463,7 @@ def _norm_bracket(
             "so atol must be positive"
         )
     # read once: a generator would be spent by the checks below
-    kernels = list(kernels)
+    kernels = _kernel_list(kernels)
     if not kernels:
         raise StructureError("at least one kernel is required")
     f = _as_value_stack(fvals)

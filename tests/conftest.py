@@ -148,6 +148,15 @@ def coordinate_colligation(table: TestFunctionTable, which: int = 0) -> Colligat
     )
 
 
+def is_coordinate(rep: Representation) -> bool:
+    """True iff every projection is diagonal with 0/1 entries: the
+    fixture deals state coordinates, not a dense family."""
+    return all(
+        (p == np.diag(np.diag(p))).all() and np.isin(np.diag(p), (0.0, 1.0)).all()
+        for p in rep.projections
+    )
+
+
 def bidisc_table(pairs) -> TestFunctionTable:
     """Two-coordinate family sampled at the given (z1, z2) pairs."""
     values = np.asarray(list(zip(*pairs)), dtype=np.complex128)

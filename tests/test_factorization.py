@@ -23,6 +23,8 @@ from colligate import (
     check_both_vanishing,
     check_general,
     check_vanishing_selfadjoint,
+    coordinate_representation,
+    direct_sum,
     disc_table,
     evaluate,
     evaluate_all,
@@ -48,6 +50,7 @@ from conftest import (
     conforming_pair,
     coordinate_colligation,
     invertible_pair,
+    is_coordinate,
     random_table,
 )
 
@@ -523,7 +526,7 @@ def held_case(variant: str, kind: str, seed: int = 31):
     _, _, parent, witnesses = conforming_pair(
         variant, 2, 3, 3, 2, seed, coordinate=kind == "coordinate"
     )
-    assert (parent.rep._labels is not None) == (kind == "coordinate")
+    assert is_coordinate(parent.rep) == (kind == "coordinate")
     s = split_blocks(parent)
     if witnesses is None:
         witnesses = VARIANT_TABLE[variant].search(s, {})
@@ -603,7 +606,7 @@ class TestUnitaryFreedom:
         f1, f2, parent, _ = conforming_pair(
             variant, d, d + extra[0], d + extra[1], m, seed, coordinate=FAMILIES[family]
         )
-        assert (parent.rep._labels is not None) == (family == "coordinate")
+        assert is_coordinate(parent.rep) == (family == "coordinate")
         s = split_blocks(parent)
         v = random_isometry(d, d, seed + 4)
         vh = v.conj().T
@@ -659,6 +662,57 @@ class TestCrossVariantConsistency:
         general = check_general(s, *mapped)
         assert general.verdict, general.residuals
         assert max(general.residuals.values()) <= 1e-12, general.residuals
+
+
+class TestForcedRefusals:
+    """A split parent with A = C1 = B2 = 0 and rank(D2) > d has no witness.
+    Every general four-tuple has rank(X1 Y2) <= d, so by Eckart-Young
+    ||D2 - X1 Y2||_2 >= sigma_{d+1}(D2), and the largest entry, d2_splits,
+    is at least sigma_{d+1}(D2) / sqrt(n1 n2).  The parent need not be
+    isometric: the checkers take any split."""
+
+    @settings(max_examples=60)
+    @given(
+        family=st.sampled_from(["coordinate", "dense"]),
+        d=st.integers(1, 3),
+        m=st.integers(1, 3),
+        extra=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_rank_above_d_refuses_every_witness(self, family, d, m, extra, scale, seed):
+        rng = np.random.default_rng(seed)
+
+        def gaussian(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        n1, n2 = d + extra[0], d + extra[1]
+        rank = min(n1, n2)
+        sigma = np.sort(rng.uniform(0.1, 1.0, rank))[::-1]
+        d2 = (random_isometry(n1, rank, seed) * sigma) @ random_isometry(n2, rank, seed + 1).conj().T
+        reps = (
+            coordinate_representation([n // m + (j < n % m) for j in range(m)])
+            if family == "coordinate" else random_representation(m, n, seed + k)
+            for k, n in enumerate((n1, n2), start=2)
+        )
+        parent = Colligation(
+            rep=direct_sum(*reps),
+            table=random_table(m, 4, seed),
+            A=np.zeros((d, d)),
+            B=np.hstack([gaussian(d, n1), np.zeros((d, n2))]),
+            C=np.vstack([np.zeros((n1, d)), gaussian(n2, d)]),
+            D=np.block([[gaussian(n1, n1), d2], [np.zeros((n2, n1)), gaussian(n2, n2)]]),
+        )
+        s = split_blocks(parent)
+        with pytest.raises(WitnessError, match=f"no witness pair exists: rank {rank} exceeds"):
+            find_LY_witness(s)
+        # the best rank-d split of D2, and a drawn one
+        u, _, vh = np.linalg.svd(d2)
+        pairs = ((u[:, :d] * sigma[:d], vh[:d]), (scale * gaussian(n1, d), gaussian(d, n2)))
+        for x1, y2 in pairs:
+            cert = check_general(s, gaussian(d, d), gaussian(d, d), x1, y2)
+            assert not cert.verdict
+            assert cert.residuals["d2_splits"] >= sigma[d] / np.sqrt(n1 * n2)
 
 
 class TestVerifyFactorization:

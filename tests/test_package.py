@@ -186,6 +186,32 @@ def test_every_imported_name_is_used():
     assert not unused
 
 
+def _private_names_unread(package: Path) -> list[str]:
+    """``_``-prefixed functions and classes defined in the package that no
+    module reads as a name, an attribute, an imported name or a string."""
+    defined, read = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((f"{path.name}:{node.lineno}", node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{where} {name}" for where, name in defined if name not in read]
+
+
+def test_every_private_name_is_used():
+    # a private helper that nothing reads any more is dead code, such as a
+    # builder or a scan left behind when its last caller went
+    assert not _private_names_unread(Path(colligate.__file__).parent)
+
+
 def _held_arrays(obj) -> list[np.ndarray]:
     """Every array an object holds as a field or inside a tuple field."""
     held = []

@@ -39,6 +39,7 @@ from conftest import (
     blaschke_colligation,
     conforming_pair,
     coordinate_colligation,
+    is_coordinate,
     random_table,
 )
 
@@ -216,7 +217,7 @@ class TestRepresentation:
         for half, part in zip(halves, parts):
             assert not np.shares_memory(half._stack, joined._stack)
             npt.assert_array_equal(half._stack, part._stack)
-            npt.assert_array_equal(half._labels, part._labels)
+            assert is_coordinate(half) == is_coordinate(part)
 
     def test_rep_apply_is_a_unital_star_homomorphism(self):
         rng = np.random.default_rng(1)
@@ -622,29 +623,31 @@ class TestStructuredKernel:
         first = random_colligation(2, coordinate_rep(rng, 2, 3), table, seed=16)
         second = random_colligation(2, coordinate_rep(rng, 2, 2), table, seed=17)
         joined = product(first, second)
-        # the four points go as one chunk: the D3 block before the D1 block
-        # on the split, one full solve otherwise
-        evaluate_all(first)
-        assert kernel_calls == [("solve", (4, 3, 3))]
-        assert kernel_calls.products == []
-        kernel_calls.clear()
-        evaluate_all(joined)
-        assert kernel_calls == [("solve", (4, 2, 2)), ("solve", (4, 3, 3))]
-        assert kernel_calls.products == []
-        kernel_calls.clear()
-        dense = conjugated(joined, random_isometry(5, 5, seed=18))
-        evaluate_all(dense)
-        assert kernel_calls == [("solve", (4, 5, 5))]
+
         # the D P_j and B P_j tables once per call, then per chunk one
         # (c, 1, m) @ (m, N^2) product for -D L_k, one (m d, N) @ (c, N, d)
         # product for every B P_j G_k and one (c, 1, m) @ (c, m, d^2) product
         # summing them: never one product per point, and no L_k
-        tables = [((5, 5), (2, 5, 5)), ((2, 5), (2, 5, 5))]
+        def tables(n):
+            return [((n, n), (2, n, n)), ((2, n), (2, n, n))]
 
-        def chunk(c):
-            return [((c, 1, 2), (2, 25)), ((4, 5), (c, 5, 2)), ((c, 1, 2), (c, 2, 4))]
+        def chunk(c, n=5):
+            return [((c, 1, 2), (2, n * n)), ((4, n), (c, n, 2)), ((c, 1, 2), (c, 2, 4))]
 
-        assert kernel_calls.products == tables + chunk(4)
+        # coordinate families take the same products: the four points go as
+        # one chunk, one full solve, or the D3 block before the D1 block on the split
+        evaluate_all(first)
+        assert kernel_calls == [("solve", (4, 3, 3))]
+        assert kernel_calls.products == tables(3) + chunk(4, 3)
+        kernel_calls.clear()
+        evaluate_all(joined)
+        assert kernel_calls == [("solve", (4, 2, 2)), ("solve", (4, 3, 3))]
+        assert kernel_calls.products == tables(5) + chunk(4)
+        kernel_calls.clear()
+        dense = conjugated(joined, random_isometry(5, 5, seed=18))
+        evaluate_all(dense)
+        assert kernel_calls == [("solve", (4, 5, 5))]
+        assert kernel_calls.products == tables(5) + chunk(4)
         # a dense product builds the same full stacks, then solves two slices
         # of them: the n2 x n2 block, then the n1 x n1 block
         split = product(random_colligation(2, random_representation(2, 3, seed=19), table, seed=20),
@@ -652,7 +655,7 @@ class TestStructuredKernel:
         kernel_calls.clear()
         evaluate_all(split)
         assert kernel_calls == [("solve", (4, 2, 2)), ("solve", (4, 3, 3))]
-        assert kernel_calls.products == tables + chunk(4)
+        assert kernel_calls.products == tables(5) + chunk(4)
         # the Gramian identity takes H itself: the projection stack is its table
         kernel_calls.clear()
         gramian_identity_check(dense)
@@ -662,13 +665,13 @@ class TestStructuredKernel:
         kernel_calls.clear()
         evaluate_all(dense)
         assert kernel_calls == [("solve", (3, 5, 5)), ("solve", (1, 5, 5))]
-        assert kernel_calls.products == tables + chunk(3) + chunk(1)
+        assert kernel_calls.products == tables(5) + chunk(3) + chunk(1)
         # its chunks hold as many points as one full solve would
         kernel_calls.clear()
         evaluate_all(split)
         assert kernel_calls == [("solve", (3, 2, 2)), ("solve", (3, 3, 3)),
                                 ("solve", (1, 2, 2)), ("solve", (1, 3, 3))]
-        assert kernel_calls.products == tables + chunk(3) + chunk(1)
+        assert kernel_calls.products == tables(5) + chunk(3) + chunk(1)
 
     def test_a_tiny_lower_left_entry_takes_the_full_solve(self, kernel_calls):
         rng = np.random.default_rng(19)
@@ -718,7 +721,7 @@ class TestStructuredKernel:
         moved = Colligation.from_matrix(plain.matrix(), d, Representation(
             plain.rep.projections, split=(n1, n2)), col.table)
         moved.validate()
-        assert moved.rep._labels is None
+        assert not is_coordinate(moved.rep)
         assert realization._triangular_split(moved) == n1
         kernel_calls.clear()
         values = evaluate_all(moved)
@@ -761,7 +764,7 @@ class TestDenseKernel:
         w = random_isometry(n1 + n2, n1 + n2, seed=98 + seed)
         for col in (first, second, product(first, second), product(second, first),
                     conjugated(coordinate, w)):
-            assert col.rep._labels is None
+            assert not is_coordinate(col.rep)
             reference = np.stack([dense_evaluate(col, i) for i in range(table.n)])
             assert max_abs(evaluate_all(col) - reference) <= 1e-13
             for chunk, gs, hs in realization._resolvents(col, np.arange(table.n)):
@@ -795,7 +798,7 @@ class TestDenseKernel:
         # |v|^2 rounds to exactly 1; this seed keeps it dense
         col = random_colligation(2, random_representation(m, n, seed=144 + n), table,
                                  seed=142 + m)
-        assert col.rep._labels is None
+        assert not is_coordinate(col.rep)
         alone = []
         for i in range(8):
             _, g, h = next(realization._resolvents(col, np.array([i])))
@@ -819,8 +822,7 @@ class TestDenseKernel:
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("n1", [1, 3])
     def test_a_left_factor_multiplies_the_identity_path(self, rows, n1):
-        # coordinate families apply W @ H after the block, so they match it
-        # bit for bit; dense ones sum psi_j (W P_j) G and match by rounding
+        # every family sums psi_j (W P_j) G, which matches W @ H by rounding
         for name, col in chunked_models(6, n1, seed=170 + 10 * n1 + rows).items():
             w = np.random.default_rng(rows).standard_normal((rows, col.state_dim)) + 0.5j
             plain = list(realization._resolvents(col, np.arange(6)))
@@ -830,10 +832,7 @@ class TestDenseKernel:
                 npt.assert_array_equal(at_w, at)
                 npt.assert_array_equal(g_w, g)
                 assert wh.shape == (at.size, rows, col.value_dim)
-                if col.rep._labels is None:
-                    assert max_abs(wh - w @ h) <= 1e-13, name
-                else:
-                    npt.assert_array_equal(wh, w @ h)
+                assert max_abs(wh - w @ h) <= 1e-13, name
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 33])
@@ -930,8 +929,8 @@ def singular_at_point_two() -> tuple[Colligation, ...]:
 
 
 class TestChunkedKernel:
-    """Points go through the kernel in chunks of max(1, budget // side^2),
-    side the largest stack a chunk builds."""
+    """Points go through the kernel in chunks of max(1, budget // N^2): every
+    chunk builds the full N x N stack, split or not."""
 
     @pytest.mark.parametrize("n1", [1, 3, 4])
     @pytest.mark.parametrize("n_points", range(2, 8))
@@ -939,20 +938,18 @@ class TestChunkedKernel:
                                                   n_points, n1):
         # three points per chunk: from one chunk of fewer points to three chunks
         models = chunked_models(n_points, n1, seed=120 + 10 * n_points + n1)
-        assert models["coordinate"].rep._labels is not None
+        assert is_coordinate(models["coordinate"].rep)
         assert models["split"].rep.split is not None
-        assert models["dense"].rep._labels is None
+        assert not is_coordinate(models["dense"].rep)
         for name, col in models.items():
             kernel_calls.clear()
             whole = gramian_identity_check(col)
             side = max(shape[-1] for _, shape in kernel_calls)
-            # both products solve their diagonal blocks, but a dense chunk
+            # both products solve their diagonal blocks, but every chunk
             # builds the full N x N stack and is sized by it
             assert (side < col.state_dim) == (name in ("split", "dense product"))
-            if col.rep._labels is None:
-                side = col.state_dim
             with monkeypatch.context() as patch:
-                patch.setattr(realization, "_RESOLVENT_BUDGET", 3 * side ** 2)
+                patch.setattr(realization, "_RESOLVENT_BUDGET", 3 * col.state_dim ** 2)
                 kernel_calls.clear()
                 values = evaluate_all(col)
                 assert max(shape[0] for _, shape in kernel_calls) == min(3, n_points)
@@ -965,7 +962,7 @@ class TestChunkedKernel:
 
     def test_a_singular_point_inside_a_chunk_is_named(self):
         single, dense, shift, dense_shift = singular_at_point_two()
-        assert dense.rep._labels is None
+        assert not is_coordinate(dense.rep)
         for col in (single, product(single, shift), product(shift, single), dense,
                     product(dense, dense_shift), product(dense_shift, dense)):
             calls = (
@@ -1017,8 +1014,8 @@ class TestChunkedKernel:
         assert [shape for _, shape in kernel_calls] == [(8, 64, 64), (8, 64, 64), (4, 64, 64)]
 
     def test_a_split_chunk_is_sized_by_its_blocks(self, kernel_calls):
-        # N = 64 + 64: the budget holds 8 points of each 64 x 64 block,
-        # not 2 points of the full 128 x 128 matrix
+        # N = 64 + 64: the budget holds 2 points of the full 128 x 128
+        # stack, solved as its two 64 x 64 blocks
         rng = np.random.default_rng(134)
         table = random_table(2, 20, seed=135)
         col = product(
@@ -1026,9 +1023,7 @@ class TestChunkedKernel:
             random_colligation(2, coordinate_rep(rng, 2, 64), table, seed=137),
         )
         evaluate_all(col)
-        assert [shape for _, shape in kernel_calls] == (
-            [(8, 64, 64)] * 4 + [(4, 64, 64)] * 2
-        )
+        assert [shape for _, shape in kernel_calls] == [(2, 64, 64)] * 20
 
 
 class TestProduct:
@@ -1161,7 +1156,7 @@ def extracted_case(variant: str, kind: str, d: int, seed: int):
     make1, make2 = VARIANT_FACTORS[variant]
     first, second = make1(d, reps[0], table, seed + 3), make2(d, reps[1], table, seed + 4)
     parent = product(first, second)
-    assert (parent.rep._labels is not None) == (kind == "coordinate")
+    assert is_coordinate(parent.rep) == (kind == "coordinate")
     s, v = split_blocks(parent), VARIANT_TABLE[variant]
     if variant == "both-vanishing":
         witnesses = v.search(s, {})
@@ -1346,9 +1341,13 @@ class TestStructuredGenerators:
                 1, rep, table, seed=511, spectrum=(0.0, 1.0)
             )
 
-    @pytest.mark.parametrize("spectrum", [(0.0, 0.5), (0.5, 1.0), (0.6, 0.4)])
+    @pytest.mark.parametrize(
+        "spectrum",
+        [(0.0, 0.5), (0.5, 1.0), (0.6, 0.4), 0.5, (0.1, 0.2, 0.3), ("a", "b")],
+    )
     def test_bad_spectrum_is_a_structure_error(self, spectrum):
         rep = random_representation(1, 2, seed=509)
         table = random_table(1, 3, seed=510)
-        with pytest.raises(StructureError, match="spectrum"):
+        with pytest.raises(StructureError) as info:
             random_selfadjoint_base_colligation(1, rep, table, seed=511, spectrum=spectrum)
+        assert str(info.value) == f"spectrum must sit inside (0, 1), got {spectrum}"

@@ -804,6 +804,18 @@ GUARDS = {
         lambda: szego_samples(TWO_POINTS, power=0),
         StructureError, "power must be at least 1, got 0",
     ),
+    "norm bound over an int in a kernel list": (
+        lambda: agler_norm_lower_bound([np.zeros((1, 1))], [5]),
+        StructureError, "kernel must be a HermitianKernel, got int",
+    ),
+    "norm bound over a kernel list that is not iterable": (
+        lambda: agler_norm_lower_bound([np.zeros((1, 1))], 5),
+        StructureError, "kernels must be an iterable of HermitianKernels, got int",
+    ),
+    "witness check against a string kernel": (
+        lambda: schur_agler_witness_check([np.zeros((1, 1))], "x", 1.0),
+        StructureError, "kernel must be a HermitianKernel, got str",
+    ),
 }
 
 
