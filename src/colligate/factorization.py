@@ -47,6 +47,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_ATOL,
+    _adopted,
     _check_atol,
     _isometry_defect,
     _saturating,
@@ -269,8 +270,8 @@ def _factors(
     rep, table = s.parent.rep, s.parent.table
     a1, a2, x1, y2 = (np.array(w) for w in (a1, a2, x1, y2))
     factors = (
-        Colligation._of_blocks(rep.restrict(0), table, a1, s.B1, x1, s.D1),
-        Colligation._of_blocks(rep.restrict(1), table, a2, y2, s.C2, s.D3),
+        _adopted(Colligation, rep.restrict(0), table, a1, s.B1, x1, s.D1),
+        _adopted(Colligation, rep.restrict(1), table, a2, y2, s.C2, s.D3),
     )
     for name, col in zip(("first", "second"), factors):
         if not _isometry_defect(col.matrix()) <= slack:
@@ -506,6 +507,6 @@ def verify_factorization(
     blocks = [slice(k * d, (k + 1) * d) for k in range(3)]
     for col, block, rows in zip((parent, f1, f2), blocks, (slice(n), slice(n1), slice(n1, n))):
         a[block, block], b[block, rows], c[rows, block] = col.A, col.B, col.C
-    values = evaluate_all(Colligation._of_blocks(parent.rep, parent.table, a, b, c, parent.D))
+    values = evaluate_all(_adopted(Colligation, parent.rep, parent.table, a, b, c, parent.D))
     f, g1, g2 = (values[:, block, block] for block in blocks)
     return max_abs(f - g1 @ g2)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import FormatError
 from .factorization import VARIANT_TABLE
-from .linalg import _as_array, _check_finite, _is_integer
+from .linalg import _adopted, _as_array, _check_finite, _is_integer
 from .realization import Colligation, Representation
 from .testfn import HermitianKernel, PointSet, TestFunctionTable
 
@@ -316,7 +316,7 @@ def load_colligation(path: str) -> Colligation:
     raw = _require(obj, "projections", path)
     refusal = f"{path}: need one projection per test function ({table.m})"
     stack = _decode_stack(raw, f"{path}.projections", table.m, refusal)
-    rep = Representation._of_stack(stack, split)
+    rep = _adopted(Representation, stack, split)
     blocks = {
         name: decode_matrix(_require(obj, name, path), f"{path}.{name}")
         for name in ("A", "B", "C", "D")
@@ -325,7 +325,7 @@ def load_colligation(path: str) -> Colligation:
         raise FormatError(
             f"{path}: value_dim is {value_dim} but A has shape {blocks['A'].shape}"
         )
-    return Colligation._of_blocks(rep, table, *blocks.values())
+    return _adopted(Colligation, rep, table, *blocks.values())
 
 
 def save_colligation(col: Colligation, path: str) -> None:
@@ -359,7 +359,7 @@ def load_kernel(path: str) -> HermitianKernel:
                       f"{path}.blocks[{i}]: expected {points.n} blocks", (block_dim, block_dim))
         for i, row in enumerate(raw)
     ]
-    return HermitianKernel._of_blocks(points, np.array(grid))
+    return _adopted(HermitianKernel, points, np.array(grid))
 
 
 def save_kernel(k: HermitianKernel, path: str) -> None:

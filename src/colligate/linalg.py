@@ -264,6 +264,15 @@ def random_isometry(rows: int, cols: int, seed: int) -> np.ndarray:
     return _rng_isometry(_rng(seed), rows, cols)
 
 
+def _adopted(cls, *fields):
+    """A ``cls`` over arrays no caller holds, or read-only views of another
+    object's: the one construction that skips the public copy.  The class's
+    ``_adopt`` checks, freezes and sets every field."""
+    obj = cls.__new__(cls)
+    obj._adopt(*fields)
+    return obj
+
+
 def _rng(seed) -> np.random.Generator:
     """``numpy.random.default_rng(seed)`` for a nonnegative integer seed.
     Anything else is refused: numpy raises a bare ValueError for a

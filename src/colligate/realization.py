@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DimensionError, SingularResolventError, StructureError
 from .linalg import (
     DEFAULT_ATOL,
+    _adopted,
     _check_atol,
     _check_finite,
     _finite_real,
@@ -89,33 +90,23 @@ class Representation:
                 raise DimensionError(
                     f"projections must share one square shape, got {p.shape}"
                 )
-        self._adopt(np.array(mats))
+        self._adopt(np.array(mats), self.split)
 
-    @classmethod
-    def _of_stack(
-        cls, stack: np.ndarray, split: tuple[int, int] | None = None
-    ) -> "Representation":
-        """Representation over a fresh (m, N, N) complex stack that no
-        caller holds: kept as it is, not copied.  The module's builders
-        come here; public construction copies first."""
-        rep = cls.__new__(cls)
-        object.__setattr__(rep, "split", split)
-        rep._adopt(stack)
-        return rep
-
-    def _adopt(self, stack: np.ndarray) -> None:
-        """Freeze ``stack`` and make it the projections' one home."""
+    def _adopt(self, stack: np.ndarray, split: tuple[int, int] | None = None) -> None:
+        """Freeze ``stack`` and make it the projections' one home; check
+        ``split`` against its dimension."""
         stack.setflags(write=False)
         n = stack.shape[1]
         object.__setattr__(self, "projections", tuple(stack))
         object.__setattr__(self, "_stack", stack)
-        if self.split is not None:
-            split = _integers(self.split, "split")
-            if len(split) != 2 or min(split) < 1 or sum(split) != n:
+        if split is not None:
+            parts = _integers(split, "split")
+            if len(parts) != 2 or min(parts) < 1 or sum(parts) != n:
                 raise StructureError(
-                    f"split {self.split} does not partition state dimension {n}"
+                    f"split {split} does not partition state dimension {n}"
                 )
-            object.__setattr__(self, "split", split)
+            split = parts
+        object.__setattr__(self, "split", split)
 
     @property
     def state_dim(self) -> int:
@@ -152,7 +143,7 @@ class Representation:
             raise StructureError(f"restriction takes half 0 or 1, got {half!r}")
         n1, _ = self.split
         sl = slice(0, n1) if half == 0 else slice(n1, self.state_dim)
-        return Representation._of_stack(self._stack[:, sl, sl].copy())
+        return _adopted(Representation, self._stack[:, sl, sl].copy())
 
 
 def _integers(values, name: str) -> tuple[int, ...]:
@@ -181,7 +172,7 @@ def coordinate_representation(sizes: Sequence[int]) -> Representation:
     for j, s in enumerate(sizes):
         stack[j, offset : offset + s, offset : offset + s] = np.eye(s)
         offset += s
-    return Representation._of_stack(stack)
+    return _adopted(Representation, stack)
 
 
 def _round_robin_representation(m: int, state_dim: int) -> Representation:
@@ -201,7 +192,7 @@ def random_representation(m: int, state_dim: int, seed: int) -> Representation:
     rng = _rng(seed)
     v = _rng_isometry(rng, state_dim, state_dim)
     stack = _round_robin_representation(m, state_dim)._stack
-    return Representation._of_stack(v @ stack @ v.conj().T)
+    return _adopted(Representation, v @ stack @ v.conj().T)
 
 
 def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
@@ -214,7 +205,7 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
     stack = np.zeros((rep1.m, n1 + n2, n1 + n2), dtype=np.complex128)
     stack[:, :n1, :n1] = rep1._stack
     stack[:, n1:, n1:] = rep2._stack
-    return Representation._of_stack(stack, split=(n1, n2))
+    return _adopted(Representation, stack, (n1, n2))
 
 
 def rep_apply(rep: Representation, g) -> np.ndarray:
@@ -244,7 +235,7 @@ class Colligation:
     validate(), not by the constructor, so perturbed operators can be
     studied with the same type.  The constructor copies the four blocks, so a
     later write to the caller's arrays cannot change the colligation, and
-    ``_of_blocks`` adopts blocks no caller holds; ``_adopt`` checks and freezes both.
+    ``_adopted`` takes blocks no caller holds; ``_adopt`` checks and freezes both.
     """
 
     rep: Representation
@@ -255,7 +246,8 @@ class Colligation:
     D: np.ndarray
 
     def __post_init__(self):
-        self._adopt(*(np.array(as_matrix(getattr(self, k), k)) for k in "ABCD"))
+        blocks = (np.array(as_matrix(getattr(self, k), k)) for k in "ABCD")
+        self._adopt(self.rep, self.table, *blocks)
 
     @property
     def value_dim(self) -> int:
@@ -280,20 +272,11 @@ class Colligation:
                 f"block operator fails isometry by {defect:.3e}"
             )
 
-    @classmethod
-    def _of_blocks(cls, rep, table, a, b, c, d) -> "Colligation":
-        """Colligation over complex blocks that no caller holds, or read-only
-        views of another colligation's: checked and frozen, not copied.  The
-        module's builders, the extractors and the loader come here."""
-        col = cls.__new__(cls)
-        object.__setattr__(col, "rep", rep)
-        object.__setattr__(col, "table", table)
-        col._adopt(a, b, c, d)
-        return col
-
-    def _adopt(self, a, b, c, d) -> None:
+    def _adopt(self, rep, table, a, b, c, d) -> None:
         """The one check of the blocks against each other, the representation
         and the table; then freeze them and make them A, B, C and D."""
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "table", table)
         dim, n = a.shape[0], d.shape[0]
         if a.shape != (dim, dim) or d.shape != (n, n):
             raise DimensionError("diagonal blocks must be square")
@@ -334,7 +317,7 @@ class Colligation:
                 f"block operator is {m.shape}, expected {(d + n, d + n)}"
             )
         m.setflags(write=False)
-        return cls._of_blocks(rep, table, m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:])
+        return _adopted(cls, rep, table, m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:])
 
 
 def _block2(a: np.ndarray, b: np.ndarray, c, d: np.ndarray) -> np.ndarray:
@@ -493,7 +476,7 @@ def product(col1: Colligation, col2: Colligation) -> Colligation:
     # factors that were never validated can overflow: refused as by the constructor
     for name, block in zip("ABCD", (a, b, c, d)):
         _check_finite(block, name)
-    return Colligation._of_blocks(direct_sum(col1.rep, col2.rep), col1.table, a, b, c, d)
+    return _adopted(Colligation, direct_sum(col1.rep, col2.rep), col1.table, a, b, c, d)
 
 
 def gramian_identity_check(col: Colligation) -> float:

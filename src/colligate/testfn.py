@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, StructureError, ToleranceError
-from .linalg import DEFAULT_ATOL, _as_array, _check_atol, _check_finite, _finite_real, _integer
-from .linalg import as_matrix, is_psd, max_abs
+from .linalg import DEFAULT_ATOL, _adopted, _as_array, _check_atol, _check_finite, _finite_real
+from .linalg import _integer, as_matrix, is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -197,25 +197,16 @@ class HermitianKernel:
     blocks: np.ndarray
 
     def __post_init__(self):
-        self._adopt(np.array(_as_array(self.blocks, "kernel")))
+        self._adopt(self.points, np.array(_as_array(self.blocks, "kernel")))
 
-    @classmethod
-    def _of_blocks(cls, points: PointSet, blocks: np.ndarray) -> "HermitianKernel":
-        """Kernel over a fresh complex block grid that no caller holds:
-        checked and frozen, not copied.  ``szego_samples`` and the loader
-        come here; public construction copies first."""
-        k = cls.__new__(cls)
-        object.__setattr__(k, "points", points)
-        k._adopt(blocks)
-        return k
-
-    def _adopt(self, b: np.ndarray) -> None:
+    def _adopt(self, points: PointSet, b: np.ndarray) -> None:
         """The one check of the block grid; then freeze it and make it ``blocks``."""
+        object.__setattr__(self, "points", points)
         if b.ndim != 4:
             raise DimensionError(
                 f"kernel blocks must be 4-D (n, n, d, d), got shape {b.shape}"
             )
-        n = self.points.n
+        n = points.n
         if b.shape[0] != n or b.shape[1] != n:
             raise DimensionError(
                 f"kernel grid is {b.shape[0]}x{b.shape[1]} for {n} points"
@@ -635,4 +626,4 @@ def szego_samples(zs: Sequence[complex], power: int = 1) -> HermitianKernel:
     z = _disc_array(zs)
     denom = 1.0 - z[:, None] * z[None, :].conj()
     blocks = (1.0 / denom ** power)[:, :, None, None]
-    return HermitianKernel._of_blocks(disc_points(z), blocks)
+    return _adopted(HermitianKernel, disc_points(z), blocks)

@@ -44,6 +44,7 @@ class TestCanonicalSerializer:
 
     def test_ints_stay_ints(self):
         assert dumps_canonical({"n": 3}) == '{\n  "n": 3\n}\n'
+        assert dumps_canonical({"n": np.int64(3)}) == '{\n  "n": 3\n}\n'
 
     def test_empty_objects_stay_inline(self):
         assert dumps_canonical({}) == "{}\n"

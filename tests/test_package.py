@@ -212,6 +212,28 @@ def test_every_private_name_is_used():
     assert not _private_names_unread(Path(colligate.__file__).parent)
 
 
+def _readers_of_new(package: Path) -> list[str]:
+    """``module.function`` once for each read of ``__new__`` in the package,
+    naming the innermost function that makes it (``<module>`` outside any)."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for child in ast.iter_child_nodes(node):
+                owner[child] = name or owner.get(node, "<module>")
+        found += [f"{path.stem}.{owner[node]}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+    return found
+
+
+def test_only_adopted_skips_the_public_copy():
+    # an object made by __new__ skips __post_init__ and the copy of the
+    # caller's arrays; linalg._adopted is the one place allowed to do that
+    assert _readers_of_new(Path(colligate.__file__).parent) == ["linalg._adopted"]
+
+
 def _held_arrays(obj) -> list[np.ndarray]:
     """Every array an object holds as a field or inside a tuple field."""
     held = []

@@ -35,6 +35,7 @@ from colligate import (
     verify_factorization,
 )
 from colligate.factorization import VARIANT_TABLE
+from colligate.linalg import _adopted
 from conftest import (
     blaschke_colligation,
     conforming_pair,
@@ -353,6 +354,10 @@ GUARDS = {
         lambda: Representation(()),
         StructureError, "a representation needs at least one projection",
     ),
+    "projections of two shapes": (
+        lambda: Representation((np.eye(2), np.eye(3))),
+        DimensionError, "projections must share one square shape, got (3, 3)",
+    ),
     "restrict without a split": (
         lambda: coordinate_representation([1, 2]).restrict(0),
         StructureError, "restriction requires a split",
@@ -404,20 +409,25 @@ GUARDS = {
                             **_blocks(1, 2)),
         StructureError, "representation has 2 projections for 1 test functions",
     ),
+    "rectangular A block": (
+        lambda: Colligation(coordinate_representation([1]), disc_table([0.0, 0.5]), np.zeros((1, 2)),
+                            np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1))),
+        DimensionError, "diagonal blocks must be square",
+    ),
     "adopted B block of another width": (
-        lambda: Colligation._of_blocks(coordinate_representation([2]), disc_table([0.0, 0.5]),
-                                       *{**_blocks(1, 2), "B": np.zeros((1, 3))}.values()),
+        lambda: _adopted(Colligation, coordinate_representation([2]), disc_table([0.0, 0.5]),
+                         *{**_blocks(1, 2), "B": np.zeros((1, 3))}.values()),
         DimensionError, "off-diagonal blocks (1, 3), (2, 1) do not match "
         "value dimension 1 and state dimension 2",
     ),
     "adopted blocks on another state space": (
-        lambda: Colligation._of_blocks(coordinate_representation([1, 2]), disc_table([0.0, 0.5]),
-                                       *_blocks(1, 2).values()),
+        lambda: _adopted(Colligation, coordinate_representation([1, 2]), disc_table([0.0, 0.5]),
+                         *_blocks(1, 2).values()),
         DimensionError, "representation acts on dimension 3, state blocks have dimension 2",
     ),
     "adopted blocks for another family": (
-        lambda: Colligation._of_blocks(coordinate_representation([1, 1]), disc_table([0.0, 0.5]),
-                                       *_blocks(1, 2).values()),
+        lambda: _adopted(Colligation, coordinate_representation([1, 1]), disc_table([0.0, 0.5]),
+                         *_blocks(1, 2).values()),
         StructureError, "representation has 2 projections for 1 test functions",
     ),
     "misshapen block operator": (

@@ -1013,6 +1013,27 @@ class TestNormLowerBound:
         with pytest.raises(StructureError, match="before rounding exceeds atol"):
             agler_norm_lower_bound(f, [ones])
 
+    def test_a_failing_kernel_of_zero_slope_ends_newton(self, monkeypatch):
+        # v = (1, -1)/sqrt(2) spans the kernel of the all-ones matrix, so the
+        # lowest eigenvalue -0.5 has slope v* S v = 0 at t = 0
+        ones = HermitianKernel(disc_points(TWO_POINTS), np.ones((2, 2, 1, 1)))
+        f = [np.array([[0.5]]), np.array([[-0.5]])]
+        steps = []
+        furthest_step = testfn._furthest_step
+
+        def recorded(head, kernels, atol):
+            step, failing = furthest_step(head, kernels, atol)
+            steps.append((head, step, failing))
+            return step, failing
+
+        monkeypatch.setattr(testfn, "_furthest_step", recorded)
+        with pytest.raises(StructureError, match="before rounding exceeds atol"):
+            agler_norm_lower_bound(f, [ones])
+        [(head, step, failing)] = steps
+        assert step == 0.0 and failing == []
+        lowest, slope = testfn._lowest_pair(head, ones)
+        assert lowest == pytest.approx(-0.5) and slope == 0.0
+
     @pytest.fixture
     def newton_stops_short(self, monkeypatch):
         """Newton slopes a million times too steep: each step falls far short
