@@ -275,6 +275,11 @@ class Colligation:
     def _adopt(self, rep, table, a, b, c, d) -> None:
         """The one check of the blocks against each other, the representation
         and the table; then freeze them and make them A, B, C and D."""
+        if not (isinstance(rep, Representation) and isinstance(table, TestFunctionTable)):
+            raise StructureError(
+                "a colligation takes a Representation and a TestFunctionTable, "
+                f"got {type(rep).__name__} and {type(table).__name__}"
+            )
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "table", table)
         dim, n = a.shape[0], d.shape[0]
@@ -334,46 +339,17 @@ def _block2(a: np.ndarray, b: np.ndarray, c, d: np.ndarray) -> np.ndarray:
 
 def _solve(a: np.ndarray, b: np.ndarray, at: np.ndarray) -> np.ndarray:
     """``np.linalg.solve`` over the (c, M, M) stack ``a``, item k at point
-    index ``at[k]``.  A batched solve fails exactly when the solve of one
-    of its items does, so after a failure the items are solved one by one
-    only to name the point index of the first singular one."""
+    index ``at[k]``.  The batched solve and ``np.linalg.slogdet`` factor
+    every item with the same LAPACK LU, so after a failure the first item
+    of determinant sign 0 names the singular point."""
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
-        b = np.broadcast_to(b, a.shape[:1] + b.shape[-2:])
-        for k, i in enumerate(at):
-            try:
-                np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                break
+        k = (np.linalg.slogdet(a).sign == 0).argmax()
         raise SingularResolventError(
-            f"resolvent is singular at point index {i}; the sampled family "
+            f"resolvent is singular at point index {at[k]}; the sampled family "
             "or the operator violates contractivity"
         ) from exc
-
-
-def _dense_block(dp, wp, psi, c, n1, at) -> tuple[np.ndarray, np.ndarray]:
-    """(G, W L G) of one chunk of points with coefficient rows ``psi``:
-    D L_k = sum_j psi_kj D P_j from the (m, N, N) ``dp``, one batched
-    (c, 1, m) @ (m, N^2) product over a flat view, and W L_k G_k =
-    sum_j psi_kj (W P_j) G_k from the (m, r, N) ``wp``, one (m r, N) @
-    (c, N, d) product and one (c, 1, m) @ (c, m, r d) product.  numpy runs
-    each item by item, so a point's values do not depend on its chunk, and
-    no L_k is formed.  With n1 > 0 the stack is block upper triangular at n1:
-    its lower-right slices are solved with C[n1:], then its upper-left ones
-    with C[:n1] - R12 G2, R12 upper right."""
-    count, n = len(psi), c.shape[0]
-    resolvent = np.matmul(-psi[:, None, :], dp.reshape(-1, n * n)).reshape(count, n * n)
-    # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k is on its diagonal
-    resolvent[:, :: n + 1] += 1.0
-    resolvent = resolvent.reshape(count, n, n)
-    g = _solve(resolvent[:, n1:, n1:], c[n1:], at)
-    if n1:
-        g1 = _solve(resolvent[:, :n1, :n1], c[:n1] - resolvent[:, :n1, n1:] @ g, at)
-        g = np.concatenate([g1, g], axis=1)
-    # (c, m r, d) as (c, m, r d): row j of item k is W P_j G_k, flattened
-    terms = np.matmul(wp.reshape(-1, n), g).reshape(count, len(wp), -1)
-    return g, np.matmul(psi[:, None, :], terms).reshape(count, wp.shape[1], -1)
 
 
 def _triangular_split(col: Colligation) -> int:
@@ -397,32 +373,49 @@ def _resolvents(col: Colligation, indices, left=None):
     Gramian identity go through it, so a singular resolvent is reported
     the same way, with its point index, wherever it shows up.  Every
     family forms each D P_j and W P_j once per call (m N^3 and m r N^2;
-    with no W the projection stack is its own table) for ``_dense_block``,
-    O(m N^2) per point, which never forms L_k.  A chunk holds
-    max(1, _RESOLVENT_BUDGET // N^2) points, so every stack of I - D L_k
-    stays under the budget, and chunks are yielded one at a time.
+    with no W the projection stack is its own table), then O(m N^2) per
+    point, and no L_k is formed.  A chunk of c points with coefficient
+    rows psi holds max(1, _RESOLVENT_BUDGET // N^2) points, so every stack
+    of I - D L_k stays under the budget, and chunks are yielded one at a
+    time.  In a chunk, D L_k = sum_j psi_kj D P_j is one batched
+    (c, 1, m) @ (m, N^2) product over a flat view, and W L_k G_k =
+    sum_j psi_kj (W P_j) G_k one (m r, N) @ (c, N, d) product and one
+    (c, 1, m) @ (c, m, r d) product.
 
-    Whenever ``_triangular_split`` finds an exact split, as ``product``
+    Whenever ``_triangular_split`` finds an exact split n1, as ``product``
     writes it, the block triangular system is back-substituted on slices
-    of the full stack: the n2 x n2 block first, then the n1 x n1 block with
-    the coupling term on its right-hand side.  So a chunk names the first
-    point singular in its n2 x n2 block if it has one, and only else the
-    first in its n1 x n1 block.
+    of the full stack: the n2 x n2 block first with C[n1:], then the
+    n1 x n1 block with C[:n1] - R12 G2, R12 its upper right.  So a chunk
+    names the first point singular in its n2 x n2 block if it has one,
+    and only else the first in its n1 x n1 block.
 
     Each point's matrix is built by its one-point operation whatever the
-    chunk; only the solve and the products after it run over the stack,
-    item by item, so a point's G and W H do not depend on its chunk.
+    chunk; numpy runs the solve and the products after it item by item
+    over the stack, so a point's G and W H do not depend on its chunk.
     """
     at = np.atleast_1d(indices)
     psi = eval_map(col.table, at).T.copy()
     stack, n = col.rep._stack, col.state_dim
-    dp = np.matmul(col.D, stack)
+    dp = np.matmul(col.D, stack).reshape(-1, n * n)
     wp = stack if left is None else np.matmul(left, stack)
     n1 = _triangular_split(col)
     step = max(1, _RESOLVENT_BUDGET // n**2)
     for start in range(0, at.size, step):
-        chunk = at[start : start + step]
-        yield (chunk, *_dense_block(dp, wp, psi[start : start + step], col.C, n1, chunk))
+        chunk, coef = at[start : start + step], psi[start : start + step, None, :]
+        resolvent = np.matmul(-coef, dp).reshape(chunk.size, n * n)
+        # I - D L_k in place: every (n + 1)-th entry of the flat -D L_k is on its diagonal
+        resolvent[:, :: n + 1] += 1.0
+        resolvent = resolvent.reshape(chunk.size, n, n)
+        g = _solve(resolvent[:, n1:, n1:], col.C[n1:], chunk)
+        if n1:
+            g1 = _solve(resolvent[:, :n1, :n1], col.C[:n1] - resolvent[:, :n1, n1:] @ g, chunk)
+            g = np.concatenate([g1, g], axis=1)
+        # (c, m r, d) as (c, m, r d): row j of item k is W P_j G_k, flattened
+        terms = np.matmul(wp.reshape(-1, n), g).reshape(chunk.size, len(wp), -1)
+        wh = np.matmul(coef, terms).reshape(chunk.size, wp.shape[1], -1)
+        # a generator keeps its locals alive across yield: free the chunk's stacks first
+        del resolvent, terms
+        yield chunk, g, wh
 
 
 def evaluate(col: Colligation, i) -> np.ndarray:

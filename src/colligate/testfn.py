@@ -75,6 +75,10 @@ class TestFunctionTable:
     values: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.points, PointSet):
+            raise StructureError(
+                f"a test function table takes a PointSet, got {type(self.points).__name__}"
+            )
         v = np.array(as_matrix(self.values, "test function table"))
         v.setflags(write=False)
         if v.shape[0] < 1:
@@ -201,6 +205,8 @@ class HermitianKernel:
 
     def _adopt(self, points: PointSet, b: np.ndarray) -> None:
         """The one check of the block grid; then freeze it and make it ``blocks``."""
+        if not isinstance(points, PointSet):
+            raise StructureError(f"a kernel takes a PointSet, got {type(points).__name__}")
         object.__setattr__(self, "points", points)
         if b.ndim != 4:
             raise DimensionError(
@@ -459,10 +465,6 @@ def _norm_bracket(
         raise StructureError("at least one kernel is required")
     f = _as_value_stack(fvals)
     for s in kernels:
-        if s.n != f.shape[0]:
-            raise StructureError(
-                f"kernel sampled on {s.n} points, function values on {f.shape[0]}"
-            )
         if not is_psd(s.assemble(), atol):
             raise StructureError("every kernel must be positive as assembled")
 

@@ -212,9 +212,9 @@ def test_every_private_name_is_used():
     assert not _private_names_unread(Path(colligate.__file__).parent)
 
 
-def _readers_of_new(package: Path) -> list[str]:
-    """``module.function`` once for each read of ``__new__`` in the package,
-    naming the innermost function that makes it (``<module>`` outside any)."""
+def _sites(package: Path, hit) -> list[str]:
+    """``module.function`` once for each node of the package that ``hit``
+    accepts, naming the innermost function holding it (``<module>`` outside any)."""
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -223,15 +223,30 @@ def _readers_of_new(package: Path) -> list[str]:
             name = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
             for child in ast.iter_child_nodes(node):
                 owner[child] = name or owner.get(node, "<module>")
-        found += [f"{path.stem}.{owner[node]}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr == "__new__"]
+        found += [f"{path.stem}.{owner[node]}" for node in ast.walk(tree) if hit(node)]
     return found
 
 
 def test_only_adopted_skips_the_public_copy():
     # an object made by __new__ skips __post_init__ and the copy of the
     # caller's arrays; linalg._adopted is the one place allowed to do that
-    assert _readers_of_new(Path(colligate.__file__).parent) == ["linalg._adopted"]
+    def reads_new(node):
+        return isinstance(node, ast.Attribute) and node.attr == "__new__"
+
+    assert _sites(Path(colligate.__file__).parent, reads_new) == ["linalg._adopted"]
+
+
+def test_one_handler_maps_a_singular_solve():
+    # a LinAlgError is turned into SingularResolventError in one place, the
+    # resolvent kernel's _solve, and caught there once, not again to retry
+    def catches_linalg_error(node):
+        return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+            getattr(part, "id", getattr(part, "attr", None)) == "LinAlgError"
+            for part in ast.walk(node.type)
+        )
+
+    handlers = _sites(Path(colligate.__file__).parent, catches_linalg_error)
+    assert handlers == ["realization._solve"]
 
 
 def _held_arrays(obj) -> list[np.ndarray]:

@@ -12,6 +12,7 @@ from colligate import (
     Colligation,
     DimensionError,
     FormatError,
+    PointSet,
     Representation,
     SingularResolventError,
     StructureError,
@@ -518,6 +519,16 @@ GUARDS = {
                             **{**_blocks(1, 1), "A": "abc"}),
         FormatError, "A must be an array of numbers",
     ),
+    "string representation": (
+        lambda: Colligation("x", disc_table([0.0]), *[np.zeros((1, 1))] * 4),
+        StructureError, "a colligation takes a Representation and a TestFunctionTable, "
+        "got str and TestFunctionTable",
+    ),
+    "string table": (
+        lambda: Colligation(coordinate_representation([1]), "x", *[np.zeros((1, 1))] * 4),
+        StructureError, "a colligation takes a Representation and a TestFunctionTable, "
+        "got Representation and str",
+    ),
 }
 
 
@@ -985,6 +996,17 @@ class TestChunkedKernel:
                 with pytest.raises(SingularResolventError, match="point index 2;"):
                     call()
             assert np.isfinite(evaluate(col, np.array([0, 1, 3, 4]))).all()
+
+    def test_the_first_singular_point_asked_is_named(self):
+        # 1 - 2 * 0.5 vanishes at points 2 and 3: whichever is asked first is named
+        table = FunctionTable(PointSet(("0", "a", "b", "c")), [[0, 0.25, 0.5, 0.5]])
+        col = Colligation(coordinate_representation([1]), table, np.zeros((1, 1)),
+                          np.ones((1, 1)), np.ones((1, 1)), np.array([[2.0]]))
+        for call, index in ((lambda: evaluate_all(col), 2),
+                            (lambda: evaluate(col, np.array([3, 1, 2])), 3),
+                            (lambda: evaluate(col, np.array([1, 2, 3])), 2)):
+            with pytest.raises(SingularResolventError, match=f"point index {index};"):
+                call()
 
     def test_a_split_names_a_point_of_its_lower_right_block_first(self):
         # 1 - 4 * 0.25 and 1 - 2 * 0.5: f1 is singular at point 1, f2 at

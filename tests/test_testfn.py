@@ -687,7 +687,7 @@ GUARDS = {
     ),
     "norm bound over a kernel on other points": (
         lambda: agler_norm_lower_bound([np.zeros((1, 1))], [szego_samples(TWO_POINTS)]),
-        StructureError, "kernel sampled on 2 points, function values on 1",
+        StructureError, "1 function values supplied for 2 kernel points",
     ),
     "no function value": (
         lambda: schur_agler_witness_check([], szego_samples(TWO_POINTS), 1.0),
@@ -815,6 +815,14 @@ GUARDS = {
     "witness check against a string kernel": (
         lambda: schur_agler_witness_check([np.zeros((1, 1))], "x", 1.0),
         StructureError, "kernel must be a HermitianKernel, got str",
+    ),
+    "kernel on an int point set": (
+        lambda: HermitianKernel(5, np.ones((1, 1, 1, 1))),
+        StructureError, "a kernel takes a PointSet, got int",
+    ),
+    "table on a string point set": (
+        lambda: FunctionTable("x", np.zeros((1, 1))),
+        StructureError, "a test function table takes a PointSet, got str",
     ),
 }
 
