@@ -366,10 +366,7 @@ def schur_agler_witness_check(
         raise StructureError(f"bound must be finite and nonnegative, got {bound}")
     _kernel_list((s,))
     f = _as_value_stack(fvals)
-    if f.shape[0] != s.n:
-        raise StructureError(
-            f"{f.shape[0]} function values supplied for {s.n} kernel points"
-        )
+    _same_points(f, s)
     try:
         square = float(bound) ** 2
     except OverflowError:
@@ -377,6 +374,14 @@ def schur_agler_witness_check(
             f"bound {bound} is too large to square in double precision"
         ) from None
     return is_psd(_witness_matrix(square * np.eye(f.shape[1]) - _gram(f), s), atol)
+
+
+def _same_points(f: np.ndarray, s: HermitianKernel) -> None:
+    """The one check that a value stack has one value per point of s."""
+    if f.shape[0] != s.n:
+        raise StructureError(
+            f"{f.shape[0]} function values supplied for {s.n} kernel points"
+        )
 
 
 def _kernel_list(kernels) -> list[HermitianKernel]:
@@ -465,6 +470,8 @@ def _norm_bracket(
         raise StructureError("at least one kernel is required")
     f = _as_value_stack(fvals)
     for s in kernels:
+        # every kernel, not just the first to fail at t = 0: Newton reads them all
+        _same_points(f, s)
         if not is_psd(s.assemble(), atol):
             raise StructureError("every kernel must be positive as assembled")
 

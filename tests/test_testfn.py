@@ -689,6 +689,13 @@ GUARDS = {
         lambda: agler_norm_lower_bound([np.zeros((1, 1))], [szego_samples(TWO_POINTS)]),
         StructureError, "1 function values supplied for 2 kernel points",
     ),
+    "norm bound over a second kernel on other points": (
+        lambda: agler_norm_lower_bound(
+            [np.eye(1), np.eye(1)],
+            [szego_samples(TWO_POINTS), szego_samples([0.0, 0.25, 0.5])],
+        ),
+        StructureError, "2 function values supplied for 3 kernel points",
+    ),
     "no function value": (
         lambda: schur_agler_witness_check([], szego_samples(TWO_POINTS), 1.0),
         StructureError, "at least one function value is required",
