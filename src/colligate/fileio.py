@@ -15,12 +15,13 @@ import gc
 import hashlib
 import json
 import math
+import os
 from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, StructureError
 from .factorization import VARIANT_TABLE
 from .linalg import _adopted, _as_array, _check_finite, _is_integer
 from .realization import Colligation, Representation
@@ -219,9 +220,17 @@ def _collector_paused():
             gc.enable()
 
 
+def _open(path: str, mode: str):
+    """``open(path, mode)`` on a str or os.PathLike path only: open() would
+    take an int, or a bool, as a file descriptor and close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise StructureError(f"a path must be a str or os.PathLike, got {type(path).__name__}")
+    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+
+
 def _read_json(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open(path, "r") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
@@ -417,10 +426,10 @@ def save_values(points: PointSet, stack, path: str) -> None:
 
 
 def _write(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         fh.write(dumps_canonical(doc))
 
 
 def digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()

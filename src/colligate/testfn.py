@@ -446,17 +446,20 @@ def _norm_bracket(
 
     With t = c**2 the witness matrix of kernel k is the pencil
     t P_k - Q_k, P_k the witness matrix on the identity head and Q_k the
-    one on the Gram head.  Newton steps from t = 0 place the bracket.
-    Each phi_k(t) = lambda_min(t P_k - Q_k) + atol is concave and
-    nondecreasing, since P_k is positive, so a kernel with phi_k(t) >= 0
-    passes at every larger t and is dropped for good.  A step goes to the
-    furthest target -phi_k / phi_k' of the kernels still failing, the slope
-    being v* P_k v for the lowest eigenvector v; each target lies at or
-    below its own kernel's root, so no step overshoots the threshold.  A
-    bracket around the Newton point, about max(atol, 4 eps t) wide, is
-    then widened by doubling until the check passes at its top and fails
-    at its bottom, and bisected as far as atol.  Each Newton step costs
-    one eigh per kernel still failing.
+    one on the Gram head.  Steps from t_0 place the bracket, t_0 being
+    the largest |f(x_i)|**2 - atol / mu_ki over mu_ki > 0, or 0, with mu_ki
+    the top eigenvalue of S_k(x_i, x_i): below t_0 the (i, i) block alone
+    fails the check.  Each phi_k(t) = lambda_min(t P_k - Q_k) + atol is
+    concave and nondecreasing, since P_k is positive, so a kernel with
+    phi_k(t) >= 0 passes at every larger t and is dropped for good.  A step
+    goes to the furthest target -phi_k / slope_k of the kernels still
+    failing: Newton's slope v* P_k v on the first step, one eigh per
+    kernel, and the chord through the previous point on every later one,
+    one eigvalsh per kernel still failing.  Each target lies at or below
+    its own kernel's root, so no step overshoots the threshold.  A bracket
+    around the last point, about max(atol, 4 eps t) wide, is then widened
+    by doubling until the check passes at its top and fails at its
+    bottom, and bisected as far as atol.
     """
     _check_atol(atol)
     if atol == 0.0:
@@ -470,7 +473,7 @@ def _norm_bracket(
         raise StructureError("at least one kernel is required")
     f = _as_value_stack(fvals)
     for s in kernels:
-        # every kernel, not just the first to fail at t = 0: Newton reads them all
+        # every kernel, not just the first to fail at t = 0: the steps read them all
         _same_points(f, s)
         if not is_psd(s.assemble(), atol):
             raise StructureError("every kernel must be positive as assembled")
@@ -511,14 +514,17 @@ def _norm_bracket(
         if not t * eps * norm < atol:
             raise StructureError("no bound passes the witness check before rounding exceeds atol")
 
+    # t_0: one batched eigvalsh of each kernel's n diagonal blocks
+    squares, diag, t = np.square(norms), np.arange(f.shape[0]), 0.0
+    for s in kernels:
+        mu = np.linalg.eigvalsh(s.blocks[diag, diag])[:, -1]
+        t = max(t, float(np.max(squares[mu > 0] - atol / mu[mu > 0], initial=0.0)))
     gram = _gram(f)
-    eye = np.eye(f.shape[1])
-    t = 0.0
-    failing = kernels
-    # from below on concave phi_k, Newton needs no safeguard; the cap only
-    # bounds a plateau whose slope vanishes at the threshold
+    failing, last = kernels, None
+    # from below on concave phi_k, neither Newton nor the chord needs a
+    # safeguard; the cap only bounds a plateau whose slope vanishes at the threshold
     for _ in range(64):
-        step, failing = _furthest_step(t * eye - gram, failing, atol)
+        step, failing, last = _furthest_step(t, gram, failing, atol, last)
         if step == 0.0:
             break
         t += step
@@ -554,22 +560,31 @@ def _norm_bracket(
 
 
 def _furthest_step(
-    head: np.ndarray, kernels: list[HermitianKernel], atol: float
-) -> tuple[float, list[HermitianKernel]]:
-    """The largest Newton step -phi_k / slope_k over the kernels failing at
-    ``head``, and those kernels; 0.0 when none fails or a failing slope is
-    not positive.  A kernel passing here passes at every larger t."""
-    step, failing = 0.0, []
-    for s in kernels:
-        lowest, slope = _lowest_pair(head, s)
+    t: float, gram: np.ndarray, kernels: list[HermitianKernel], atol: float, last
+) -> tuple[float, list[HermitianKernel], tuple | None]:
+    """The largest step -phi_k / slope_k at t over the kernels failing there,
+    those kernels, and (t, their phi_k) as the next call's ``last``; 0.0 when
+    none fails or a failing slope is not positive.  A kernel passing here
+    passes at every larger t.  With ``last`` None the slope is Newton's,
+    v* P_k v from one eigh; else it is the chord from ``last``, from eigvalsh
+    alone, which on concave phi_k is no less than the slope at t."""
+    head = t * np.eye(gram.shape[2]) - gram
+    step, failing, phis = 0.0, [], []
+    for k, s in enumerate(kernels):
+        if last is None:
+            lowest, slope = _lowest_pair(head, s)
+        else:
+            lowest = np.linalg.eigvalsh(_witness_matrix(head, s))[0]
+            slope = (lowest + atol - last[1][k]) / (t - last[0])
         phi = lowest + atol
         if phi >= 0.0:
             continue
         if slope <= 0.0:
-            return 0.0, failing
+            return 0.0, failing, None
         step = max(step, -phi / slope)
         failing.append(s)
-    return step, failing
+        phis.append(phi)
+    return step, failing, (t, phis)
 
 
 def _lowest_pair(head: np.ndarray, s: HermitianKernel) -> tuple[float, float]:
@@ -589,6 +604,10 @@ def _as_value_stack(fvals) -> np.ndarray:
     if isinstance(fvals, np.ndarray) and fvals.ndim == 3:
         stack = _as_array(fvals, "function value")
         _check_finite(stack, "function value")
+    elif not np.iterable(fvals):
+        raise StructureError(
+            f"function values must be an iterable of square matrices, got {type(fvals).__name__}"
+        )
     else:
         mats = [as_matrix(f, "function value") for f in fvals]
         if not mats:

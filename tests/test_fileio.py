@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import colligate.fileio as fileio
 from colligate import (
     FormatError,
+    StructureError,
     decode_matrix,
     digest_file,
     dumps_canonical,
@@ -574,3 +576,40 @@ class TestDigest:
         assert d1 == digest_file(str(path))
         path.write_text("{ }\n")
         assert digest_file(str(path)) != d1
+
+
+class TestPaths:
+    """A path is a str or an os.PathLike.  open() takes an int, a bool
+    included, as a file descriptor and closes it on return."""
+
+    @pytest.fixture
+    def pipe(self):
+        r, w = os.pipe()
+        os.set_blocking(r, False)
+        yield r, w
+        os.close(r)
+        os.close(w)
+
+    @pytest.mark.parametrize("kind", ["descriptor", "bool", "float"])
+    def test_a_path_of_another_type_is_refused_and_no_descriptor_closed(self, pipe, kind):
+        r, w = pipe
+        table = random_table(1, 2, seed=0)
+        calls = [(lambda p: save_table(table, p), w), (load_table, r), (digest_file, r)]
+        for call, fd in calls:
+            # True is fd 1, standard output
+            path = {"descriptor": fd, "bool": True, "float": 3.5}[kind]
+            message = f"a path must be a str or os.PathLike, got {type(path).__name__}"
+            with pytest.raises(StructureError) as info:
+                call(path)
+            assert str(info.value) == message
+            os.fstat(r)
+            os.fstat(w)
+        with pytest.raises(BlockingIOError):
+            os.read(r, 1)
+
+    def test_a_path_object_is_read_and_written(self, tmp_path):
+        table = random_table(1, 2, seed=0)
+        path = tmp_path / "t.json"
+        save_table(table, path)
+        npt.assert_array_equal(load_table(path).values, table.values)
+        assert digest_file(path) == digest_file(str(path))

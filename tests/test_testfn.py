@@ -207,17 +207,39 @@ def min_newton_reference(f, kernels, atol: float) -> tuple[float, int]:
 
 
 @pytest.fixture
-def lowest_pairs(monkeypatch):
-    """Count the calls of testfn._lowest_pair, one eigh each."""
-    calls = []
-    lowest_pair = testfn._lowest_pair
+def eigensolves(monkeypatch):
+    """Count numpy's eigh and eigvalsh calls by name: in the norm bound these
+    are its witness checks and steps, the warm start's diagonal blocks and
+    the kernel checks."""
+    calls = {"eigh": 0, "eigvalsh": 0}
 
-    def counted(head, s):
-        calls.append(None)
-        return lowest_pair(head, s)
+    def counted(name):
+        solve = getattr(np.linalg, name)
 
-    monkeypatch.setattr(testfn, "_lowest_pair", counted)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
     return calls
+
+
+@pytest.fixture
+def iterates(monkeypatch):
+    """Every t the norm bound's step loop reaches, the warm start included."""
+    seen = []
+    furthest_step = testfn._furthest_step
+
+    def recorded(t, *args):
+        step, failing, last = furthest_step(t, *args)
+        seen.extend((t, t + step))
+        return step, failing, last
+
+    monkeypatch.setattr(testfn, "_furthest_step", recorded)
+    return seen
 
 
 @pytest.fixture
@@ -823,6 +845,18 @@ GUARDS = {
         lambda: schur_agler_witness_check([np.zeros((1, 1))], "x", 1.0),
         StructureError, "kernel must be a HermitianKernel, got str",
     ),
+    "norm bound over an int for the values": (
+        lambda: agler_norm_lower_bound(5, [szego_samples(TWO_POINTS)]),
+        StructureError, "function values must be an iterable of square matrices, got int",
+    ),
+    "norm bound over None for the values": (
+        lambda: agler_norm_lower_bound(None, [szego_samples(TWO_POINTS)]),
+        StructureError, "function values must be an iterable of square matrices, got NoneType",
+    ),
+    "witness check over None for the values": (
+        lambda: schur_agler_witness_check(None, szego_samples(TWO_POINTS), 1.0),
+        StructureError, "function values must be an iterable of square matrices, got NoneType",
+    ),
     "kernel on an int point set": (
         lambda: HermitianKernel(5, np.ones((1, 1, 1, 1))),
         StructureError, "a kernel takes a PointSet, got int",
@@ -1036,30 +1070,32 @@ class TestNormLowerBound:
         steps = []
         furthest_step = testfn._furthest_step
 
-        def recorded(head, kernels, atol):
-            step, failing = furthest_step(head, kernels, atol)
-            steps.append((head, step, failing))
-            return step, failing
+        def recorded(t, gram, kernels, atol, last):
+            step, failing, nxt = furthest_step(t, gram, kernels, atol, last)
+            steps.append((t, gram, last, step, failing))
+            return step, failing, nxt
 
         monkeypatch.setattr(testfn, "_furthest_step", recorded)
         with pytest.raises(StructureError, match="before rounding exceeds atol"):
             agler_norm_lower_bound(f, [ones])
-        [(head, step, failing)] = steps
+        # Newton's first step, from the warm start 0.25 - atol
+        [(t, gram, last, step, failing)] = steps
+        assert last is None and t == pytest.approx(0.25)
         assert step == 0.0 and failing == []
-        lowest, slope = testfn._lowest_pair(head, ones)
+        lowest, slope = testfn._lowest_pair(t * np.eye(1) - gram, ones)
         assert lowest == pytest.approx(-0.5) and slope == 0.0
 
     @pytest.fixture
     def newton_stops_short(self, monkeypatch):
-        """Newton slopes a million times too steep: each step falls far short
-        of the threshold, so the widening loop has to place the bracket."""
-        lowest_pair = testfn._lowest_pair
+        """Every step a millionth of its length: each falls far short of the
+        threshold, so the widening loop has to place the bracket."""
+        furthest_step = testfn._furthest_step
 
-        def steep(head, s):
-            lowest, slope = lowest_pair(head, s)
-            return lowest, slope * 1e6
+        def short(*args):
+            step, failing, last = furthest_step(*args)
+            return step * 1e-6, failing, last
 
-        monkeypatch.setattr(testfn, "_lowest_pair", steep)
+        monkeypatch.setattr(testfn, "_furthest_step", short)
 
     def test_a_bracket_short_of_the_bound_is_widened_to_it(self, request):
         zs, atol = [0.0, 0.5, -0.3j, 0.25 + 0.25j], 1e-9
@@ -1162,7 +1198,7 @@ class TestNormLowerBound:
 
     @pytest.mark.parametrize("n, d, family", BRACKET_GRID)
     def test_newton_takes_no_more_eighs_than_the_binding_kernel_loop(self, n, d, family,
-                                                                     lowest_pairs):
+                                                                     eigensolves):
         atol = 1e-9
         for seed in range(3):
             _, f, kernels = bracket_case(n, d, family, seed)
@@ -1170,22 +1206,50 @@ class TestNormLowerBound:
             for order in (kernels, kernels[::-1]):
                 for ks in (order[:1], order):
                     _, reference = min_newton_reference(f, ks, atol)
-                    lowest_pairs.clear()
+                    eigensolves["eigh"] = 0
                     _, hi, _ = testfn._norm_bracket(f, ks, atol)
-                    assert len(lowest_pairs) <= reference, (seed, len(ks))
+                    # Newton's first step alone: one eigh per kernel
+                    assert eigensolves["eigh"] <= len(ks) <= reference, (seed, len(ks))
                 bounds.append(hi)
             # the kernels' order moves the Newton steps, not the certified bound
             assert abs(bounds[0] - bounds[1]) <= atol
 
-    def test_the_certify_large_shape_takes_few_eighs(self, lowest_pairs):
+    def test_the_grid_takes_one_eigh_per_kernel_and_few_eigvalsh(self, eigensolves):
+        calls = 0
+        for n, d, family in BRACKET_GRID:
+            for seed in range(3):
+                _, f, kernels = bracket_case(n, d, family, seed)
+                for order in (kernels, kernels[::-1]):
+                    for ks in (order[:1], order):
+                        testfn._norm_bracket(f, ks, 1e-9)
+                        calls += len(ks)
+        # Newton from t = 0 with an eigh at every step took 1,326 eigh and
+        # 637 eigvalsh here
+        assert eigensolves["eigh"] <= calls == 180
+        assert eigensolves["eigvalsh"] <= 2039
+
+    def test_the_certify_large_shape_takes_few_eighs(self, eigensolves):
         zs, f = random_disc_values(32, 2, seed=4)
         kernels = [szego_samples(zs), szego_samples(zs, power=2)]
-        for ks in (kernels, kernels[::-1]):
-            lowest_pairs.clear()
+        # (eigh, eigvalsh) in each order; Newton from t = 0 with an eigh at
+        # every step took (9, 6), and the binding-kernel loop 12 eigh in either order
+        for ks, most in ((kernels, (2, 14)), (kernels[::-1], (2, 15))):
+            eigensolves.update(eigh=0, eigvalsh=0)
             testfn._norm_bracket(f, ks, 1e-9)
-            # the binding-kernel loop took 12 in either order
-            assert len(lowest_pairs) <= 9
-            assert len(lowest_pairs) < min_newton_reference(f, ks, 1e-9)[1]
+            assert eigensolves["eigh"] <= most[0] and eigensolves["eigvalsh"] <= most[1]
+            assert eigensolves["eigh"] < min_newton_reference(f, ks, 1e-9)[1]
+
+    @pytest.mark.parametrize("n, d, family", BRACKET_GRID)
+    def test_no_step_passes_the_certified_bound(self, n, d, family, iterates):
+        atol = 1e-9
+        for seed in range(3):
+            _, f, kernels = bracket_case(n, d, family, seed)
+            for order in (kernels, kernels[::-1]):
+                for ks in (order[:1], order):
+                    iterates.clear()
+                    _, hi, _ = testfn._norm_bracket(f, ks, atol)
+                    # Newton from t = 0 reached 3.75e-10 above hi**2
+                    assert max(iterates) <= hi**2 + atol, (seed, len(ks))
 
     @pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (5, 2), (32, 2), (13, 3)])
     def test_the_gram_grid_matches_the_einsum_reference(self, n, d):
