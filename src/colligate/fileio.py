@@ -220,17 +220,17 @@ def _collector_paused():
             gc.enable()
 
 
-def _open(path: str, mode: str):
-    """``open(path, mode)`` on a str or os.PathLike path only: open() would
-    take an int, or a bool, as a file descriptor and close it."""
+def _path(path: str) -> str:
+    """``path`` itself if it is a str or an os.PathLike: open() would take
+    an int, a bool included, as a file descriptor and close it."""
     if not isinstance(path, (str, os.PathLike)):
         raise StructureError(f"a path must be a str or os.PathLike, got {type(path).__name__}")
-    return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    return path
 
 
 def _read_json(path: str):
     try:
-        with _open(path, "r") as fh:
+        with open(_path(path), "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
@@ -426,10 +426,10 @@ def save_values(points: PointSet, stack, path: str) -> None:
 
 
 def _write(doc: dict, path: str) -> None:
-    with _open(path, "w") as fh:
+    with open(_path(path), "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(doc))
 
 
 def digest_file(path: str) -> str:
-    with _open(path, "rb") as fh:
+    with open(_path(path), "rb") as fh:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()

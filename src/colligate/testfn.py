@@ -560,7 +560,8 @@ def _norm_bracket(
 
 
 def _furthest_step(
-    t: float, gram: np.ndarray, kernels: list[HermitianKernel], atol: float, last
+    t: float, gram: np.ndarray, kernels: list[HermitianKernel], atol: float,
+    last: tuple | None,
 ) -> tuple[float, list[HermitianKernel], tuple | None]:
     """The largest step -phi_k / slope_k at t over the kernels failing there,
     those kernels, and (t, their phi_k) as the next call's ``last``; 0.0 when

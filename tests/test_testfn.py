@@ -1215,14 +1215,14 @@ class TestNormLowerBound:
             assert abs(bounds[0] - bounds[1]) <= atol
 
     def test_the_grid_takes_one_eigh_per_kernel_and_few_eigvalsh(self, eigensolves):
+        cases = [bracket_case(*case, seed)[1:] for case in BRACKET_GRID for seed in range(3)]
+        eigensolves.update(eigh=0, eigvalsh=0)
         calls = 0
-        for n, d, family in BRACKET_GRID:
-            for seed in range(3):
-                _, f, kernels = bracket_case(n, d, family, seed)
-                for order in (kernels, kernels[::-1]):
-                    for ks in (order[:1], order):
-                        testfn._norm_bracket(f, ks, 1e-9)
-                        calls += len(ks)
+        for f, kernels in cases:
+            for order in (kernels, kernels[::-1]):
+                for ks in (order[:1], order):
+                    testfn._norm_bracket(f, ks, 1e-9)
+                    calls += len(ks)
         # Newton from t = 0 with an eigh at every step took 1,326 eigh and
         # 637 eigvalsh here
         assert eigensolves["eigh"] <= calls == 180
