@@ -479,13 +479,20 @@ def extract_general(
 
 def _shares_blocks(parent: Colligation, f1: Colligation, f2: Colligation) -> bool:
     """True iff the parent's split is exactly block triangular
-    (``_triangular_split``) and f1 and f2 carry its diagonal blocks.
-    Every test reads slices of the parent's arrays; nothing is copied."""
+    (``_triangular_split``) and f1 and f2 carry exactly the blocks that
+    ``_factors`` takes from it: f1 its B1, D1 and first diagonal block of
+    every projection, f2 its C2, D3 and second diagonal block.  Every test
+    reads slices of the parent's arrays; nothing is copied."""
     n1 = _triangular_split(parent)
-    return bool(n1) and all(
-        np.array_equal(f.D, parent.D[half, half])
-        and np.array_equal(f.rep._stack, parent.rep._stack[:, half, half])
-        for f, half in ((f1, slice(n1)), (f2, slice(n1, None)))
+    first, second = slice(n1), slice(n1, None)
+    return bool(n1) and (
+        np.array_equal(f1.B, parent.B[:, first])
+        and np.array_equal(f2.C, parent.C[second])
+        and all(
+            np.array_equal(f.D, parent.D[half, half])
+            and np.array_equal(f.rep._stack, parent.rep._stack[:, half, half])
+            for f, half in ((f1, first), (f2, second))
+        )
     )
 
 
@@ -495,18 +502,22 @@ def verify_factorization(
     """Worst pointwise defect of parent = f1 * f2 over all points.
 
     All three colligations must share the value dimension and the exact
-    same sampled family.  Factors with the parent's diagonal blocks take one
-    resolvent pass: over its representation and D, A = diag(A, A1, A2), B = [B;
-    B1, 0; 0, Y2] and C = [C, (X1; 0), (0; C2)] give F, F1, F2 on the diagonal.
+    same sampled family.  Factors that carry the parent's blocks
+    (``_shares_blocks``) take one resolvent pass with 2d right-hand sides:
+    over its representation and D, A = [[A, A1], [A2, 0]], B = [B; (0, Y2)]
+    and C = [C, (X1; 0)] give F, F1 and F2 as the (0, 0), (0, 1) and (1, 0)
+    blocks.  That is exact because I - D L is block upper triangular, so
+    its inverse maps (X1; 0) to ((I - D1 L1)^-1 X1; 0), and [0, Y2 L2]
+    reads only the second block of (I - D L)^-1 C, which is
+    (I - D3 L2)^-1 C2.  Any other triple takes three separate passes.
     """
     _require_compatible(parent, f1, f2)
     if not _shares_blocks(parent, f1, f2):
         return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
     d, n, n1 = parent.value_dim, parent.state_dim, parent.rep.split[0]
-    a, b, c = (np.zeros(shape, complex) for shape in ((3 * d, 3 * d), (3 * d, n), (n, 3 * d)))
-    blocks = [slice(k * d, (k + 1) * d) for k in range(3)]
-    for col, block, rows in zip((parent, f1, f2), blocks, (slice(n), slice(n1), slice(n1, n))):
-        a[block, block], b[block, rows], c[rows, block] = col.A, col.B, col.C
+    a, b, c = (np.zeros(shape, complex) for shape in ((2 * d, 2 * d), (2 * d, n), (n, 2 * d)))
+    a[:d, :d], a[:d, d:], a[d:, :d] = parent.A, f1.A, f2.A
+    b[:d], b[d:, n1:] = parent.B, f2.B
+    c[:, :d], c[:n1, d:] = parent.C, f1.C
     values = evaluate_all(_adopted(Colligation, parent.rep, parent.table, a, b, c, parent.D))
-    f, g1, g2 = (values[:, block, block] for block in blocks)
-    return max_abs(f - g1 @ g2)
+    return max_abs(values[:, :d, :d] - values[:, :d, d:] @ values[:, d:, :d])

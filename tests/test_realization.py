@@ -23,6 +23,7 @@ from colligate import (
     evaluate,
     evaluate_all,
     gramian_identity_check,
+    load_colligation,
     max_abs,
     product,
     random_colligation,
@@ -32,6 +33,7 @@ from colligate import (
     random_vanishing_colligation,
     rep_apply,
     rep_is_reducible,
+    save_colligation,
     split_blocks,
     verify_factorization,
 )
@@ -1251,7 +1253,11 @@ FALLBACKS = {
     "lower-left D entry": lambda p, f1, f2: (_stray(p, "D"), f1, f2),
     "off-diagonal projection entry": lambda p, f1, f2: (_stray(p, "P"), f1, f2),
     "swapped factors": lambda p, f1, f2: (p, f2, f1),
+    "first B off by one ulp": lambda p, f1, f2: (p, _with(f1, B=_ulp_up(f1.B, (0, 0))), f2),
+    "second C off by one ulp": lambda p, f1, f2: (p, f1, _with(f2, C=_ulp_up(f2.C, (0, 0)))),
 }
+
+KIND_FLAGS = {"coordinate": True, "dense": False, "mixed": (True, False)}
 
 
 class TestVerifyFactorization:
@@ -1281,14 +1287,15 @@ class TestVerifyFactorization:
 
     @pytest.mark.parametrize("kind", ["coordinate", "dense", "mixed"])
     @pytest.mark.parametrize("variant", ["vanishing-selfadjoint", "both-vanishing", "general"])
-    def test_one_pass_holds_each_value_on_its_diagonal(self, evaluations, variant, kind):
+    def test_one_pass_holds_each_value_in_its_block(self, evaluations, variant, kind):
         for d in range(1, 5):
             parent, f1, f2 = extracted_case(variant, kind, d, seed=300 + 10 * d)
             evaluations.clear()
             residual = verify_factorization(parent, f1, f2)
             [(joint, values)] = evaluations
-            assert joint.rep is parent.rep and joint.D is parent.D and joint.value_dim == 3 * d
-            blocks = [values[:, k * d : (k + 1) * d, k * d : (k + 1) * d] for k in range(3)]
+            assert joint.rep is parent.rep and joint.D is parent.D and joint.value_dim == 2 * d
+            top, bottom = slice(d), slice(d, 2 * d)
+            blocks = [values[:, top, top], values[:, top, bottom], values[:, bottom, top]]
             assert residual == max_abs(blocks[0] - blocks[1] @ blocks[2])
             assert residual <= 1e-12
             for block, col in zip(blocks, (parent, f1, f2)):
@@ -1326,6 +1333,38 @@ class TestVerifyFactorization:
         assert verify_factorization(parent, f1, f2) <= 1e-12
         assert calls == []
 
+    @pytest.mark.parametrize("kind", ["coordinate", "dense", "mixed"])
+    def test_products_extractions_and_round_trips_share_blocks(self, tmp_path, kind):
+        # a product, or an extractor, that builds B or C another way must
+        # fail here rather than fall silently into three passes
+        for variant in VARIANT_TABLE:
+            for d in range(1, 4):
+                first, second, parent, _ = conforming_pair(
+                    variant, d, d + 1, d + 2, 1 + d % 3, 400 + 10 * d, coordinate=KIND_FLAGS[kind]
+                )
+                assert factorization._shares_blocks(parent, first, second)
+                triple = extracted_case(variant, kind, d, seed=310 + 10 * d)
+                assert factorization._shares_blocks(*triple)
+                paths = [tmp_path / f"{name}.json" for name in ("parent", "f1", "f2")]
+                for col, path in zip(triple, paths):
+                    save_colligation(col, path)
+                assert factorization._shares_blocks(*map(load_colligation, paths))
+
+    def test_each_solve_carries_two_value_dimensions(self, monkeypatch):
+        columns = []
+        original = realization._solve
+
+        def recorded(a, b, at):
+            columns.append(b.shape[-1])
+            return original(a, b, at)
+
+        monkeypatch.setattr(realization, "_solve", recorded)
+        for d in range(1, 5):
+            parent, f1, f2 = extracted_case("general", "dense", d, seed=320 + 10 * d)
+            columns.clear()
+            assert verify_factorization(parent, f1, f2) <= 1e-12
+            assert columns and set(columns) == {2 * d}
+
     def test_a_singular_point_is_named_as_by_three_passes(self, evaluations):
         single, dense, shift, dense_shift = singular_at_point_two()
         for f1, f2 in ((single, shift), (shift, single), (dense, dense),
@@ -1338,7 +1377,7 @@ class TestVerifyFactorization:
                 verify_factorization(parent, f1, f2)
             assert str(one.value) == str(three.value)
             assert "point index 2;" in str(one.value)
-            assert len(evaluations) == 1 and evaluations[0][0].value_dim == 3
+            assert len(evaluations) == 1 and evaluations[0][0].value_dim == 2
 
 
 class TestStructuredGenerators:
