@@ -478,9 +478,9 @@ def _norm_bracket(
         if not is_psd(s.assemble(), atol):
             raise StructureError("every kernel must be positive as assembled")
 
-    norms = [float(np.linalg.norm(f[i], ord=2)) for i in range(f.shape[0])]
+    norms = np.linalg.norm(f, ord=2, axis=(1, 2))
     i = int(np.argmax(norms))
-    top = 2.0 * norms[i] + 1.0
+    top = 2.0 * float(norms[i]) + 1.0
     if np.isinf(top * top):
         raise StructureError(
             f"function value at point {i} has norm {norms[i]:.3e}, "
