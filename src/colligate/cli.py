@@ -181,6 +181,11 @@ def _cmd_check(args, report):
     return 0 if cert.verdict else 1
 
 
+def _verification(parent, first, second) -> str:
+    """The path verify_factorization takes: one joint pass or three."""
+    return "one pass" if fz._shares_blocks(parent, first, second) else "three passes"
+
+
 def _cmd_factor(args, report):
     variant = fz.VARIANT_TABLE[args.variant]
     col = _loaded_colligation(args.colligation, args.atol)
@@ -199,6 +204,7 @@ def _cmd_factor(args, report):
     report["witness_source"] = source
     report["witnesses"] = witnesses
     report["product_residual"] = fz.verify_factorization(col, first, second)
+    report["verification"] = _verification(col, first, second)
     report["outputs"] = paths
     report["verdict"] = True
     return 0
@@ -221,6 +227,7 @@ def _cmd_verify(args, report):
     second = _loaded_colligation(args.second, args.atol)
     residual = fz.verify_factorization(parent, first, second)
     report["residual"] = residual
+    report["verification"] = _verification(parent, first, second)
     report["verdict"] = residual <= args.atol
     return 0 if residual <= args.atol else 1
 

@@ -389,6 +389,23 @@ class TestFactor:
         )
         assert code == 0
         assert report["residual"] <= 1e-12
+        assert report["verification"] == "one pass"
+
+    def test_verify_names_three_passes_for_swapped_factors(self, workdir, capsys):
+        # the Blaschke factors differ, so swapped they share no block with it
+        stem = workdir / "half"
+        args = ("--variant", "vanishing-selfadjoint", "--witness", workdir / "half.json", "-o", stem)
+        code, report = run(capsys, "factor", workdir / "blaschke.json", *args)
+        assert (code, report["verification"]) == (0, "one pass")
+        code, report = run(
+            capsys,
+            "verify",
+            workdir / "blaschke.json",
+            str(stem) + ".f2.json",
+            str(stem) + ".f1.json",
+        )
+        assert report["verification"] == "three passes"
+        assert code == (0 if report["verdict"] else 1)
 
 
 class TestMultiplyVerifyRandom:
