@@ -483,17 +483,12 @@ def _shares_blocks(parent: Colligation, f1: Colligation, f2: Colligation) -> boo
     ``_factors`` takes from it: f1 its B1, D1 and first diagonal block of
     every projection, f2 its C2, D3 and second diagonal block.  Every test
     reads slices of the parent's arrays; nothing is copied."""
-    n1 = _triangular_split(parent)
-    first, second = slice(n1), slice(n1, None)
-    return bool(n1) and (
-        np.array_equal(f1.B, parent.B[:, first])
-        and np.array_equal(f2.C, parent.C[second])
-        and all(
-            np.array_equal(f.D, parent.D[half, half])
-            and np.array_equal(f.rep._stack, parent.rep._stack[:, half, half])
-            for f, half in ((f1, first), (f2, second))
-        )
+    n1, stack = _triangular_split(parent), parent.rep._stack
+    shared = (
+        (f1.B, parent.B[:, :n1]), (f1.D, parent.D[:n1, :n1]), (f1.rep._stack, stack[:, :n1, :n1]),
+        (f2.C, parent.C[n1:]), (f2.D, parent.D[n1:, n1:]), (f2.rep._stack, stack[:, n1:, n1:]),
     )
+    return bool(n1) and all(np.array_equal(mine, theirs) for mine, theirs in shared)
 
 
 def verify_factorization(
