@@ -1251,6 +1251,15 @@ class TestNormLowerBound:
                     # Newton from t = 0 reached 3.75e-10 above hi**2
                     assert max(iterates) <= hi**2 + atol, (seed, len(ks))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_the_batched_value_norms_match_the_per_point_loop(self, d):
+        # _norm_bracket takes every ‖f(x_i)‖₂ in one call; the start t₀ and
+        # the overflow refusal need each to equal the one-matrix norm exactly
+        rng = np.random.default_rng(40 + d)
+        f = rng.standard_normal((50, d, d)) + 1j * rng.standard_normal((50, d, d))
+        loop = [float(np.linalg.norm(v, ord=2)) for v in f]
+        assert np.linalg.norm(f, ord=2, axis=(1, 2)).tolist() == loop
+
     @pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (5, 2), (32, 2), (13, 3)])
     def test_the_gram_grid_matches_the_einsum_reference(self, n, d):
         _, f = random_disc_values(max(n, 2), d, seed=7 * n + d)
