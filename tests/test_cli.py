@@ -392,7 +392,7 @@ class TestFactor:
         assert report["verification"] == "one pass"
 
     def test_verify_names_three_passes_for_swapped_factors(self, workdir, capsys):
-        # the Blaschke factors differ, so swapped they share no block with it
+        # the two Blaschke factors differ, so swapped they do not carry the parent's blocks
         stem = workdir / "half"
         args = ("--variant", "vanishing-selfadjoint", "--witness", workdir / "half.json", "-o", stem)
         code, report = run(capsys, "factor", workdir / "blaschke.json", *args)
