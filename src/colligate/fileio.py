@@ -59,6 +59,9 @@ def _fmt_scalar(x) -> str:
             return "Infinity" if v > 0 else "-Infinity"
         # json reads -0 back as the integer 0, so + 0.0 writes -0.0 as 0
         return f"{v + 0.0:.17g}"
+    if type(x) is int:
+        # json.dumps's own spelling of an int, without its call
+        return int.__repr__(x)
     return json.dumps(x)
 
 

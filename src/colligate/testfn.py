@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, StructureError, ToleranceError
 from .linalg import DEFAULT_ATOL, _adopted, _as_array, _check_atol, _check_finite, _finite_real
-from .linalg import _integer, as_matrix, is_psd, max_abs
+from .linalg import _integer, _saturating, as_matrix, is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -34,9 +34,6 @@ __all__ = [
     "disc_table",
     "szego_samples",
 ]
-
-# complex differences held at once by the point-separation sweep
-_SEPARATION_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -130,24 +127,58 @@ def validate_test_family(
     pair of points must be separated by more than atol under at least
     one test function.  The default atol of 0.0 demands exact zeros and
     accepts any nonzero separation.
+
+    Separation sorts the points by one real projection of their columns
+    and tests each point only against the later points within its window
+    of that projection, so it typically costs O(m n log n) time and O(m n)
+    memory at each step.  The worst case is many points inside one window,
+    such as a table of near-equal columns or an atol as wide as the
+    values; it tests every pair, O(m n**2) time as a sweep over all pairs
+    would, still in O(m n) memory at each step.
     """
+    if not isinstance(t, TestFunctionTable):
+        raise StructureError(
+            f"family validation takes a TestFunctionTable, got {type(t).__name__}"
+        )
     _check_atol(atol)
     v = t.values
     bad_points = tuple(
         int(i) for i in np.flatnonzero(np.max(np.abs(v), axis=0) >= 1.0)
     )
     bad_base = tuple(int(j) for j in np.flatnonzero(np.abs(v[:, 0]) > atol))
-    bad_pairs = []
-    # row chunks of points i against every point k after the chunk's first,
-    # at most _SEPARATION_BUDGET differences at once; the pairs with k <= i
-    # are masked, and np.nonzero keeps the (i, k) order of a pair-by-pair sweep
-    chunk = max(1, _SEPARATION_BUDGET // (t.m * t.n))
-    for start in range(0, t.n - 1, chunk):
-        stop = min(start + chunk, t.n - 1)
-        gaps = np.max(np.abs(v[:, None, start + 1 :] - v[:, start:stop, None]), axis=0)
-        later = np.arange(t.n - start - 1) >= np.arange(stop - start)[:, None]
-        rows, cols = np.nonzero((gaps <= atol) & later)
-        bad_pairs.extend(zip((rows + start).tolist(), (cols + start + 1).tolist()))
+    m, n = v.shape
+    parts = np.concatenate([v.real, v.imag])
+    # a generic positive combination of every real and imaginary part
+    # (golden-ratio Weyl weights), so that points sharing a coordinate, such
+    # as disc points on the imaginary axis or a bidisc grid, do not tie; the
+    # weights sum to 1/2, so no key overflows
+    c = np.modf(np.arange(1, 2 * m + 1) * 0.6180339887498949)[0]
+    c /= 2.0 * c.sum()
+    key = c @ parts
+    order = np.argsort(key)
+    key = key[order]
+    # a pair within atol in every function is within atol in each real and
+    # imaginary part, so within atol / 2 in the key.  But each computed key,
+    # each difference tested below and key + width round, by at most about
+    # 2m eps |c| @ |parts| and eps of their size, and in the subnormal range
+    # by a few of the smallest normals: widen the window by twice as much
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    scale = float(np.max(c @ np.abs(parts)))
+    width = (atol / 2.0 + 4.0 * (m + 1) * eps * scale) * (1.0 + 4.0 * eps) + 4.0 * m * tiny
+    room = np.searchsorted(key, key + width, side="right") - np.arange(1, n + 1)
+    # step s tests sorted position p against p + s, for every p whose window
+    # holds it; pairs are coded as i * n + k and sorted into (i, k) order
+    at, step, codes = np.flatnonzero(room > 0), 1, []
+    while at.size:
+        a, b = order[at], order[at + step]
+        with _saturating():
+            near = np.max(np.abs(v[:, a] - v[:, b]), axis=0) <= atol
+        a, b = a[near], b[near]
+        codes.append(np.minimum(a, b) * n + np.maximum(a, b))
+        step += 1
+        at = at[room[at] >= step]
+    codes = np.sort(np.concatenate(codes)) if codes else np.zeros(0, dtype=int)
+    bad_pairs = list(zip((codes // n).tolist(), (codes % n).tolist()))
     return TableDiagnostics(
         contractive=not bad_points,
         contractivity_violations=bad_points,

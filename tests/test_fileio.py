@@ -48,6 +48,13 @@ class TestCanonicalSerializer:
         assert dumps_canonical({"n": 3}) == '{\n  "n": 3\n}\n'
         assert dumps_canonical({"n": np.int64(3)}) == '{\n  "n": 3\n}\n'
 
+    @pytest.mark.parametrize(
+        "x", [0, -1, 2**63, 2**70, True, False, None, "aé", np.int64(7)], ids=repr
+    )
+    def test_scalars_are_spelled_as_json_dumps_spells_them(self, x):
+        # numpy integers are spelled as the Python int of the same value
+        assert fileio._fmt_scalar(x) == json.dumps(int(x) if isinstance(x, np.integer) else x)
+
     def test_empty_objects_stay_inline(self):
         assert dumps_canonical({}) == "{}\n"
         assert dumps_canonical({"inputs": {}}) == '{\n  "inputs": {}\n}\n'

@@ -87,7 +87,44 @@ def planted_table(m: int, n: int, seed: int) -> FunctionTable:
         values[:, dst] = values[:, src] + rng.choice([0.0, 1e-12, 1e-10, 1e-8]) * rng.standard_normal(m)
     if n > 1:
         values[:, n - 1] = values[:, n - 2]
-    return FunctionTable(PointSet(tuple(f"x{k}" for k in range(n))), values)
+    return labelled(values)
+
+
+def labelled(values) -> FunctionTable:
+    """A table of the given values on points labelled x0, x1, ..."""
+    values = np.atleast_2d(values)
+    return FunctionTable(PointSet(tuple(f"x{k}" for k in range(values.shape[1]))), values)
+
+
+def axis_table() -> FunctionTable:
+    """Disc points on the imaginary axis, some repeated or 1e-12 apart:
+    only one part of one function varies, so the sort key ties often."""
+    y = np.linspace(-0.9, 0.9, 37)
+    return labelled(1j * np.concatenate([[0.0], y, y[::5], y[::7] + 1e-12]))
+
+
+def grid_table() -> FunctionTable:
+    """A bidisc grid 0.25 apart on the real and on the imaginary axes, with
+    its first row repeated: many points share one coordinate."""
+    g = np.linspace(-0.75, 0.75, 7)
+    pairs = [(a, b) for a in g for b in g] + [(1j * a, 1j * b) for a in g for b in g]
+    return labelled(np.array([(0.0, 0.0)] + pairs + pairs[:7]).T)
+
+
+def large_table() -> FunctionTable:
+    """A planted table scaled by 1e150, beside columns at +-1e308 whose
+    differences overflow: far from contractive."""
+    big = [[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308], [1e308, 1e308]]
+    return labelled(np.hstack([1e150 * planted_table(2, 80, seed=7).values, np.array(big).T]))
+
+
+# each table with the positive atols to try beside 0.0
+SWEEP_TABLES = {
+    "disc points on the imaginary axis": lambda: (axis_table(), (1e-12, 1e-9, 0.05)),
+    "bidisc grid": lambda: (grid_table(), (1e-12, 0.25, 0.3)),
+    "large non-contractive values": lambda: (large_table(), (1e138, 1e140, 1e142, 1e300)),
+    "every column equal": lambda: (labelled(np.zeros((3, 50))), (1.0,)),
+}
 
 
 def kron_witness_reference(f: np.ndarray, s: HermitianKernel, bound: float) -> np.ndarray:
@@ -372,11 +409,7 @@ class TestValidateTestFamily:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 300])
     @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("budget", [1, 50, None])
-    def test_chunked_sweep_matches_the_per_point_sweep(self, monkeypatch, n, m, budget):
-        # budget 1 makes one-row chunks, 50 a few rows, None the default
-        if budget is not None:
-            monkeypatch.setattr(testfn, "_SEPARATION_BUDGET", budget * m * n)
+    def test_sorted_sweep_matches_the_per_point_sweep(self, n, m):
         t = planted_table(m, n, seed=1000 * m + n)
         found = []
         for atol in (0.0, 1e-11, 1e-9, 1e-7):
@@ -390,6 +423,55 @@ class TestValidateTestFamily:
         if n == 300:
             # the near duplicates separate at 0 but not at the larger atols
             assert found[0] < found[-1]
+
+    @pytest.mark.parametrize("case", list(SWEEP_TABLES))
+    def test_sorted_sweep_matches_on_ties_and_large_values(self, case):
+        t, atols = SWEEP_TABLES[case]()
+        for atol in (0.0, *atols):
+            # the references' differences of +-1e308 overflow; the library's
+            # read as inf without a warning
+            with np.errstate(over="ignore"):
+                pairs, diag = sweep_separation(t, atol), pairwise_diagnostics(t, atol)
+            assert validate_test_family(t, atol).separation_violations == pairs
+            assert validate_test_family(t, atol) == diag
+
+    @pytest.mark.parametrize("atol", [0.0, 2.0**-20, 1e-9, 0.1])
+    def test_a_pair_at_atol_is_flagged_and_one_ulp_beyond_is_not(self, atol):
+        beyond = np.nextafter(atol, np.inf)
+        # points 1 and 2 lie exactly atol from the base point, in a real and an
+        # imaginary direction; points 3 and 4 lie one ulp of atol further out
+        values = np.array([[0, atol, 0, beyond, 0], [0, 0, 1j * atol, 0, -1j * beyond]])
+        t = FunctionTable(PointSet(tuple("abcde")), values)
+        diag = validate_test_family(t, atol)
+        assert diag == pairwise_diagnostics(t, atol)
+        expected = ((0, 1), (0, 2), (1, 2)) + (((1, 3),) if atol else ())
+        assert diag.separation_violations == expected
+
+    @settings(max_examples=60)
+    @given(
+        steps=st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+                       min_size=2, max_size=12),
+        atol=st.sampled_from([0.0, 2.0**-30, 1e-9, 0.3]),
+        scale=st.sampled_from([1.0, 1e-300, 1e150]),
+    )
+    def test_columns_a_few_ulps_around_atol_apart_match_the_pairwise_reference(
+        self, steps, atol, scale
+    ):
+        # each column is a path of steps of atol, or one ulp more or less,
+        # through the real and imaginary parts of three functions
+        sizes = [0.0, np.nextafter(atol, -np.inf) if atol else 0.0, atol, np.nextafter(atol, np.inf)]
+        moves = np.array([[np.sign(s) * sizes[abs(s)] for s in row] for row in steps])
+        parts = scale * np.cumsum(moves, axis=0).T
+        t = labelled(parts[:3] + 1j * parts[3:])
+        for tol in (atol, scale * atol):
+            assert validate_test_family(t, tol) == pairwise_diagnostics(t, tol)
+
+    def test_five_thousand_points_match_the_per_point_sweep(self):
+        t = planted_table(2, 5000, seed=5000)
+        for atol in (0.0, 1e-9):
+            diag = validate_test_family(t, atol)
+            assert diag.separation_violations == sweep_separation(t, atol)
+            assert diag.separating is False
 
     def test_single_point_table(self):
         t = FunctionTable(PointSet(("o",)), np.zeros((2, 1), dtype=complex))
@@ -860,6 +942,14 @@ GUARDS = {
     "kernel on an int point set": (
         lambda: HermitianKernel(5, np.ones((1, 1, 1, 1))),
         StructureError, "a kernel takes a PointSet, got int",
+    ),
+    "validation of a string": (
+        lambda: validate_test_family("x"),
+        StructureError, "family validation takes a TestFunctionTable, got str",
+    ),
+    "validation of a point set": (
+        lambda: validate_test_family(disc_points(TWO_POINTS)),
+        StructureError, "family validation takes a TestFunctionTable, got PointSet",
     ),
     "table on a string point set": (
         lambda: FunctionTable("x", np.zeros((1, 1))),
