@@ -49,6 +49,9 @@ WITNESS_NAMES = tuple(name for v in VARIANT_TABLE.values() for name in v.witness
 
 def _fmt_scalar(x) -> str:
     """A value _is_scalar accepts, as JSON text."""
+    if type(x) is int:
+        # json.dumps's own spelling of an int, without its call
+        return int.__repr__(x)
     if isinstance(x, np.integer):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
@@ -59,9 +62,6 @@ def _fmt_scalar(x) -> str:
             return "Infinity" if v > 0 else "-Infinity"
         # json reads -0 back as the integer 0, so + 0.0 writes -0.0 as 0
         return f"{v + 0.0:.17g}"
-    if type(x) is int:
-        # json.dumps's own spelling of an int, without its call
-        return int.__repr__(x)
     return json.dumps(x)
 
 

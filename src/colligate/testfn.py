@@ -10,6 +10,7 @@ quantified statement.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -117,6 +118,22 @@ class TableDiagnostics:
         return self.contractive and self.base_point_centered and self.separating
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+@functools.lru_cache(maxsize=64)
+def _key_weights(m: int) -> np.ndarray:
+    """The separation sort's weights on the 2m real and imaginary parts of a
+    column: a generic positive combination (golden-ratio Weyl weights), so
+    that points sharing a coordinate, such as disc points on the imaginary
+    axis or a bidisc grid, do not tie.  They sum to 1/2, so no key overflows."""
+    c = np.modf(np.arange(1, 2 * m + 1) * 0.6180339887498949)[0]
+    c /= 2.0 * c.sum()
+    c.flags.writeable = False
+    return c
+
+
 def validate_test_family(
     t: TestFunctionTable, atol: float = 0.0
 ) -> TableDiagnostics:
@@ -142,43 +159,45 @@ def validate_test_family(
         )
     _check_atol(atol)
     v = t.values
-    bad_points = tuple(
-        int(i) for i in np.flatnonzero(np.max(np.abs(v), axis=0) >= 1.0)
-    )
-    bad_base = tuple(int(j) for j in np.flatnonzero(np.abs(v[:, 0]) > atol))
     m, n = v.shape
-    parts = np.concatenate([v.real, v.imag])
-    # a generic positive combination of every real and imaginary part
-    # (golden-ratio Weyl weights), so that points sharing a coordinate, such
-    # as disc points on the imaginary axis or a bidisc grid, do not tie; the
-    # weights sum to 1/2, so no key overflows
-    c = np.modf(np.arange(1, 2 * m + 1) * 0.6180339887498949)[0]
-    c /= 2.0 * c.sum()
-    key = c @ parts
+    size = np.abs(v)
+    top = np.max(size, axis=0)
+    bad_points = tuple(np.flatnonzero(top >= 1.0).tolist())
+    bad_base = tuple(np.flatnonzero(size[:, 0] > atol).tolist())
+    key = _key_weights(m) @ np.concatenate([v.real, v.imag])
     order = np.argsort(key)
     key = key[order]
     # a pair within atol in every function is within atol in each real and
-    # imaginary part, so within atol / 2 in the key.  But each computed key,
-    # each difference tested below and key + width round, by at most about
-    # 2m eps |c| @ |parts| and eps of their size, and in the subnormal range
-    # by a few of the smallest normals: widen the window by twice as much
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    scale = float(np.max(c @ np.abs(parts)))
-    width = (atol / 2.0 + 4.0 * (m + 1) * eps * scale) * (1.0 + 4.0 * eps) + 4.0 * m * tiny
-    room = np.searchsorted(key, key + width, side="right") - np.arange(1, n + 1)
-    # step s tests sorted position p against p + s, for every p whose window
-    # holds it; pairs are coded as i * n + k and sorted into (i, k) order
-    at, step, codes = np.flatnonzero(room > 0), 1, []
-    while at.size:
-        a, b = order[at], order[at + step]
-        with _saturating():
+    # imaginary part, so within atol / 2 in the key.  But a tested |difference|
+    # may read an ulp below the exact one, and each key, key difference and
+    # key + width round, by at most about 2m eps times the key's weighted sum
+    # of |parts| (at most max |v| / 2) and, below the normal range, by a few
+    # of the smallest normals: widen the window by twice all of that
+    scale = 0.5 * float(top.max())
+    width = (atol / 2.0 + 4.0 * (m + 1) * _EPS * scale) * (1.0 + 4.0 * _EPS) + 4.0 * m * _TINY
+    # step s tests sorted position p against p + s for every p whose window
+    # still holds p + s; the keys are sorted, so a window that ends before
+    # p + s ends before every later position too
+    at, step, codes = np.arange(n - 1), 1, []
+    with _saturating():
+        while True:
+            at = at[key[at + step] <= key[at] + width]
+            if not at.size:
+                break
+            a, b = order[at], order[at + step]
             near = np.max(np.abs(v[:, a] - v[:, b]), axis=0) <= atol
-        a, b = a[near], b[near]
-        codes.append(np.minimum(a, b) * n + np.maximum(a, b))
-        step += 1
-        at = at[room[at] >= step]
-    codes = np.sort(np.concatenate(codes)) if codes else np.zeros(0, dtype=int)
-    bad_pairs = list(zip((codes // n).tolist(), (codes % n).tolist()))
+            a, b = a[near], b[near]
+            codes.append(np.minimum(a, b) * n + np.maximum(a, b))
+            step += 1
+            at = at[at < n - step]
+    # pairs are coded as i * n + k and sorted into (i, k) order
+    codes = np.sort(np.concatenate(codes)) if codes else codes
+    # the pairs are built in slices: one list of millions of them at once
+    # spends most of its time in the cyclic garbage collector
+    bad_pairs = []
+    for start in range(0, len(codes), 1 << 15):
+        rows, cols = np.divmod(codes[start : start + (1 << 15)], n)
+        bad_pairs.extend(zip(rows.tolist(), cols.tolist()))
     return TableDiagnostics(
         contractive=not bad_points,
         contractivity_violations=bad_points,

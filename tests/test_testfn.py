@@ -473,6 +473,13 @@ class TestValidateTestFamily:
             assert diag.separation_violations == sweep_separation(t, atol)
             assert diag.separating is False
 
+    def test_tens_of_thousands_of_pairs_keep_their_order(self):
+        # 400 columns taking two values in turn: 39,800 flagged pairs, more
+        # than the sweep builds at once, the two values' indices interleaved
+        t = labelled(np.tile([[0.0, 0.5j], [0.0, 0.25]], 200))
+        for atol in (0.0, 0.1):
+            assert validate_test_family(t, atol).separation_violations == sweep_separation(t, atol)
+
     def test_single_point_table(self):
         t = FunctionTable(PointSet(("o",)), np.zeros((2, 1), dtype=complex))
         assert validate_test_family(t) == pairwise_diagnostics(t)
