@@ -447,6 +447,27 @@ class TestValidateTestFamily:
         expected = ((0, 1), (0, 2), (1, 2)) + (((1, 3),) if atol else ())
         assert diag.separation_violations == expected
 
+    def test_equal_columns_and_columns_one_ulp_apart_are_flagged(self):
+        # the keys of two equal columns can differ in their last bits, and at
+        # an atol of one ulp of the values, in the normal and the subnormal
+        # range, the keys' own rounding is as wide as the window: only the
+        # window's widening keeps such pairs inside it
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m = int(rng.integers(1, 7))
+            parts = rng.choice([1.0, 1e-310]) * rng.uniform(0.5, 0.95, 2 * m) * rng.choice([-1, 1], 2 * m)
+            moved = parts.copy()
+            k = rng.integers(2 * m)
+            moved[k] = np.nextafter(parts[k], rng.choice([-np.inf, np.inf]))
+            x, y = parts[:m] + 1j * parts[m:], moved[:m] + 1j * moved[m:]
+            for t, atol in (
+                (labelled(np.array([np.zeros(m), x, x]).T), 0.0),
+                (labelled(np.array([np.zeros(m), x, y]).T), float(np.max(np.abs(y - x)))),
+            ):
+                diag = validate_test_family(t, atol)
+                assert diag == pairwise_diagnostics(t, atol)
+                assert (1, 2) in diag.separation_violations
+
     @settings(max_examples=60)
     @given(
         steps=st.lists(st.lists(st.integers(-3, 3), min_size=6, max_size=6),
