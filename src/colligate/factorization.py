@@ -498,21 +498,25 @@ def verify_factorization(
 
     All three colligations must share the value dimension and the exact
     same sampled family.  Factors that carry the parent's blocks
-    (``_shares_blocks``) take one resolvent pass with 2d right-hand sides:
-    over its representation and D, A = [[A, A1], [A2, 0]], B = [B; (0, Y2)]
-    and C = [C, (X1; 0)] give F, F1 and F2 as the (0, 0), (0, 1) and (1, 0)
-    blocks.  That is exact because I - D L is block upper triangular, so
-    its inverse maps (X1; 0) to ((I - D1 L1)^-1 X1; 0), and [0, Y2 L2]
-    reads only the second block of (I - D L)^-1 C, which is
-    (I - D3 L2)^-1 C2.  Any other triple takes three separate passes.
+    (``_shares_blocks``) take one resolvent pass with d right-hand sides,
+    over the defect colligation on the parent's representation: A - A1 A2,
+    B with B2 - A1 Y2, C with C1 - X1 A2 and D with D2 - X1 Y2.  Its
+    transfer function is F - F1 F2 exactly, since F is affine in
+    (A, B2, C1, D2) once B1, D1, C2 and D3 are fixed, and f1 * f2 is the
+    colligation with (A1 A2, A1 Y2, X1 A2, X1 Y2) there.  Its D keeps the
+    parent's diagonal blocks and exact-zero lower-left block, so the
+    resolvent back-substitutes on the split and names a singular point as
+    the parent's own pass does.  Any other triple takes three separate
+    passes.
     """
     _require_compatible(parent, f1, f2)
     if not _shares_blocks(parent, f1, f2):
         return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
-    d, n, n1 = parent.value_dim, parent.state_dim, parent.rep.split[0]
-    a, b, c = (np.zeros(shape, complex) for shape in ((2 * d, 2 * d), (2 * d, n), (n, 2 * d)))
-    a[:d, :d], a[:d, d:], a[d:, :d] = parent.A, f1.A, f2.A
-    b[:d], b[d:, n1:] = parent.B, f2.B
-    c[:, :d], c[:n1, d:] = parent.C, f1.C
-    values = evaluate_all(_adopted(Colligation, parent.rep, parent.table, a, b, c, parent.D))
-    return max_abs(values[:, :d, :d] - values[:, :d, d:] @ values[:, d:, :d])
+    n1 = parent.rep.split[0]
+    a, b, c, d = parent.A, parent.B.copy(), parent.C.copy(), parent.D.copy()
+    with _saturating():
+        a = a - f1.A @ f2.A
+        b[:, n1:] -= f1.A @ f2.B
+        c[:n1] -= f1.C @ f2.A
+        d[:n1, n1:] -= f1.C @ f2.B
+        return max_abs(evaluate_all(_adopted(Colligation, parent.rep, parent.table, a, b, c, d)))

@@ -1287,21 +1287,65 @@ class TestVerifyFactorization:
 
     @pytest.mark.parametrize("kind", ["coordinate", "dense", "mixed"])
     @pytest.mark.parametrize("variant", ["vanishing-selfadjoint", "both-vanishing", "general"])
-    def test_one_pass_holds_each_value_in_its_block(self, evaluations, variant, kind):
+    def test_one_pass_evaluates_the_defect_colligation(self, evaluations, variant, kind):
         for d in range(1, 5):
             parent, f1, f2 = extracted_case(variant, kind, d, seed=300 + 10 * d)
             evaluations.clear()
             residual = verify_factorization(parent, f1, f2)
-            [(joint, values)] = evaluations
-            assert joint.rep is parent.rep and joint.D is parent.D and joint.value_dim == 2 * d
-            top, bottom = slice(d), slice(d, 2 * d)
-            blocks = [values[:, top, top], values[:, top, bottom], values[:, bottom, top]]
-            assert residual == max_abs(blocks[0] - blocks[1] @ blocks[2])
+            [(defect, values)] = evaluations
+            assert defect.rep is parent.rep and defect.table is parent.table
+            assert defect.value_dim == d
+            n1 = parent.rep.split[0]
+            npt.assert_array_equal(defect.D[:n1, :n1], parent.D[:n1, :n1])
+            npt.assert_array_equal(defect.D[n1:, n1:], parent.D[n1:, n1:])
+            assert not defect.D[n1:, :n1].any()
+            assert residual == max_abs(values)
             assert residual <= 1e-12
-            for block, col in zip(blocks, (parent, f1, f2)):
-                assert max_abs(block - evaluate_all(col)) <= 1e-14
-                for i in range(col.table.n):
-                    assert max_abs(block[i] - dense_evaluate(col, i)) <= 1e-12
+            difference = evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2)
+            assert max_abs(values - difference) <= 1e-14
+            for i in range(parent.table.n):
+                dense = dense_evaluate(parent, i) - dense_evaluate(f1, i) @ dense_evaluate(f2, i)
+                assert max_abs(values[i] - dense) <= 1e-12
+
+    @pytest.mark.parametrize("size", [1e-6, 1e-3])
+    @pytest.mark.parametrize("block", ["f1.A", "f1.C", "f2.A", "f2.B"])
+    @pytest.mark.parametrize("kind", ["coordinate", "dense", "mixed"])
+    def test_a_bumped_witness_block_is_measured_as_by_three_passes(self, evaluations, kind,
+                                                                  block, size):
+        # the bumped factor still shares the parent's blocks, so one pass runs,
+        # and it must see a defect of the bump's size, not only rounding
+        for variant in VARIANT_TABLE:
+            parent, f1, f2 = extracted_case(variant, kind, 2, seed=330)
+            factors = {"f1": f1, "f2": f2}
+            name, field = block.split(".")
+            old = getattr(factors[name], field)
+            phases = np.random.default_rng(5).random(old.shape)
+            factors[name] = _with(factors[name], **{field: old + size * np.exp(2j * np.pi * phases)})
+            f1, f2 = factors["f1"], factors["f2"]
+            assert factorization._shares_blocks(parent, f1, f2)
+            evaluations.clear()
+            residual = verify_factorization(parent, f1, f2)
+            assert len(evaluations) == 1
+            assert residual > size / 10
+            assert abs(residual - three_passes(parent, f1, f2)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["coordinate", "dense", "mixed"])
+    @pytest.mark.parametrize("overflow", ["A1 A2", "A1 A2 of both signs", "X1 Y2"])
+    def test_an_overflowing_witness_product_reads_inf(self, evaluations, kind, overflow):
+        # inf and inf - inf = NaN entries both read as inf, with no warning
+        parent, f1, f2 = extracted_case("general", kind, 2, seed=340)
+        huge, mixed = np.full((2, 2), 1e200), np.array([[1e200, 1e200], [-1e200, -1e200]])
+        f1, f2 = {
+            "A1 A2": (_with(f1, A=huge), _with(f2, A=huge)),
+            "A1 A2 of both signs": (_with(f1, A=huge), _with(f2, A=mixed)),
+            "X1 Y2": (_with(f1, C=np.full(f1.C.shape, 1e200)), _with(f2, B=np.full(f2.B.shape, 1e200))),
+        }[overflow]
+        assert factorization._shares_blocks(parent, f1, f2)
+        evaluations.clear()
+        assert verify_factorization(parent, f1, f2) == np.inf
+        assert len(evaluations) == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert three_passes(parent, f1, f2) == np.inf
 
     @pytest.mark.parametrize("kind", ["coordinate", "dense"])
     @pytest.mark.parametrize("trigger", list(FALLBACKS))
@@ -1350,7 +1394,7 @@ class TestVerifyFactorization:
                     save_colligation(col, path)
                 assert factorization._shares_blocks(*map(load_colligation, paths))
 
-    def test_each_solve_carries_two_value_dimensions(self, monkeypatch):
+    def test_each_solve_carries_one_value_dimension(self, monkeypatch):
         columns = []
         original = realization._solve
 
@@ -1363,7 +1407,7 @@ class TestVerifyFactorization:
             parent, f1, f2 = extracted_case("general", "dense", d, seed=320 + 10 * d)
             columns.clear()
             assert verify_factorization(parent, f1, f2) <= 1e-12
-            assert columns and set(columns) == {2 * d}
+            assert columns and set(columns) == {d}
 
     def test_a_singular_point_is_named_as_by_three_passes(self, evaluations):
         single, dense, shift, dense_shift = singular_at_point_two()
@@ -1377,7 +1421,7 @@ class TestVerifyFactorization:
                 verify_factorization(parent, f1, f2)
             assert str(one.value) == str(three.value)
             assert "point index 2;" in str(one.value)
-            assert len(evaluations) == 1 and evaluations[0][0].value_dim == 2
+            assert len(evaluations) == 1 and evaluations[0][0].value_dim == 1
 
 
 class TestStructuredGenerators:
