@@ -509,7 +509,7 @@ def verify_factorization(
     the parent's own pass does.  Any other triple takes three separate
     passes.
     """
-    _require_compatible(parent, f1, f2)
+    _require_compatible(parent, f1, f2, what="factorization verification")
     if not _shares_blocks(parent, f1, f2):
         return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
     n1 = parent.rep.split[0]

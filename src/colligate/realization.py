@@ -427,6 +427,7 @@ def evaluate(col: Colligation, i) -> np.ndarray:
     and returns A + B L x, with B L x from the kernel's ``left=B``.  At
     the base point L vanishes and the result is exactly the A block.
     """
+    _require_colligation(col, "evaluation")
     at = np.atleast_1d(i)
     values = np.empty((at.size, col.value_dim, col.value_dim), dtype=np.complex128)
     stop = 0
@@ -438,12 +439,22 @@ def evaluate(col: Colligation, i) -> np.ndarray:
 
 def evaluate_all(col: Colligation) -> np.ndarray:
     """Transfer function on every point, stacked as shape (n, d, d)."""
+    _require_colligation(col, "evaluation")
     return evaluate(col, np.arange(col.table.n))
 
 
-def _require_compatible(*cols: Colligation) -> None:
+def _require_colligation(col, what: str) -> None:
+    """The one type check of a colligation argument, before any of its
+    fields is read."""
+    if not isinstance(col, Colligation):
+        raise StructureError(f"{what} takes a Colligation, got {type(col).__name__}")
+
+
+def _require_compatible(*cols: Colligation, what: str = "a product") -> None:
     """Every colligation shares the value dimension and the exact sampled
     family of the first: the precondition of a product and its check."""
+    for col in cols:
+        _require_colligation(col, what)
     dims = [col.value_dim for col in cols]
     if len(set(dims)) > 1:
         raise DimensionError(f"value dimensions differ: {', '.join(map(str, dims))}")
@@ -493,6 +504,7 @@ def gramian_identity_check(col: Colligation) -> float:
     flops, O(n N d) memory for K and O(n d^2 _GRAMIAN_CHUNK) for the
     residuals of one chunk.
     """
+    _require_colligation(col, "the Gramian identity")
     n_points = col.table.n
     d = col.value_dim
     n_state = col.state_dim

@@ -531,6 +531,34 @@ GUARDS = {
         StructureError, "a colligation takes a Representation and a TestFunctionTable, "
         "got Representation and str",
     ),
+    "product of a string": (
+        lambda: product("x", blaschke_colligation()),
+        StructureError, "a product takes a Colligation, got str",
+    ),
+    "product with None": (
+        lambda: product(blaschke_colligation(), None),
+        StructureError, "a product takes a Colligation, got NoneType",
+    ),
+    "verification of a string parent": (
+        lambda: verify_factorization("x", blaschke_colligation(), blaschke_colligation()),
+        StructureError, "factorization verification takes a Colligation, got str",
+    ),
+    "verification of an integer factor": (
+        lambda: verify_factorization(blaschke_colligation(), blaschke_colligation(), 5),
+        StructureError, "factorization verification takes a Colligation, got int",
+    ),
+    "evaluation of a string": (
+        lambda: evaluate("x", 0),
+        StructureError, "evaluation takes a Colligation, got str",
+    ),
+    "evaluation of None at every point": (
+        lambda: evaluate_all(None),
+        StructureError, "evaluation takes a Colligation, got NoneType",
+    ),
+    "Gramian identity of a float": (
+        lambda: gramian_identity_check(1.5),
+        StructureError, "the Gramian identity takes a Colligation, got float",
+    ),
 }
 
 
