@@ -10,6 +10,7 @@ digits and parsing the report recovers them exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import factorization as fz
@@ -37,6 +38,9 @@ from .realization import (
 from .testfn import _norm_bracket, is_admissible, validate_test_family
 
 __all__ = ["main"]
+
+# entries of each violation tuple that a bad-table message lists
+_SHOWN = 8
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -112,7 +116,20 @@ def _parser() -> argparse.ArgumentParser:
 def _require_valid_table(table, path: str, atol: float) -> None:
     diag = validate_test_family(table, atol=atol)
     if not diag.passed:
-        raise StructureError(f"{path}: test-function table fails validation: {diag}")
+        raise StructureError(f"{path}: test-function table fails validation: {_summary(diag)}")
+
+
+def _summary(diag) -> str:
+    """``repr(diag)`` with every violation tuple of more than _SHOWN entries
+    cut to its first _SHOWN and its count, so one bad table cannot make a
+    message of megabytes."""
+    def shown(value) -> str:
+        if isinstance(value, tuple) and len(value) > _SHOWN:
+            return f"({', '.join(map(repr, value[:_SHOWN]))}, ... {len(value)} in all)"
+        return repr(value)
+
+    fields = (f"{f.name}={shown(getattr(diag, f.name))}" for f in dataclasses.fields(diag))
+    return f"{type(diag).__name__}({', '.join(fields)})"
 
 
 def _loaded_colligation(path: str, atol: float) -> Colligation:

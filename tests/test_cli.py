@@ -500,6 +500,24 @@ class TestMultiplyVerifyRandom:
         assert report["detail"] == f"seed must be a nonnegative integer, got {seed}"
         assert not (workdir / "r.json").exists()
 
+    def test_a_table_of_equal_columns_gives_a_short_detail(self, workdir, capsys):
+        # 600 equal columns: neither function vanishes at the base point, and
+        # all 179,700 pairs coincide
+        points = colligate.PointSet(tuple(f"x{k}" for k in range(600)))
+        save_table(colligate.TestFunctionTable(points, np.full((2, 600), 0.5 + 0j)),
+                   str(workdir / "equal.json"))
+        code, report = run(capsys, "random", "--table", workdir / "equal.json",
+                           "--value-dim", "1", "--state-dims", "1,1", "-o", workdir / "r.json")
+        assert code == 2
+        assert report["error"] == "StructureError"
+        detail = report["detail"]
+        assert len(detail) < 2000
+        assert "base_point_violations=(0, 1), separating=False" in detail
+        assert detail.endswith(
+            "separation_violations=((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), "
+            "(0, 8), ... 179700 in all))"
+        )
+
 class TestAdmissibleAndNormBound:
     def test_szego_kernel_is_admissible(self, workdir, capsys):
         zs = [0.0, 0.5, -1.0 / 3.0, 0.25j]
