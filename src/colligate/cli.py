@@ -199,7 +199,7 @@ def _cmd_check(args, report):
 
 
 def _verification(parent, first, second) -> str:
-    """The path verify_factorization takes: one joint pass or three."""
+    """The path verify_factorization takes: one defect pass or three."""
     return "one pass" if fz._shares_blocks(parent, first, second) else "three passes"
 
 

@@ -498,24 +498,21 @@ def verify_factorization(
 
     All three colligations must share the value dimension and the exact
     same sampled family.  Factors that carry the parent's blocks
-    (``_shares_blocks``) take one resolvent pass with d right-hand sides,
-    over the defect colligation on the parent's representation: A - A1 A2,
-    B with B2 - A1 Y2, C with C1 - X1 A2 and D with D2 - X1 Y2.  Its
-    transfer function is F - F1 F2 exactly, since F is affine in
-    (A, B2, C1, D2) once B1, D1, C2 and D3 are fixed, and f1 * f2 is the
-    colligation with (A1 A2, A1 Y2, X1 A2, X1 Y2) there.  Its D keeps the
-    parent's diagonal blocks and exact-zero lower-left block, so the
-    resolvent back-substitutes on the split and names a singular point as
-    the parent's own pass does.  Any other triple takes three separate
-    passes.
+    (``_shares_blocks``) take one resolvent pass with d right-hand sides
+    over the defect colligation: the parent's blocks with A - A1 A2,
+    B2 - A1 Y2, C1 - X1 A2 and D2 - X1 Y2.  Its transfer function is
+    F - F1 F2, since F is affine in (A, B2, C1, D2) once B1, D1, C2 and D3
+    are fixed, and its D keeps the parent's diagonal blocks and zero
+    lower-left block, so the split solve names a singular point as the
+    parent's own pass does.  Any other triple takes three separate passes.
     """
     _require_compatible(parent, f1, f2, what="factorization verification")
     if not _shares_blocks(parent, f1, f2):
         return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
     n1 = parent.rep.split[0]
-    a, b, c, d = parent.A, parent.B.copy(), parent.C.copy(), parent.D.copy()
+    b, c, d = parent.B.copy(), parent.C.copy(), parent.D.copy()
     with _saturating():
-        a = a - f1.A @ f2.A
+        a = parent.A - f1.A @ f2.A
         b[:, n1:] -= f1.A @ f2.B
         c[:n1] -= f1.C @ f2.A
         d[:n1, n1:] -= f1.C @ f2.B
