@@ -49,6 +49,7 @@ from .linalg import (
     DEFAULT_ATOL,
     _adopted,
     _check_atol,
+    _expect,
     _isometry_defect,
     _saturating,
     as_matrix,
@@ -186,6 +187,7 @@ def split_blocks(col: Colligation, atol: float = DEFAULT_ATOL) -> SplitColligati
     Fails when no split is recorded, when the representation does not
     reduce along it, or when the lower-left D block exceeds atol.
     """
+    _expect("a split view", (col, Colligation))
     if col.rep.split is None:
         raise StructureError("colligation carries no state split")
     if not rep_is_reducible(col.rep, atol):
@@ -294,6 +296,7 @@ def check_vanishing_selfadjoint(
     a squared, and C1 a^-2 C1* D2 reproduces D2.  A singular witness
     has an infinite compression residual.
     """
+    _expect("a factorization check", (s, SplitColligation))
     _check_atol(atol)  # the solves below run only when smin > atol >= 0
     d = s.value_dim
     aw = _witness(a, "a", (d, d))
@@ -353,6 +356,7 @@ def find_LY_witness(
     WitnessError; a failed vanishing pattern rides along as the
     certificate.
     """
+    _expect("a witness search", (s, SplitColligation))
     pattern = _vanishing_pattern(s)
     worst = max(pattern.values())
     if worst > atol:
@@ -374,6 +378,7 @@ def check_both_vanishing(
     Conditions: the parent A, C1 and B2 blocks vanish, L is an isometry
     with range orthogonal to range(D1), and D2 factors as L Y.
     """
+    _expect("a factorization check", (s, SplitColligation))
     n1, n2 = s.dims
     d = s.value_dim
     lw = _witness(left, "L", (n1, d))
@@ -412,6 +417,7 @@ def check_general(
     column and A2* injective on range(A1* B1 + X1* D1).  The last
     condition is boolean and its residual is reported as 0 or 1.
     """
+    _expect("a factorization check", (s, SplitColligation))
     d = s.value_dim
     n1, n2 = s.dims
     a1w = _witness(a1, "A1", (d, d))
@@ -447,6 +453,7 @@ def solve_general_witnesses(
     the completed tuple fails any condition; for singular A1 or A2 the
     least-squares pick can miss witnesses another completion would find.
     """
+    _expect("a witness search", (s, SplitColligation))
     d = s.value_dim
     a1w = _witness(a1, "A1", (d, d))
     a2w = _witness(a2, "A2", (d, d))
@@ -507,11 +514,11 @@ def verify_factorization(
     parent's own pass does.  Any other triple takes three separate passes.
     """
     _require_compatible(parent, f1, f2, what="factorization verification")
-    if not _shares_blocks(parent, f1, f2):
-        return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
-    n1 = parent.rep.split[0]
-    b, c, d = parent.B.copy(), parent.C.copy(), parent.D.copy()
     with _saturating():
+        if not _shares_blocks(parent, f1, f2):
+            return max_abs(evaluate_all(parent) - evaluate_all(f1) @ evaluate_all(f2))
+        n1 = parent.rep.split[0]
+        b, c, d = parent.B.copy(), parent.C.copy(), parent.D.copy()
         a = parent.A - f1.A @ f2.A
         b[:, n1:] -= f1.A @ f2.B
         c[:n1] -= f1.C @ f2.A

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import FormatError, StructureError
 from .factorization import VARIANT_TABLE
-from .linalg import _adopted, _as_array, _check_finite, _is_integer
+from .linalg import _adopted, _as_array, _as_2d_array, _check_finite, _expect, _is_integer
 from .realization import Colligation, Representation
 from .testfn import HermitianKernel, PointSet, TestFunctionTable
 
@@ -128,7 +128,7 @@ def dumps_canonical(obj) -> str:
 
 def encode_matrix(m) -> list:
     """Matrix to nested lists of [re, im] pairs."""
-    a = _as_array(m, "matrix")
+    a = _as_2d_array(m, "matrix")
     return [
         [[float(z.real), float(z.imag)] for z in row] for row in a
     ]
@@ -304,6 +304,7 @@ def load_table(path: str) -> TestFunctionTable:
 
 
 def save_table(t: TestFunctionTable, path: str) -> None:
+    _expect("a table document", (t, TestFunctionTable))
     doc = {"kind": "table"}
     doc.update(_table_doc(t))
     _write(doc, path)
@@ -341,6 +342,7 @@ def load_colligation(path: str) -> Colligation:
 
 
 def save_colligation(col: Colligation, path: str) -> None:
+    _expect("a colligation document", (col, Colligation))
     doc = {
         "kind": "colligation",
         "value_dim": col.value_dim,
@@ -375,6 +377,7 @@ def load_kernel(path: str) -> HermitianKernel:
 
 
 def save_kernel(k: HermitianKernel, path: str) -> None:
+    _expect("a kernel document", (k, HermitianKernel))
     doc = {
         "kind": "kernel",
         "labels": list(k.points.labels),
@@ -402,6 +405,7 @@ def load_witness(path: str) -> dict[str, np.ndarray]:
 
 
 def save_witness(witnesses: dict[str, np.ndarray], path: str) -> None:
+    _expect("a witness document", (witnesses, dict))
     doc: dict = {"kind": "witness"}
     for name in WITNESS_NAMES:
         if name in witnesses:
@@ -420,6 +424,7 @@ def load_values(path: str) -> tuple[PointSet, np.ndarray]:
 
 
 def save_values(points: PointSet, stack, path: str) -> None:
+    _expect("a values document", (points, PointSet))
     doc = {
         "kind": "values",
         "labels": list(points.labels),

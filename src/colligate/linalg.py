@@ -46,10 +46,16 @@ __all__ = [
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a 2-D complex128 array with finite entries."""
+    a = _as_2d_array(m, name)
+    _check_finite(a, name)
+    return a
+
+
+def _as_2d_array(m, name: str) -> np.ndarray:
+    """``m`` as a 2-D complex128 array, whose entries may be non-finite."""
     a = _as_array(m, name)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    _check_finite(a, name)
     return a
 
 
@@ -72,7 +78,10 @@ def max_abs(m) -> float:
     a = np.asarray(m)
     if not a.size:
         return 0.0
-    worst = float(np.abs(a).max())
+    try:
+        worst = float(np.abs(a).max())
+    except TypeError as exc:  # strings, None and other objects have no modulus
+        raise FormatError(f"max_abs takes an array of numbers, got {type(m).__name__}") from exc
     return math.inf if math.isnan(worst) else worst
 
 
@@ -286,6 +295,16 @@ def _is_integer(value) -> bool:
     """The one test of an integer argument: an int or a numpy integer, and
     never a bool, so a fraction or a flag is refused rather than truncated."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def _expect(what: str, *pairs) -> None:
+    """StructureError naming what ``what`` takes unless isinstance(value, cls) for
+    each (value, cls): the one type test of a package-typed argument."""
+    for value, cls in pairs:
+        if not isinstance(value, cls):
+            takes = " and ".join(f"a {c.__name__}" for _, c in pairs)
+            got = " and ".join(type(v).__name__ for v, _ in pairs)
+            raise StructureError(f"{what} takes {takes}, got {got}")
 
 
 def _integer(value, name: str) -> int:

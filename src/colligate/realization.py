@@ -25,6 +25,7 @@ from .linalg import (
     _adopted,
     _check_atol,
     _check_finite,
+    _expect,
     _finite_real,
     _integer,
     _is_integer,
@@ -81,6 +82,8 @@ class Representation:
     _stack: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
+        if not np.iterable(self.projections):
+            raise StructureError(f"projections must be a sequence, got {self.projections!r}")
         mats = [as_matrix(p, "projection") for p in self.projections]
         if not mats:
             raise StructureError("a representation needs at least one projection")
@@ -197,6 +200,7 @@ def random_representation(m: int, state_dim: int, seed: int) -> Representation:
 
 def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
     """Block-diagonal sum; records the split of the two summands."""
+    _expect("a direct sum", (rep1, Representation), (rep2, Representation))
     if rep1.m != rep2.m:
         raise StructureError(
             f"representations act for {rep1.m} and {rep2.m} functions"
@@ -211,6 +215,7 @@ def direct_sum(rep1: Representation, rep2: Representation) -> Representation:
 def rep_apply(rep: Representation, g) -> np.ndarray:
     """Apply the representation to a coefficient vector: sum g_j P_j,
     one product of g with the flat (m, N^2) view of the projection stack."""
+    _expect("a representation's action", (rep, Representation))
     gv = _coefficients(g, rep.m)
     n = rep.state_dim
     return (gv @ rep._stack.reshape(rep.m, n * n)).reshape(n, n)
@@ -218,6 +223,7 @@ def rep_apply(rep: Representation, g) -> np.ndarray:
 
 def rep_is_reducible(rep: Representation, atol: float = DEFAULT_ATOL) -> bool:
     """True iff every projection is block diagonal for the split."""
+    _expect("reducibility", (rep, Representation))
     _check_atol(atol)
     if rep.split is None:
         raise StructureError("reducibility is relative to a split, none recorded")
@@ -275,11 +281,7 @@ class Colligation:
     def _adopt(self, rep, table, a, b, c, d) -> None:
         """The one check of the blocks against each other, the representation
         and the table; then freeze them and make them A, B, C and D."""
-        if not (isinstance(rep, Representation) and isinstance(table, TestFunctionTable)):
-            raise StructureError(
-                "a colligation takes a Representation and a TestFunctionTable, "
-                f"got {type(rep).__name__} and {type(table).__name__}"
-            )
+        _expect("a colligation", (rep, Representation), (table, TestFunctionTable))
         object.__setattr__(self, "rep", rep)
         object.__setattr__(self, "table", table)
         dim, n = a.shape[0], d.shape[0]
@@ -314,6 +316,7 @@ class Colligation:
     ) -> "Colligation":
         """Partition a (value_dim + state_dim) square matrix into blocks:
         ``u`` is copied once, and the blocks are read-only views of the copy."""
+        _expect("a colligation", (rep, Representation), (table, TestFunctionTable))
         m = np.array(as_matrix(u, "block operator"))
         d = _integer(value_dim, "value_dim")
         n = rep.state_dim
@@ -427,7 +430,7 @@ def evaluate(col: Colligation, i) -> np.ndarray:
     and returns A + B L x, with B L x from the kernel's ``left=B``.  At
     the base point L vanishes and the result is exactly the A block.
     """
-    _require_colligation(col, "evaluation")
+    _expect("evaluation", (col, Colligation))
     at = np.atleast_1d(i)
     values = np.empty((at.size, col.value_dim, col.value_dim), dtype=np.complex128)
     stop = 0
@@ -439,22 +442,15 @@ def evaluate(col: Colligation, i) -> np.ndarray:
 
 def evaluate_all(col: Colligation) -> np.ndarray:
     """Transfer function on every point, stacked as shape (n, d, d)."""
-    _require_colligation(col, "evaluation")
+    _expect("evaluation", (col, Colligation))
     return evaluate(col, np.arange(col.table.n))
-
-
-def _require_colligation(col, what: str) -> None:
-    """The one type check of a colligation argument, before any of its
-    fields is read."""
-    if not isinstance(col, Colligation):
-        raise StructureError(f"{what} takes a Colligation, got {type(col).__name__}")
 
 
 def _require_compatible(*cols: Colligation, what: str = "a product") -> None:
     """Every colligation shares the value dimension and the exact sampled
     family of the first: the precondition of a product and its check."""
     for col in cols:
-        _require_colligation(col, what)
+        _expect(what, (col, Colligation))
     dims = [col.value_dim for col in cols]
     if len(set(dims)) > 1:
         raise DimensionError(f"value dimensions differ: {', '.join(map(str, dims))}")
@@ -504,7 +500,7 @@ def gramian_identity_check(col: Colligation) -> float:
     flops, O(n N d) memory for K and O(n d^2 _GRAMIAN_CHUNK) for the
     residuals of one chunk.
     """
-    _require_colligation(col, "the Gramian identity")
+    _expect("the Gramian identity", (col, Colligation))
     n_points = col.table.n
     d = col.value_dim
     n_state = col.state_dim
@@ -536,6 +532,7 @@ def random_colligation(
     seed: int,
 ) -> Colligation:
     """Uniformly random isometric colligation over the given data."""
+    _expect("a colligation", (rep, Representation), (table, TestFunctionTable))
     size = _integer(value_dim, "value_dim") + rep.state_dim
     u = random_isometry(size, size, seed)
     return Colligation.from_matrix(u, value_dim, rep, table)
@@ -577,6 +574,7 @@ def random_vanishing_colligation(
     Needs state_dim >= value_dim: the first block column is [0; C] with
     C a random isometry, completed by random orthonormal columns.
     """
+    _expect("a colligation", (rep, Representation), (table, TestFunctionTable))
     d = _absorbed_value_dim(value_dim, rep)
     rng = _rng(seed)
     c = _rng_isometry(rng, rep.state_dim, d)
@@ -598,6 +596,7 @@ def random_selfadjoint_base_colligation(
     away from 0 and 1), and the C block is chosen so the first block
     column is isometric.  Needs state_dim >= value_dim.
     """
+    _expect("a colligation", (rep, Representation), (table, TestFunctionTable))
     pair = tuple(spectrum) if np.iterable(spectrum) else ()
     if not (len(pair) == 2 and all(map(_finite_real, pair)) and 0.0 < pair[0] <= pair[1] < 1.0):
         raise StructureError(f"spectrum must sit inside (0, 1), got {spectrum}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, StructureError, ToleranceError
 from .linalg import DEFAULT_ATOL, _adopted, _as_array, _check_atol, _check_finite, _finite_real
-from .linalg import _integer, _saturating, as_matrix, is_psd, max_abs
+from .linalg import _expect, _integer, _saturating, as_matrix, is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -73,10 +73,7 @@ class TestFunctionTable:
     values: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.points, PointSet):
-            raise StructureError(
-                f"a test function table takes a PointSet, got {type(self.points).__name__}"
-            )
+        _expect("a test function table", (self.points, PointSet))
         v = np.array(as_matrix(self.values, "test function table"))
         v.setflags(write=False)
         if v.shape[0] < 1:
@@ -97,6 +94,7 @@ class TestFunctionTable:
 
     def same_family(self, other: "TestFunctionTable") -> bool:
         """The same table, or identical points and identical sampled values."""
+        _expect("a family comparison", (other, TestFunctionTable))
         return self is other or (
             self.points == other.points and np.array_equal(self.values, other.values)
         )
@@ -153,10 +151,7 @@ def validate_test_family(
     values; it tests every pair, O(m n**2) time as a sweep over all pairs
     would, still in O(m n) memory at each step.
     """
-    if not isinstance(t, TestFunctionTable):
-        raise StructureError(
-            f"family validation takes a TestFunctionTable, got {type(t).__name__}"
-        )
+    _expect("family validation", (t, TestFunctionTable))
     _check_atol(atol)
     v = t.values
     m, n = v.shape
@@ -224,6 +219,7 @@ def eval_map(t: TestFunctionTable, i) -> np.ndarray:
     point index goes through this type and range check: booleans and
     non-integers are refused, whether scalars or arrays.
     """
+    _expect("point evaluation", (t, TestFunctionTable))
     idx = np.asarray(i)
     if idx.dtype.kind not in "iu" or idx.ndim > 1:
         raise StructureError(
@@ -255,8 +251,7 @@ class HermitianKernel:
 
     def _adopt(self, points: PointSet, b: np.ndarray) -> None:
         """The one check of the block grid; then freeze it and make it ``blocks``."""
-        if not isinstance(points, PointSet):
-            raise StructureError(f"a kernel takes a PointSet, got {type(points).__name__}")
+        _expect("a kernel", (points, PointSet))
         object.__setattr__(self, "points", points)
         if b.ndim != 4:
             raise DimensionError(
@@ -313,11 +308,7 @@ def is_admissible(
     (1 - psi(x_i) * conj(psi(x_j))) * S(x_i, x_j) must be positive
     semidefinite.  Row index carries the first kernel argument.
     """
-    if not (isinstance(s, HermitianKernel) and isinstance(t, TestFunctionTable)):
-        raise StructureError(
-            "admissibility takes a HermitianKernel and a TestFunctionTable, "
-            f"got {type(s).__name__} and {type(t).__name__}"
-        )
+    _expect("admissibility", (s, HermitianKernel), (t, TestFunctionTable))
     if s.points != t.points:
         raise StructureError("kernel and table are sampled on different points")
     for j in range(t.m):
@@ -350,6 +341,10 @@ def cp_kernel_check(
     refutes complete positivity on the sampled data; it cannot certify the
     full quantified property.
     """
+    _expect("a complete-positivity check", (t, TestFunctionTable))
+    if not (callable(k) and np.iterable(samples)):
+        kinds = f"{type(k).__name__} and {type(samples).__name__}"
+        raise StructureError(f"the kernel must be callable and the samples iterable, got {kinds}")
     for sample in samples:
         try:
             indices, operators, functions = sample
@@ -443,8 +438,7 @@ def _kernel_list(kernels) -> list[HermitianKernel]:
         )
     kernels = list(kernels)
     for s in kernels:
-        if not isinstance(s, HermitianKernel):
-            raise StructureError(f"kernel must be a HermitianKernel, got {type(s).__name__}")
+        _expect("a witness check", (s, HermitianKernel))
     return kernels
 
 

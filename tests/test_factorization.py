@@ -731,6 +731,59 @@ class TestVerifyFactorization:
             verify_factorization(two, one, one)
 
 
+ONE = np.eye(1)
+GUARDS = {
+    "split view of a string": (
+        lambda: split_blocks("x"),
+        StructureError, "a split view takes a Colligation, got str",
+    ),
+    "vanishing-selfadjoint check of a colligation": (
+        lambda: check_vanishing_selfadjoint(blaschke_colligation(), ONE),
+        StructureError, "a factorization check takes a SplitColligation, got Colligation",
+    ),
+    "vanishing-selfadjoint extraction of an int": (
+        lambda: extract_vanishing_selfadjoint(5, ONE),
+        StructureError, "a factorization check takes a SplitColligation, got int",
+    ),
+    "both-vanishing check of a colligation": (
+        lambda: check_both_vanishing(blaschke_colligation(), ONE, ONE),
+        StructureError, "a factorization check takes a SplitColligation, got Colligation",
+    ),
+    "both-vanishing extraction of None": (
+        lambda: extract_both_vanishing(None, ONE, ONE),
+        StructureError, "a factorization check takes a SplitColligation, got NoneType",
+    ),
+    "general check of a colligation": (
+        lambda: check_general(blaschke_colligation(), ONE, ONE, ONE, ONE),
+        StructureError, "a factorization check takes a SplitColligation, got Colligation",
+    ),
+    "general extraction of a string": (
+        lambda: extract_general("x", ONE, ONE, ONE, ONE),
+        StructureError, "a factorization check takes a SplitColligation, got str",
+    ),
+    "(L, Y) search over a colligation": (
+        lambda: find_LY_witness(blaschke_colligation()),
+        StructureError, "a witness search takes a SplitColligation, got Colligation",
+    ),
+    "general completion over None": (
+        lambda: solve_general_witnesses(None, ONE, ONE),
+        StructureError, "a witness search takes a SplitColligation, got NoneType",
+    ),
+}
+
+
+class TestGuards:
+    """Each refusal of bad input, with its class and its full message."""
+
+    @pytest.mark.parametrize("case", list(GUARDS))
+    def test_bad_input_is_refused_with_its_message(self, case):
+        call, error, message = GUARDS[case]
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 VARIANT_SWEEP = [
     ("vanishing-selfadjoint", 1e-8),
     ("both-vanishing", 1e-8),

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import colligate.fileio as fileio
 from colligate import (
+    DimensionError,
     FormatError,
     StructureError,
     decode_matrix,
@@ -620,3 +621,50 @@ class TestPaths:
         save_table(table, path)
         npt.assert_array_equal(load_table(path).values, table.values)
         assert digest_file(path) == digest_file(str(path))
+
+
+GUARDS = {
+    "0-d matrix to encode": (
+        lambda: encode_matrix(np.float64(1.0)),
+        DimensionError, "matrix must be 2-D, got shape ()",
+    ),
+    "1-d matrix to encode": (
+        lambda: encode_matrix([1.0, 2.0]),
+        DimensionError, "matrix must be 2-D, got shape (2,)",
+    ),
+    "colligation document of a representation": (
+        lambda: save_colligation(random_representation(1, 2, 0), "c.json"),
+        StructureError, "a colligation document takes a Colligation, got Representation",
+    ),
+    "table document of a colligation": (
+        lambda: save_table(blaschke_colligation(), "t.json"),
+        StructureError, "a table document takes a TestFunctionTable, got Colligation",
+    ),
+    "kernel document of a table": (
+        lambda: save_kernel(disc_table([0.0, 0.5]), "k.json"),
+        StructureError, "a kernel document takes a HermitianKernel, got TestFunctionTable",
+    ),
+    "witness document of a list of pairs": (
+        lambda: save_witness([("A", np.eye(1))], "w.json"),
+        StructureError, "a witness document takes a dict, got list",
+    ),
+    "values document on a table": (
+        lambda: save_values(disc_table([0.0, 0.5]), np.zeros((2, 1, 1)), "v.json"),
+        StructureError, "a values document takes a PointSet, got TestFunctionTable",
+    ),
+}
+
+
+class TestGuards:
+    """Each refusal of bad input, with its class and its full message."""
+
+    @pytest.mark.parametrize("case", list(GUARDS))
+    def test_bad_input_is_refused_with_its_message(self, case, tmp_path, monkeypatch):
+        # in an empty directory: a refused document writes no file
+        monkeypatch.chdir(tmp_path)
+        call, error, message = GUARDS[case]
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert not list(tmp_path.iterdir())

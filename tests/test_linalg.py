@@ -395,6 +395,18 @@ GUARDS = {
         lambda: is_psd(np.eye(2), atol=10**400),
         ToleranceError, f"atol must be finite and nonnegative, got {10**400}",
     ),
+    "largest modulus of a string": (
+        lambda: max_abs("x"),
+        FormatError, "max_abs takes an array of numbers, got str",
+    ),
+    "largest modulus of None": (
+        lambda: max_abs(None),
+        FormatError, "max_abs takes an array of numbers, got NoneType",
+    ),
+    "largest modulus of a list holding an object": (
+        lambda: max_abs([1.0, object()]),
+        FormatError, "max_abs takes an array of numbers, got list",
+    ),
 }
 
 

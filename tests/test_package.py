@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import builtins
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +249,59 @@ def test_one_handler_maps_a_singular_solve():
 
     handlers = _sites(Path(colligate.__file__).parent, catches_linalg_error)
     assert handlers == ["realization._solve"]
+
+
+PACKAGE_TYPES = {
+    "Colligation", "SplitColligation", "Representation", "TestFunctionTable", "PointSet",
+    "HermitianKernel",
+}
+
+
+def test_only_expect_tests_for_a_package_type():
+    # the type test of an argument of a package type has one home: no
+    # isinstance names one of the six classes, and the one isinstance over a
+    # variable class, a lowercase name that is not a builtin, is linalg._expect's
+    def tests_for_a_package_type(node):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            return False
+        kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        names = [getattr(k, "id", None) or getattr(k, "attr", None) for k in kinds]
+        return any(
+            name in PACKAGE_TYPES or (isinstance(k, ast.Name) and name.islower()
+                                      and not hasattr(builtins, name))
+            for k, name in zip(kinds, names)
+        )
+
+    assert _sites(Path(colligate.__file__).parent, tests_for_a_package_type) == ["linalg._expect"]
+
+
+SENTINELS = ("x", 5, None, 1.5, object())
+
+
+def test_no_public_callable_leaks_a_foreign_exception(tmp_path, monkeypatch):
+    # every required positional argument of an exported callable set to one
+    # sentinel at a time: the only escapes are a ColligateError, which the CLI
+    # maps to exit code 2, and a FileNotFoundError for a str path that does not exist.
+    # A save_* that took a sentinel for its document would write it here
+    monkeypatch.chdir(tmp_path)
+    swept, leaks = 0, {}
+    for name in colligate.__all__:
+        obj = getattr(colligate, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        swept += 1
+        params = inspect.signature(obj).parameters.values()
+        count = sum(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        for sentinel in SENTINELS:
+            try:
+                obj(*[sentinel] * count)
+            except errors.ColligateError:
+                pass
+            except Exception as exc:
+                if not (isinstance(exc, FileNotFoundError) and isinstance(sentinel, str)):
+                    leaks.setdefault(name, set()).add(type(exc).__name__)
+    assert swept > 50
+    assert not leaks, f"{len(leaks)} callables leak: {leaks}"
 
 
 def _held_arrays(obj) -> list[np.ndarray]:

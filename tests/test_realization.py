@@ -559,6 +559,43 @@ GUARDS = {
         lambda: gramian_identity_check(1.5),
         StructureError, "the Gramian identity takes a Colligation, got float",
     ),
+    "projections of an int": (
+        lambda: Representation(5),
+        StructureError, "projections must be a sequence, got 5",
+    ),
+    "direct sum with a string": (
+        lambda: direct_sum(coordinate_representation([1]), "x"),
+        StructureError,
+        "a direct sum takes a Representation and a Representation, got Representation and str",
+    ),
+    "action of None": (
+        lambda: rep_apply(None, [1.0]),
+        StructureError, "a representation's action takes a Representation, got NoneType",
+    ),
+    "reducibility of a colligation": (
+        lambda: rep_is_reducible(blaschke_colligation()),
+        StructureError, "reducibility takes a Representation, got Colligation",
+    ),
+    "block operator over a string representation": (
+        lambda: Colligation.from_matrix(np.eye(2), 1, "x", disc_table([0.0])),
+        StructureError, "a colligation takes a Representation and a TestFunctionTable, "
+        "got str and TestFunctionTable",
+    ),
+    "random colligation over an int representation": (
+        lambda: random_colligation(1, 5, disc_table([0.0]), 0),
+        StructureError, "a colligation takes a Representation and a TestFunctionTable, "
+        "got int and TestFunctionTable",
+    ),
+    "vanishing colligation over a string representation": (
+        lambda: random_vanishing_colligation(1, "x", disc_table([0.0]), 0),
+        StructureError, "a colligation takes a Representation and a TestFunctionTable, "
+        "got str and TestFunctionTable",
+    ),
+    "selfadjoint base colligation over None": (
+        lambda: random_selfadjoint_base_colligation(1, None, disc_table([0.0]), 0),
+        StructureError, "a colligation takes a Representation and a TestFunctionTable, "
+        "got NoneType and TestFunctionTable",
+    ),
 }
 
 
@@ -1374,6 +1411,15 @@ class TestVerifyFactorization:
         assert len(evaluations) == 1
         with np.errstate(over="ignore", invalid="ignore"):
             assert three_passes(parent, f1, f2) == np.inf
+
+    def test_overflowing_swapped_factors_read_inf_without_a_warning(self, evaluations):
+        # swapped, the factors share no block and take three passes, whose
+        # product of values overflows: it saturates as the one pass does
+        parent, f1, f2 = extracted_case("general", "dense", 2, seed=310)
+        huge = np.full((2, 2), 1e200)
+        f1, f2 = _with(f1, A=huge), _with(f2, A=huge)
+        assert verify_factorization(parent, f2, f1) == np.inf
+        assert [col for col, _ in evaluations] == [parent, f2, f1]
 
     @pytest.mark.parametrize("kind", ["coordinate", "dense"])
     @pytest.mark.parametrize("trigger", list(FALLBACKS))

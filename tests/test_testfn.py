@@ -945,7 +945,7 @@ GUARDS = {
     ),
     "norm bound over an int in a kernel list": (
         lambda: agler_norm_lower_bound([np.zeros((1, 1))], [5]),
-        StructureError, "kernel must be a HermitianKernel, got int",
+        StructureError, "a witness check takes a HermitianKernel, got int",
     ),
     "norm bound over a kernel list that is not iterable": (
         lambda: agler_norm_lower_bound([np.zeros((1, 1))], 5),
@@ -953,7 +953,7 @@ GUARDS = {
     ),
     "witness check against a string kernel": (
         lambda: schur_agler_witness_check([np.zeros((1, 1))], "x", 1.0),
-        StructureError, "kernel must be a HermitianKernel, got str",
+        StructureError, "a witness check takes a HermitianKernel, got str",
     ),
     "norm bound over an int for the values": (
         lambda: agler_norm_lower_bound(5, [szego_samples(TWO_POINTS)]),
@@ -982,6 +982,28 @@ GUARDS = {
     "table on a string point set": (
         lambda: FunctionTable("x", np.zeros((1, 1))),
         StructureError, "a test function table takes a PointSet, got str",
+    ),
+    "point evaluation of a string": (
+        lambda: eval_map("x", 0),
+        StructureError, "point evaluation takes a TestFunctionTable, got str",
+    ),
+    "complete-positivity check over a point set": (
+        lambda: cp_kernel_check(lambda i, j, g: np.eye(1), disc_points(TWO_POINTS),
+                                [([0], [np.eye(1)], [ONE])]),
+        StructureError, "a complete-positivity check takes a TestFunctionTable, got PointSet",
+    ),
+    "complete-positivity check of a kernel that is not callable": (
+        lambda: cp_kernel_check(5, disc_table(TWO_POINTS), [([0], [np.eye(1)], [ONE])]),
+        StructureError, "the kernel must be callable and the samples iterable, got int and list",
+    ),
+    "complete-positivity check over samples that are not iterable": (
+        lambda: cp_kernel_check(lambda i, j, g: np.eye(1), disc_table(TWO_POINTS), 5),
+        StructureError,
+        "the kernel must be callable and the samples iterable, got function and int",
+    ),
+    "family comparison with a point set": (
+        lambda: disc_table(TWO_POINTS).same_family(disc_points(TWO_POINTS)),
+        StructureError, "a family comparison takes a TestFunctionTable, got PointSet",
     ),
 }
 
