@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import FormatError, StructureError
 from .factorization import VARIANT_TABLE
-from .linalg import _adopted, _as_array, _as_2d_array, _check_finite, _expect, _is_integer
+from .linalg import _adopted, _as_2d_array, _check_finite, _expect, _is_integer, as_matrix
 from .realization import Colligation, Representation
-from .testfn import HermitianKernel, PointSet, TestFunctionTable
+from .testfn import HermitianKernel, PointSet, TestFunctionTable, _as_value_stack, _same_points
 
 __all__ = [
     "dumps_canonical",
@@ -382,7 +382,7 @@ def save_kernel(k: HermitianKernel, path: str) -> None:
         "kind": "kernel",
         "labels": list(k.points.labels),
         "block_dim": k.block_dim,
-        "blocks": [[k.block(i, j) for j in range(k.n)] for i in range(k.n)],
+        "blocks": [list(row) for row in k.blocks],
     }
     _write(doc, path)
 
@@ -390,27 +390,29 @@ def save_kernel(k: HermitianKernel, path: str) -> None:
 @_collector_paused()
 def load_witness(path: str) -> dict[str, np.ndarray]:
     obj = _check_kind(_read_json(path), path, "witness")
-    out: dict[str, np.ndarray] = {}
-    for key, value in obj.items():
-        if key == "kind":
-            continue
-        if key not in WITNESS_NAMES:
-            raise FormatError(
-                f"{path}: unknown witness '{key}', expected one of {WITNESS_NAMES}"
-            )
-        out[key] = decode_matrix(value, f"{path}.{key}")
-    if not out:
-        raise FormatError(f"{path}: witness document holds no matrices")
-    return out
+    names = _witness_names([key for key in obj if key != "kind"], path)
+    return {key: decode_matrix(obj[key], f"{path}.{key}") for key in names}
 
 
 def save_witness(witnesses: dict[str, np.ndarray], path: str) -> None:
     _expect("a witness document", (witnesses, dict))
+    _witness_names(list(witnesses), path)
     doc: dict = {"kind": "witness"}
     for name in WITNESS_NAMES:
         if name in witnesses:
-            doc[name] = _as_array(witnesses[name], f"witness {name}")
+            doc[name] = as_matrix(witnesses[name], f"witness {name}")
     _write(doc, path)
+
+
+def _witness_names(names: list, path: str) -> list:
+    """The one rule of a witness document's names: ``names`` themselves if
+    each is in WITNESS_NAMES and there is at least one."""
+    for key in names:
+        if key not in WITNESS_NAMES:
+            raise FormatError(f"{path}: unknown witness '{key}', expected one of {WITNESS_NAMES}")
+    if not names:
+        raise FormatError(f"{path}: witness document holds no matrices")
+    return names
 
 
 @_collector_paused()
@@ -425,17 +427,18 @@ def load_values(path: str) -> tuple[PointSet, np.ndarray]:
 
 def save_values(points: PointSet, stack, path: str) -> None:
     _expect("a values document", (points, PointSet))
-    doc = {
-        "kind": "values",
-        "labels": list(points.labels),
-        "values": list(_as_array(stack, "values")),
-    }
+    # the norm bound's rules: one finite square matrix of one shape per point
+    values = _as_value_stack(stack)
+    _same_points(values, points)
+    doc = {"kind": "values", "labels": list(points.labels), "values": list(values)}
     _write(doc, path)
 
 
 def _write(doc: dict, path: str) -> None:
+    # serialized before the file is opened: a refused document writes no file
+    text = dumps_canonical(doc)
     with open(_path(path), "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(doc))
+        fh.write(text)
 
 
 def digest_file(path: str) -> str:

@@ -36,7 +36,6 @@ __all__ = [
     "max_abs",
     "is_isometry",
     "is_psd",
-    "numerical_rank",
     "orthonormal_range_basis",
     "isometric_factor",
     "injective_on_range",
@@ -133,11 +132,6 @@ def is_psd(m, atol: float = DEFAULT_ATOL) -> bool:
     # halved before the sum, which overflows for entries near the float max
     eigs = np.linalg.eigvalsh(a / 2.0 + a.conj().T / 2.0)
     return bool(eigs[0] >= -atol)
-
-
-def numerical_rank(m, atol: float = DEFAULT_ATOL) -> int:
-    """Numerical rank at the cutoff of orthonormal_range_basis."""
-    return orthonormal_range_basis(m, atol).shape[1]
 
 
 def orthonormal_range_basis(m, atol: float = DEFAULT_ATOL) -> np.ndarray:

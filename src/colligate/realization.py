@@ -26,7 +26,6 @@ from .linalg import (
     _check_atol,
     _check_finite,
     _expect,
-    _finite_real,
     _integer,
     _is_integer,
     _isometry_defect,
@@ -37,7 +36,7 @@ from .linalg import (
     max_abs,
     random_isometry,
 )
-from .testfn import TestFunctionTable, _coefficients, eval_map
+from .testfn import TestFunctionTable, _coefficients, _point_indices
 
 __all__ = [
     "Representation",
@@ -61,6 +60,8 @@ _GRAMIAN_CHUNK = 8
 # entries of one (c, N, N) stack of resolvent matrices: a chunk of the
 # resolvent kernel holds max(1, _RESOLVENT_BUDGET // N^2) points
 _RESOLVENT_BUDGET = 1 << 15
+# the interval random_selfadjoint_base_colligation draws A's eigenvalues from
+_SPECTRUM = (0.25, 0.85)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,10 +368,11 @@ def _triangular_split(col: Colligation) -> int:
     return n1
 
 
-def _resolvents(col: Colligation, indices, left=None):
-    """Yield (at, G, W H) for the point indices ``indices``, chunk by chunk:
-    G[k] = (I - D L_k)^{-1} C and H[k] = L_k G[k] at point index at[k], W
-    the matrix ``left`` with N columns, or the identity when it is None.
+def _resolvents(col: Colligation, at: np.ndarray, left=None):
+    """Yield (chunk, G, W H) for the 1-D array ``at`` of point indices that
+    passed the point-index rule, chunk by chunk: G[k] = (I - D L_k)^{-1} C
+    and H[k] = L_k G[k] at point index chunk[k], W the matrix ``left`` with
+    N columns, or the identity when it is None.
 
     The one resolvent kernel of the module: every evaluation and the
     Gramian identity go through it, so a singular resolvent is reported
@@ -396,8 +398,7 @@ def _resolvents(col: Colligation, indices, left=None):
     chunk; numpy runs the solve and the products after it item by item
     over the stack, so a point's G and W H do not depend on its chunk.
     """
-    at = np.atleast_1d(indices)
-    psi = eval_map(col.table, at).T.copy()
+    psi = col.table.values[:, at].T.copy()
     stack, n = col.rep._stack, col.state_dim
     dp = np.matmul(col.D, stack).reshape(-1, n * n)
     wp = stack if left is None else np.matmul(left, stack)
@@ -431,7 +432,7 @@ def evaluate(col: Colligation, i) -> np.ndarray:
     the base point L vanishes and the result is exactly the A block.
     """
     _expect("evaluation", (col, Colligation))
-    at = np.atleast_1d(i)
+    at = np.atleast_1d(_point_indices(col.table, i))
     values = np.empty((at.size, col.value_dim, col.value_dim), dtype=np.complex128)
     stop = 0
     for chunk, _, bh in _resolvents(col, at, col.B):
@@ -587,24 +588,19 @@ def random_selfadjoint_base_colligation(
     rep: Representation,
     table: TestFunctionTable,
     seed: int,
-    spectrum: tuple[float, float] = (0.25, 0.85),
 ) -> Colligation:
     """Random isometric colligation whose base-point value is a
     selfadjoint invertible strict contraction.
 
-    The A block is built with eigenvalues drawn from ``spectrum`` (kept
+    The A block is built with eigenvalues drawn from ``_SPECTRUM`` (kept
     away from 0 and 1), and the C block is chosen so the first block
     column is isometric.  Needs state_dim >= value_dim.
     """
     _expect("a colligation", (rep, Representation), (table, TestFunctionTable))
-    pair = tuple(spectrum) if np.iterable(spectrum) else ()
-    if not (len(pair) == 2 and all(map(_finite_real, pair)) and 0.0 < pair[0] <= pair[1] < 1.0):
-        raise StructureError(f"spectrum must sit inside (0, 1), got {spectrum}")
-    lo, hi = pair
     d = _absorbed_value_dim(value_dim, rep)
     rng = _rng(seed)
     v = _rng_isometry(rng, d, d)
-    eigs = rng.uniform(lo, hi, size=d)
+    eigs = rng.uniform(*_SPECTRUM, size=d)
     a = v @ np.diag(eigs) @ v.conj().T
     a = (a + a.conj().T) / 2.0
     root = v @ np.diag(np.sqrt(1.0 - eigs**2)) @ v.conj().T

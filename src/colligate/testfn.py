@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionError, StructureError, ToleranceError
 from .linalg import DEFAULT_ATOL, _adopted, _as_array, _check_atol, _check_finite, _finite_real
-from .linalg import _expect, _integer, _saturating, as_matrix, is_psd, max_abs
+from .linalg import _expect, _integer, _is_integer, _saturating, as_matrix, is_psd, max_abs
 
 __all__ = [
     "PointSet",
@@ -216,12 +216,20 @@ def eval_map(t: TestFunctionTable, i) -> np.ndarray:
 
     ``i`` may also be a 1-D integer array of point indices; then the
     result holds their columns, shape (m, k).  Every evaluation at a
-    point index goes through this type and range check: booleans and
-    non-integers are refused, whether scalars or arrays.
+    point index goes through the type and range check of _point_indices:
+    booleans and non-integers are refused, as scalars, items or arrays.
     """
     _expect("point evaluation", (t, TestFunctionTable))
-    idx = np.asarray(i)
-    if idx.dtype.kind not in "iu" or idx.ndim > 1:
+    return t.values[:, _point_indices(t, i)]
+
+
+def _point_indices(t: TestFunctionTable, i) -> np.ndarray:
+    """``i`` as an integer array of point indices of ``t``, shaped as given:
+    the one point-index rule.  A list or tuple is read item by item, since
+    numpy reads True as 1; an array is read by its dtype alone."""
+    listed = isinstance(i, (list, tuple))
+    idx = np.asarray(i) if not listed or all(map(_is_integer, i)) else None
+    if idx is None or idx.dtype.kind not in "iu" or idx.ndim > 1:
         raise StructureError(
             "point index must be an integer or a 1-D array of integers in "
             f"0..{t.n - 1}, got {i!r}"
@@ -230,7 +238,7 @@ def eval_map(t: TestFunctionTable, i) -> np.ndarray:
     outside = flat[(flat < 0) | (flat >= t.n)]
     if outside.size:
         raise StructureError(f"point index {outside[0]} outside 0..{t.n - 1}")
-    return t.values[:, idx]
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,9 +285,6 @@ class HermitianKernel:
     @property
     def block_dim(self) -> int:
         return self.blocks.shape[2]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i, j]
 
     def assemble(self) -> np.ndarray:
         """Flatten the block grid into one n*d square matrix."""
@@ -421,12 +426,11 @@ def schur_agler_witness_check(
     return is_psd(_witness_matrix(square * np.eye(f.shape[1]) - _gram(f), s), atol)
 
 
-def _same_points(f: np.ndarray, s: HermitianKernel) -> None:
-    """The one check that a value stack has one value per point of s."""
+def _same_points(f: np.ndarray, s: HermitianKernel | PointSet) -> None:
+    """The one check that a value stack has one value per point of s, a
+    kernel or a PointSet."""
     if f.shape[0] != s.n:
-        raise StructureError(
-            f"{f.shape[0]} function values supplied for {s.n} kernel points"
-        )
+        raise StructureError(f"{f.shape[0]} function values supplied for {s.n} points")
 
 
 def _kernel_list(kernels) -> list[HermitianKernel]:

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 import colligate.fileio as fileio
 from colligate import (
+    ColligateError,
     DimensionError,
     FormatError,
+    HermitianKernel,
     StructureError,
     decode_matrix,
     digest_file,
@@ -95,7 +97,7 @@ class TestMatrixCodec:
             (lambda: encode_matrix("abc"), "matrix must be an array of numbers"),
             (lambda: save_witness({"A": [["a"]]}, path), "witness A must be an array of numbers"),
             (lambda: save_values(disc_table([0.0]).points, [[["a"]]], path),
-             "values must be an array of numbers"),
+             "function value must be an array of numbers"),
         ):
             with pytest.raises(FormatError) as info:
                 call()
@@ -494,6 +496,60 @@ class TestValuesFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="shape"):
             load_values(str(path))
+
+
+TWO_POINTS = disc_table([0.0, 0.5]).points
+UNREAD = pytest.mark.xfail(strict=True, raises=FormatError, reason="saver writes a dimension 0")
+
+# (save, load, the arguments before the path) for one document each
+SAVER_CASES = {
+    "colligation": lambda: (save_colligation, load_colligation, (blaschke_colligation(),)),
+    "table": lambda: (save_table, load_table, (blaschke_colligation().table,)),
+    "Szego kernel": lambda: (save_kernel, load_kernel, (szego_samples([0.0, 0.5]),)),
+    "Szego kernel of power 2": lambda: (save_kernel, load_kernel,
+                                         (szego_samples([0.0, 0.5, 0.25j], 2),)),
+    "kernel of 2x2 blocks": lambda: (save_kernel, load_kernel, (
+        HermitianKernel(TWO_POINTS, np.arange(16.0).reshape(2, 2, 2, 2) / 7.0 + 0.5j),)),
+    "witness": lambda: (save_witness, load_witness,
+                        ({"X1": np.array([[1.0], [-0.0]]), "A1": np.array([[0.5 + 0.1j]])},)),
+    "witness of an unknown name": lambda: (save_witness, load_witness, ({"Q": np.eye(1)},)),
+    "witness of no matrices": lambda: (save_witness, load_witness, ({},)),
+    "witness with a NaN": lambda: (save_witness, load_witness, ({"A": np.array([[np.nan]])},)),
+    "1-D witness": lambda: (save_witness, load_witness, ({"A": np.ones(3)},)),
+    "values": lambda: (save_values, load_values, (TWO_POINTS, np.array([[[0.5j]], [[-0.0]]]))),
+    "scalar values": lambda: (save_values, load_values, (TWO_POINTS, 0.5)),
+    "three values on two points": lambda: (save_values, load_values,
+                                           (TWO_POINTS, np.zeros((3, 2, 2)))),
+    "values of shape 2x3": lambda: (save_values, load_values, (TWO_POINTS, np.zeros((2, 2, 3)))),
+    "infinite value": lambda: (save_values, load_values, (TWO_POINTS, np.full((2, 1, 1), np.inf))),
+    # open: a dimension 0 is written, as [] for a matrix with no rows, and
+    # refused by the loader
+    "values of shape 0x0": pytest.param(
+        lambda: (save_values, load_values, (TWO_POINTS, np.zeros((2, 0, 0)))), marks=UNREAD),
+    "witness with no rows": pytest.param(
+        lambda: (save_witness, load_witness, ({"Y": np.zeros((0, 2))},)), marks=UNREAD),
+    "kernel of 0x0 blocks": pytest.param(
+        lambda: (save_kernel, load_kernel, (HermitianKernel(TWO_POINTS, np.zeros((2, 2, 0, 0))),)),
+        marks=UNREAD),
+    "colligation of value dimension 0": pytest.param(
+        lambda: (save_colligation, load_colligation, (random_colligation(
+            0, random_representation(1, 1, 0), disc_table([0.0, 0.5]), 0),)), marks=UNREAD),
+}
+
+
+@pytest.mark.parametrize("case", SAVER_CASES.values(), ids=list(SAVER_CASES))
+def test_each_saver_refuses_or_writes_what_its_loader_reads(case, tmp_path):
+    # refused with a ColligateError and no file, or loaded and saved again byte for byte
+    save, load, args = case()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    try:
+        save(*args, str(first))
+    except ColligateError:
+        assert not list(tmp_path.iterdir())
+        return
+    loaded = load(str(first))
+    save(*(loaded if isinstance(loaded, tuple) else (loaded,)), str(second))
+    assert second.read_bytes() == first.read_bytes()
 
 
 LOADERS = [load_colligation, load_table, load_kernel, load_witness, load_values]

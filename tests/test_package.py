@@ -54,7 +54,6 @@ EXPORTED = {
     "load_values",
     "load_witness",
     "max_abs",
-    "numerical_rank",
     "OrthogonalityError",
     "orthonormal_range_basis",
     "PaddingError",
@@ -302,6 +301,49 @@ def test_no_public_callable_leaks_a_foreign_exception(tmp_path, monkeypatch):
                     leaks.setdefault(name, set()).add(type(exc).__name__)
     assert swept > 50
     assert not leaks, f"{len(leaks)} callables leak: {leaks}"
+
+
+def _package_objects() -> list:
+    """One object of each of the six package types."""
+    table = colligate.disc_table([0.0, 0.5])
+    col = colligate.random_colligation(1, colligate.coordinate_representation([1]), table, 0)
+    joined = colligate.product(col, col)
+    kernel = colligate.szego_samples([0.0, 0.5])
+    return [table.points, table, kernel, joined.rep, joined, colligate.split_blocks(joined)]
+
+
+PUBLIC_METHODS = {
+    "Colligation.from_matrix", "Colligation.isometry_defect", "Colligation.matrix",
+    "Colligation.validate", "HermitianKernel.assemble", "HermitianKernel.hermiticity_defect",
+    "Representation.defects", "Representation.restrict", "Representation.validate",
+    "TestFunctionTable.same_family",
+}
+
+
+def test_no_public_method_leaks_a_foreign_exception():
+    # the sentinels of the callable sweep, -1 and True, in every required
+    # argument of every public method of the package types
+    objects = _package_objects()
+    assert {type(obj).__name__ for obj in objects} == PACKAGE_TYPES
+    swept, leaks = set(), {}
+    for obj in objects:
+        for name, attr in inspect.getmembers(type(obj)):
+            if name.startswith("_") or not (inspect.isfunction(attr) or inspect.ismethod(attr)):
+                continue
+            method = getattr(obj, name)
+            where = f"{type(obj).__name__}.{name}"
+            swept.add(where)
+            params = inspect.signature(method).parameters.values()
+            count = sum(p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+            for sentinel in SENTINELS + (-1, True):
+                try:
+                    method(*[sentinel] * count)
+                except errors.ColligateError:
+                    pass
+                except Exception as exc:
+                    leaks.setdefault(where, set()).add(type(exc).__name__)
+    assert not leaks, f"{len(leaks)} methods leak: {leaks}"
+    assert swept == PUBLIC_METHODS
 
 
 def _held_arrays(obj) -> list[np.ndarray]:

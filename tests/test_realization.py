@@ -648,12 +648,16 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "index",
         [1.5, 1.0, True, np.True_, "1", None, [0, 1.5], np.array([True, False]),
-         np.array([[0, 1]])],
+         np.array([[0, 1]]), [True, 1], (0, False), [1, np.True_]],
         ids=repr,
     )
     def test_a_non_integer_index_is_a_structure_error(self, index):
-        with pytest.raises(StructureError, match="point index must be an integer"):
+        # numpy reads a listed True as 1, and the message shows the caller's index
+        with pytest.raises(StructureError) as info:
             evaluate(blaschke_colligation(), index)
+        assert str(info.value) == (
+            f"point index must be an integer or a 1-D array of integers in 0..3, got {index!r}"
+        )
 
     def test_an_index_array_names_its_first_index_outside_the_table(self):
         with pytest.raises(StructureError, match=r"point index 7 outside 0\.\.3"):
@@ -1521,22 +1525,3 @@ class TestStructuredGenerators:
         assert eigs.min() > 0.2
         assert eigs.max() < 0.9
         assert col.isometry_defect() < 1e-12
-
-    def test_selfadjoint_generator_rejects_bad_spectrum(self):
-        rep = random_representation(1, 2, seed=509)
-        table = random_table(1, 3, seed=510)
-        with pytest.raises(ValueError):
-            random_selfadjoint_base_colligation(
-                1, rep, table, seed=511, spectrum=(0.0, 1.0)
-            )
-
-    @pytest.mark.parametrize(
-        "spectrum",
-        [(0.0, 0.5), (0.5, 1.0), (0.6, 0.4), 0.5, (0.1, 0.2, 0.3), ("a", "b")],
-    )
-    def test_bad_spectrum_is_a_structure_error(self, spectrum):
-        rep = random_representation(1, 2, seed=509)
-        table = random_table(1, 3, seed=510)
-        with pytest.raises(StructureError) as info:
-            random_selfadjoint_base_colligation(1, rep, table, seed=511, spectrum=spectrum)
-        assert str(info.value) == f"spectrum must sit inside (0, 1), got {spectrum}"

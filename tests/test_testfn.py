@@ -136,7 +136,7 @@ def kron_witness_reference(f: np.ndarray, s: HermitianKernel, bound: float) -> n
         for j in range(n):
             head = bound**2 * np.eye(d) - f[i].conj().T @ f[j]
             out[i * size : (i + 1) * size, j * size : (j + 1) * size] = np.kron(
-                head, s.block(i, j).conj()
+                head, s.blocks[i, j].conj()
             )
     return out
 
@@ -351,11 +351,15 @@ class TestTable:
         t = disc_table(FOUR_POINTS)
         npt.assert_array_equal(eval_map(t, np.array([3, 1, 3])), t.values[:, [3, 1, 3]])
         assert eval_map(t, np.arange(4)).shape == (1, 4)
+        npt.assert_array_equal(eval_map(t, [3, np.int64(1)]), t.values[:, [3, 1]])
         with pytest.raises(StructureError, match=r"point index 4 outside 0\.\.3"):
             eval_map(t, np.array([0, 4, -1]))
 
+    # a list is read item by item: numpy reads True as 1 and refuses a ragged list
+    # with a ValueError
     @pytest.mark.parametrize("index", [2.0, False, np.bool_(True), np.array([1.0]),
-                                       np.array([False]), np.zeros((1, 1), dtype=int)],
+                                       np.array([False]), np.zeros((1, 1), dtype=int),
+                                       [True, 2], (2, True), [[1], [1, 2]]],
                              ids=repr)
     def test_eval_map_refuses_booleans_and_non_integers(self, index):
         with pytest.raises(StructureError, match="point index must be an integer"):
@@ -693,7 +697,7 @@ class TestCpKernelCheck:
         fixed = szego_samples(TWO_POINTS)
 
         def k(i, j, g):
-            return g[0] * fixed.block(i, j)
+            return g[0] * fixed.blocks[i, j]
 
         ones = np.ones(1)
         eye = np.eye(1)
@@ -731,7 +735,7 @@ class TestCpKernelCheck:
         fixed = szego_samples(TWO_POINTS)
 
         def k(i, j, g):
-            return g[0] * fixed.block(i, j)
+            return g[0] * fixed.blocks[i, j]
 
         ones = np.ones(1)
         weights = [np.array([[3.0]]), np.array([[0.5]])]
@@ -815,18 +819,18 @@ GUARDS = {
     ),
     "witness values for fewer points": (
         lambda: schur_agler_witness_check([np.zeros((1, 1))], szego_samples(TWO_POINTS), 1.0),
-        StructureError, "1 function values supplied for 2 kernel points",
+        StructureError, "1 function values supplied for 2 points",
     ),
     "norm bound over a kernel on other points": (
         lambda: agler_norm_lower_bound([np.zeros((1, 1))], [szego_samples(TWO_POINTS)]),
-        StructureError, "1 function values supplied for 2 kernel points",
+        StructureError, "1 function values supplied for 2 points",
     ),
     "norm bound over a second kernel on other points": (
         lambda: agler_norm_lower_bound(
             [np.eye(1), np.eye(1)],
             [szego_samples(TWO_POINTS), szego_samples([0.0, 0.25, 0.5])],
         ),
-        StructureError, "2 function values supplied for 3 kernel points",
+        StructureError, "2 function values supplied for 3 points",
     ),
     "no function value": (
         lambda: schur_agler_witness_check([], szego_samples(TWO_POINTS), 1.0),
